@@ -40,6 +40,12 @@ go test ./...
 echo "== go test -race (short)"
 go test -race -short ./internal/sim/... ./internal/machine/... ./internal/syncprim/... ./internal/chaos/...
 
+echo "== process carriers -race"
+# Process carriers (iter.Pull coroutines) are resumed from parallel shard
+# workers and stopped from the coordinator; the both-kernel process tests
+# exercise that hand-off, repeated under the race detector.
+go test -race -count=3 -run 'Process|Cond|Await|Shutdown|Spawn|Deadlock' ./internal/sim
+
 echo "== sweep engine -race"
 # The parallel sweep path must be race-clean: the engine package's own
 # tests plus a real multi-worker table sweep through the root package.

@@ -100,9 +100,19 @@ func CollectEscapes(root string, packages []string) ([]escSite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
+	return parseEscapes(string(out)), nil
+}
+
+// parseEscapes extracts the heap sites from `go build -gcflags='-m -m'`
+// output. It keeps only sites inside the module root: the compiler reports
+// code it inlines or instantiates from the standard library (iter.Pull's
+// body, say) at absolute GOROOT paths, or at ../ paths when GOROOT sits
+// beside the module. Those lines move with the toolchain version and install
+// path, and nothing in this module can act on them.
+func parseEscapes(out string) []escSite {
 	seen := make(map[string]bool)
 	var sites []escSite
-	for _, line := range strings.Split(string(out), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") ||
 			strings.HasPrefix(line, " ") || strings.HasPrefix(line, "\t") {
 			continue
@@ -111,11 +121,15 @@ func CollectEscapes(root string, packages []string) ([]escSite, error) {
 		if m == nil {
 			continue
 		}
+		rel := filepath.ToSlash(m[1])
+		if filepath.IsAbs(m[1]) || strings.HasPrefix(rel, "/") || strings.HasPrefix(rel, "../") {
+			continue
+		}
 		msg := m[4]
 		if !strings.Contains(msg, "escapes to heap") && !strings.Contains(msg, "moved to heap") {
 			continue
 		}
-		s := escSite{rel: filepath.ToSlash(m[1]), msg: msg}
+		s := escSite{rel: rel, msg: msg}
 		fmt.Sscanf(m[2], "%d", &s.line)
 		fmt.Sscanf(m[3], "%d", &s.col)
 		if k := s.key(); !seen[k] {
@@ -124,7 +138,7 @@ func CollectEscapes(root string, packages []string) ([]escSite, error) {
 		}
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i].key() < sites[j].key() })
-	return sites, nil
+	return sites
 }
 
 // FormatEscapesBaseline renders sites in the checked-in baseline format.

@@ -51,6 +51,34 @@ func TestCollectEscapes(t *testing.T) {
 	}
 }
 
+// TestParseEscapesKeepsModuleSites feeds canned -m -m output through the
+// parser: in-module heap sites are kept once each (the trailing-colon
+// duplicate folds into the plain form), while sites the compiler reports
+// at absolute GOROOT paths or ../ paths, flow lines, and non-heap
+// diagnostics are dropped.
+func TestParseEscapesKeepsModuleSites(t *testing.T) {
+	out := `# example.com/m/internal/sim
+internal/sim/process.go:84:7: &Process{...} escapes to heap:
+internal/sim/process.go:84:7:   flow: {heap} = &{storage for &Process{...}}:
+internal/sim/process.go:84:7: &Process{...} escapes to heap
+internal/sim/process.go:93:30: func literal escapes to heap
+internal/sim/process.go:61:6: can inline (*Process).Name with cost 4
+internal/sim/engine.go:12:2: moved to heap: v
+/usr/local/go/src/iter/iter.go:264:3: moved to heap: iter.yieldNext
+/usr/local/go/src/iter/iter.go:269:15: func literal escapes to heap
+../go/src/iter/iter.go:304:9: func literal escapes to heap
+`
+	got := FormatEscapesBaseline(parseEscapes(out))
+	want := FormatEscapesBaseline([]escSite{
+		{rel: "internal/sim/engine.go", line: 12, col: 2, msg: "moved to heap: v"},
+		{rel: "internal/sim/process.go", line: 84, col: 7, msg: "&Process{...} escapes to heap"},
+		{rel: "internal/sim/process.go", line: 93, col: 30, msg: "func literal escapes to heap"},
+	})
+	if got != want {
+		t.Fatalf("parseEscapes:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestEscapeRuleGate exercises the baseline diff: clean against a matching
 // baseline, a named new-site finding against an empty one, a stale-entry
 // finding for a vanished site, and silence when no baseline exists.

@@ -320,8 +320,10 @@ func (m *Machine) allBodiesDone() bool {
 	return n == m.bodies
 }
 
-// Shutdown unwinds any parked program goroutines. Call when abandoning a
-// machine (after deadlock or deadline) so goroutines do not leak.
+// Shutdown stops the coroutines that run programs, unwinding any parked
+// program. Call it when done with a machine, after a clean run as well as
+// after deadlock or deadline: finished programs leave their coroutines idle
+// for reuse, so skipping it leaks goroutines.
 func (m *Machine) Shutdown() { m.Eng.Shutdown() }
 
 // EnableTrace attaches a message tracer retaining the most recent capacity

@@ -46,24 +46,48 @@ func TestScheduleCallSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
-	eng := NewEngine()
-	defer eng.Shutdown()
-	for i := 0; i < 4; i++ {
-		eng.Spawn("spinner", 0, func(p *Process) {
-			for {
-				p.Sleep(10)
-			}
-		})
-	}
-	deadline := Time(0)
-	window := func() {
-		deadline += 1000
-		if err := eng.RunUntil(deadline); err != ErrDeadline {
-			t.Fatalf("RunUntil = %v, want ErrDeadline (spinners never finish)", err)
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		eng := newEngine()
+		defer eng.Shutdown()
+		for i := 0; i < 4; i++ {
+			eng.ForNode(i%2).Spawn("spinner", 0, func(p *Process) {
+				for {
+					p.Sleep(10)
+				}
+			})
 		}
-	}
-	window() // warm: first parks create the goroutines' channel buffers
-	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
-		t.Fatalf("process context switching allocates %.1f/op, want 0", allocs)
-	}
+		deadline := Time(0)
+		window := func() {
+			deadline += 1000
+			if err := eng.RunUntil(deadline); err != ErrDeadline {
+				t.Fatalf("RunUntil = %v, want ErrDeadline (spinners never finish)", err)
+			}
+		}
+		window() // warm: the first switches start the carrier coroutines
+		if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+			t.Fatalf("process context switching allocates %.1f/op, want 0", allocs)
+		}
+	})
+}
+
+// TestSpawnOnIdleCarrierAllocs pins the point of carrier reuse: once a
+// process has returned, the next Spawn on the same scheduler runs on its
+// idle carrier and allocates only the Process and its prebound wake
+// function, not a new coroutine.
+func TestSpawnOnIdleCarrierAllocs(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		eng := newEngine()
+		defer eng.Shutdown()
+		fn := func(p *Process) { p.Sleep(1) }
+		spawnAndRun := func() {
+			eng.ForNode(1).Spawn("p", 0, fn)
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spawnAndRun() // warm: starts the one carrier every later Spawn reuses
+		if allocs := testing.AllocsPerRun(100, spawnAndRun); allocs > 2 {
+			t.Fatalf("Spawn on an idle carrier allocates %.1f/op, want <= 2", allocs)
+		}
+	})
 }

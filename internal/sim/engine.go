@@ -54,7 +54,9 @@ type Engine interface {
 	// shard deliveries require delay >= the engine's lookahead window.
 	ScheduleCallNode(node int, delay Time, call func(any), arg any)
 	// Spawn starts fn as a new process after delay cycles, pinned to this
-	// view's shard.
+	// view's shard. A panic inside fn is re-raised where the process was
+	// dispatched: out of Run on Sequential, and in the shard's worker
+	// goroutine (ending the program) on Parallel.
 	Spawn(name string, delay Time, fn func(p *Process)) *Process
 	// ForNode returns the node-affine view components on node must use.
 	ForNode(node int) Engine
@@ -75,8 +77,8 @@ type Engine interface {
 	Pending() int
 	// LiveProcesses reports spawned processes that have not yet returned.
 	LiveProcesses() int
-	// Stop makes Run return after the current event; Shutdown unwinds every
-	// parked process goroutine.
+	// Stop makes Run return after the current event; Shutdown stops every
+	// process carrier, unwinding parked processes.
 	Stop()
 	Shutdown()
 }

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
@@ -116,8 +117,7 @@ type shard struct {
 	free     []int32
 	order    []int32
 	executed uint64
-	procs    int
-	plist    []*Process
+	pool     procPool
 	pushLog  []pushRec
 	emits    []emission
 	// lineage of the currently executing event
@@ -248,7 +248,7 @@ func (par *Parallel) Pending() int {
 func (par *Parallel) LiveProcesses() int {
 	n := 0
 	for _, s := range par.shards {
-		n += s.procs
+		n += s.pool.live
 	}
 	return n
 }
@@ -259,8 +259,9 @@ func (par *Parallel) LiveProcesses() int {
 // not for deterministic pause/resume.
 func (par *Parallel) Stop() { par.stopped.Store(true) }
 
-// Shutdown terminates the shard workers and unwinds every parked process
-// goroutine. The engine must not be used afterwards.
+// Shutdown terminates the shard workers, waiting until each has left its
+// loop, and stops every shard's process carriers (see
+// Sequential.Shutdown). The engine must not be used afterwards.
 func (par *Parallel) Shutdown() {
 	if par.shutdown {
 		return
@@ -270,12 +271,12 @@ func (par *Parallel) Shutdown() {
 		for _, s := range par.shards {
 			close(s.windowCh)
 		}
+		for range par.shards {
+			<-par.doneCh
+		}
 	}
 	for _, s := range par.shards {
-		for _, p := range s.plist {
-			close(p.resume)
-		}
-		s.plist = nil
+		s.pool.shutdown()
 	}
 }
 
@@ -368,8 +369,8 @@ func (par *Parallel) boundary() {
 	rec := func(r recRef) *pushRec { return &par.shards[r.shard].pushLog[r.idx] }
 	// Rank by pusher execution time first: Sequential performs pushes in the
 	// order pushing events execute, i.e. (time, sequence) over pushers.
-	sort.SliceStable(par.refs, func(i, j int) bool {
-		return rec(par.refs[i]).pusherAt < rec(par.refs[j]).pusherAt
+	slices.SortStableFunc(par.refs, func(a, b recRef) int {
+		return cmp.Compare(rec(a).pusherAt, rec(b).pusherAt)
 	})
 	for lo := 0; lo < len(par.refs); {
 		hi := lo
@@ -400,13 +401,11 @@ func (par *Parallel) boundary() {
 			if len(par.ready) == 0 {
 				panic("sim: parallel boundary ranking stuck (lineage cycle)")
 			}
-			sort.SliceStable(par.ready, func(i, j int) bool {
-				ri, rj := par.ready[i], par.ready[j]
-				a, b := rec(ri), rec(rj)
-				if a.pusherSeq != b.pusherSeq {
-					return a.pusherSeq < b.pusherSeq
+			slices.SortStableFunc(par.ready, func(ri, rj recRef) int {
+				if c := cmp.Compare(rec(ri).pusherSeq, rec(rj).pusherSeq); c != 0 {
+					return c
 				}
-				return ri.idx < rj.idx // same pusher: log order = push order
+				return cmp.Compare(ri.idx, rj.idx) // same pusher: log order = push order
 			})
 			for _, r := range par.ready {
 				pr := rec(r)
@@ -435,15 +434,14 @@ func (par *Parallel) boundary() {
 			}
 			s.emits = s.emits[:0]
 		}
-		sort.SliceStable(par.emits, func(i, j int) bool {
-			a, b := &par.emits[i], &par.emits[j]
-			if a.at != b.at {
-				return a.at < b.at
+		slices.SortStableFunc(par.emits, func(a, b emission) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
 			}
-			if a.seq != b.seq {
-				return a.seq < b.seq
+			if c := cmp.Compare(a.seq, b.seq); c != 0 {
+				return c
 			}
-			return a.n < b.n
+			return cmp.Compare(a.n, b.n)
 		})
 		for i := range par.emits {
 			em := &par.emits[i]
@@ -471,12 +469,13 @@ func (par *Parallel) boundary() {
 // --- shard: the per-partition kernel ----------------------------------------
 
 // work is the shard's worker loop: execute one window per message until
-// Shutdown closes the channel.
+// Shutdown closes the channel, then check out with one last done.
 func (s *shard) work() {
 	for end := range s.windowCh {
 		s.runWindow(end)
 		s.par.doneCh <- struct{}{}
 	}
+	s.par.doneCh <- struct{}{}
 }
 
 // runWindow dispatches this shard's events with timestamps below end.
@@ -667,7 +666,7 @@ func (s *shard) ScheduleCallNode(node int, delay Time, call func(any), arg any) 
 
 // Spawn implements Engine on the shard view: the process is pinned here.
 func (s *shard) Spawn(name string, delay Time, fn func(p *Process)) *Process {
-	return spawn(s, name, delay, fn)
+	return spawn(s, &s.pool, name, delay, fn)
 }
 
 // ForNode implements Engine: views hand out sibling views.
@@ -711,10 +710,3 @@ func (s *shard) schedCall(delay Time, call func(any), arg any) {
 }
 
 func (s *shard) clock() Time { return s.now }
-
-func (s *shard) procStart(p *Process) {
-	s.procs++
-	s.plist = append(s.plist, p)
-}
-
-func (s *shard) procExit() { s.procs-- }

@@ -1,4 +1,11 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to the one that
+// introduced package iter, leaving the module's go directive at 1.22.
+
 package sim
+
+import "iter"
 
 // scheduler is the narrow kernel surface a process needs: it is implemented
 // by *Sequential and by the parallel engine's per-node shard views, so the
@@ -6,23 +13,55 @@ package sim
 type scheduler interface {
 	schedCall(delay Time, call func(any), arg any)
 	clock() Time
-	procStart(p *Process)
-	procExit()
 }
 
-// Process is a simulated thread of control backed by a goroutine. Exactly one
-// process (or event handler) executes at a time on a given shard, handing
-// control back to the kernel whenever it sleeps or parks, so the simulation
-// stays deterministic and shared simulated state needs no locking.
+// procPool is one scheduler's process bookkeeping: the live-process count
+// and the carriers that run its processes. A carrier is an iter.Pull
+// coroutine that runs one process function after another: when a process
+// returns, its carrier parks on idle until the next Spawn on the same
+// scheduler reuses it. Like the event heap, a pool belongs to whichever
+// goroutine is executing its scheduler, so at most one of its coroutines
+// runs at a time.
+type procPool struct {
+	live     int        // spawned processes that have not yet returned
+	carriers []*carrier // every carrier started, for Shutdown
+	idle     []*carrier // carriers whose process returned
+}
+
+// carrier is one reusable coroutine. p and fn are the process it runs or
+// will run next; next resumes the coroutine and stop ends it.
+type carrier struct {
+	p    *Process
+	fn   func(p *Process)
+	next func() (struct{}, bool)
+	stop func()
+}
+
+// shutdown ends every carrier: a parked process unwinds through
+// shutdownSentinel, an idle carrier leaves its loop, and a process never
+// dispatched never runs. A carrier whose process panicked is already done,
+// and a second shutdown finds no carriers.
+func (pp *procPool) shutdown() {
+	for _, c := range pp.carriers {
+		c.stop()
+	}
+	pp.carriers, pp.idle = nil, nil
+}
+
+// Process is a simulated thread of control backed by a coroutine. Exactly
+// one process (or event handler) executes at a time on a given shard,
+// handing control back to the kernel whenever it sleeps or parks, so the
+// simulation stays deterministic and shared simulated state needs no
+// locking.
 type Process struct {
 	eng  scheduler
 	name string
-	// resume carries control kernel->process (true = run; the channel is
-	// closed by Shutdown, so a false receive unwinds the goroutine). yield
-	// carries control back. Plain receives, not selects: parking is on the
-	// context-switch hot path.
-	resume chan bool
-	yield  chan struct{}
+	// next switches kernel->process and returns once the process parks or
+	// returns; yield switches back and reports false once Shutdown stopped
+	// the carrier. Both are direct coroutine switches, with no trip through
+	// the Go scheduler. A finished process has neither.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 	// wakeFn is the prebound wake function handed out by parkWaiting; it is
 	// created once at Spawn so parking never allocates. wakeArmed guards
 	// against waking a process that is not parked (or waking it twice).
@@ -34,60 +73,66 @@ type Process struct {
 // ScheduleCall form; a single package-level func value serves every process.
 var dispatchCall = func(a any) { a.(*Process).dispatch() }
 
-// shutdownSentinel is panicked inside a process goroutine when the engine is
-// shut down, unwinding the stack so the goroutine exits.
+// shutdownSentinel is panicked inside a process when the engine is shut
+// down, unwinding its stack so the carrier exits.
 type shutdownSentinel struct{}
 
-// spawn starts fn as a new process after delay cycles on s. The process runs
-// to completion unless the engine is shut down first. name is used in
-// debugging output only.
-func spawn(s scheduler, name string, delay Time, fn func(p *Process)) *Process {
-	p := &Process{
-		eng:    s,
-		name:   name,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-	}
+// spawn starts fn as a new process after delay cycles on s, on an idle
+// carrier from pp when there is one and on a new carrier otherwise. The
+// process runs to completion unless the engine is shut down first. name is
+// used in debugging output only.
+func spawn(s scheduler, pp *procPool, name string, delay Time, fn func(p *Process)) *Process {
+	p := &Process{eng: s, name: name}
 	p.wakeFn = p.wake
-	s.procStart(p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(shutdownSentinel); ok {
-					return // engine shut down; exit quietly
+	pp.live++
+	var c *carrier
+	if n := len(pp.idle); n > 0 {
+		c = pp.idle[n-1]
+		pp.idle[n-1] = nil
+		pp.idle = pp.idle[:n-1]
+	} else {
+		c = &carrier{}
+		c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(shutdownSentinel); ok {
+						return // engine shut down; exit quietly
+					}
+					panic(r) // iter.Pull re-raises it in the dispatcher
 				}
-				panic(r)
+			}()
+			for {
+				cur := c.p
+				cur.yield = yield
+				c.fn(cur)
+				cur.next, cur.yield = nil, nil
+				c.p, c.fn = nil, nil
+				pp.live--
+				pp.idle = append(pp.idle, c)
+				if !yield(struct{}{}) {
+					return // stopped while idle
+				}
 			}
-		}()
-		p.parkInitial()
-		fn(p)
-		s.procExit()
-		p.yield <- struct{}{} // final handoff back to the kernel
-	}()
+		})
+		pp.carriers = append(pp.carriers, c)
+	}
+	c.p, c.fn = p, fn
+	p.next = c.next
 	s.schedCall(delay, dispatchCall, p)
 	return p
 }
 
-// dispatch transfers control from the kernel to the process and waits until
-// the process parks again or finishes. Called only from event context.
+// dispatch transfers control from the kernel to the process and returns
+// when the process parks again or finishes. Called only from event context.
 func (p *Process) dispatch() {
-	p.resume <- true
-	<-p.yield
+	p.next()
 }
 
-// parkInitial blocks the fresh goroutine until its start event dispatches it.
-func (p *Process) parkInitial() {
-	if !<-p.resume {
-		panic(shutdownSentinel{})
-	}
-}
-
-// park returns control to the kernel and blocks until dispatched again.
+// park returns control to the kernel and resumes when dispatched again.
 // Whoever wakes this process must do so by scheduling p.dispatch (via
-// Wake/Sleep/Cond), never by touching the channels directly.
+// Wake/Sleep/Cond), never by resuming the carrier directly.
 func (p *Process) park() {
-	p.yield <- struct{}{}
-	if !<-p.resume {
+	if !p.yield(struct{}{}) {
 		panic(shutdownSentinel{})
 	}
 }

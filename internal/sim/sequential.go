@@ -30,12 +30,8 @@ type Sequential struct {
 	free     []int32
 	order    []int32
 	executed uint64
-	procs    int // live (spawned, not yet finished) processes
-	// plist records every spawned process so Shutdown can unwind the parked
-	// ones by closing their resume channels.
-	plist    []*Process
+	pool     procPool
 	stopped  bool
-	shutdown bool
 	// running guards against re-entrant Run calls from event handlers.
 	running bool
 	sink    func(cycle uint64, kind, what string)
@@ -159,7 +155,7 @@ func (e *Sequential) Pending() int { return len(e.order) }
 
 // LiveProcesses reports the number of spawned processes that have not yet
 // returned.
-func (e *Sequential) LiveProcesses() int { return e.procs }
+func (e *Sequential) LiveProcesses() int { return e.pool.live }
 
 // Run executes events until the queue drains. It returns nil when the queue
 // is empty and no processes remain parked, or an *ErrDeadlock if parked
@@ -205,8 +201,8 @@ func (e *Sequential) RunUntil(deadline Time) error {
 			call(arg)
 		}
 	}
-	if e.procs > 0 && !e.stopped {
-		return &ErrDeadlock{At: e.now, Procs: e.procs}
+	if e.pool.live > 0 && !e.stopped {
+		return &ErrDeadlock{At: e.now, Procs: e.pool.live}
 	}
 	return nil
 }
@@ -215,21 +211,12 @@ func (e *Sequential) RunUntil(deadline Time) error {
 // remain parked; call Shutdown to unwind them.
 func (e *Sequential) Stop() { e.stopped = true }
 
-// Shutdown unwinds every parked process goroutine. After Shutdown the engine
-// must not be used. It is safe to call Shutdown multiple times. Shutdown must
-// not be called from inside a process or event handler.
-// A process that already finished has no receiver on its resume channel;
-// closing it anyway is harmless.
-func (e *Sequential) Shutdown() {
-	if e.shutdown {
-		return
-	}
-	e.shutdown = true
-	for _, p := range e.plist {
-		close(p.resume)
-	}
-	e.plist = nil
-}
+// Shutdown stops every process carrier: parked processes unwind, idle
+// carriers exit, and processes never dispatched never run. After Shutdown
+// the engine must not be used. It is safe to call Shutdown multiple times,
+// and after Run panicked. Shutdown must not be called from inside a process
+// or event handler.
+func (e *Sequential) Shutdown() { e.pool.shutdown() }
 
 // --- scheduler (process support) --------------------------------------------
 
@@ -239,16 +226,11 @@ func (e *Sequential) schedCall(delay Time, call func(any), arg any) {
 
 func (e *Sequential) clock() Time { return e.now }
 
-func (e *Sequential) procStart(p *Process) {
-	e.procs++
-	e.plist = append(e.plist, p)
-}
-
-func (e *Sequential) procExit() { e.procs-- }
-
 // Spawn starts fn as a new process after delay cycles. The process runs to
 // completion unless the engine is shut down first. name is used in debugging
-// output only.
+// output only. A panic inside fn, other than the one Shutdown uses to unwind
+// a parked process, propagates out of Run with its original value; the
+// engine is then unusable except for Shutdown.
 func (e *Sequential) Spawn(name string, delay Time, fn func(p *Process)) *Process {
-	return spawn(e, name, delay, fn)
+	return spawn(e, &e.pool, name, delay, fn)
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // TestNoGoroutineLeakAcrossRuns guards the Shutdown discipline: every
-// experiment spawns one goroutine per simulated CPU, and abandoning a
-// machine without unwinding them would leak thousands of goroutines across
-// a table sweep. Parked process goroutines exit via the engine's shutdown
-// channel.
+// experiment runs one coroutine (a goroutine) per simulated CPU, and
+// abandoning a machine without stopping them would leak thousands of
+// goroutines across a table sweep. Shutdown stops every process carrier,
+// idle or parked.
 func TestNoGoroutineLeakAcrossRuns(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 30; i++ {
