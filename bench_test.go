@@ -72,7 +72,7 @@ func BenchmarkTable2Barriers(b *testing.B) {
 
 // BenchmarkFig5CyclesPerProcessor regenerates Figure 5 (E3). It shares runs
 // with Table 2 conceptually; kept separate so the figure can be regenerated
-// alone, and sampled at four scales by default (amotables -exp fig5 prints
+// alone, and sampled at four scales by default (amotables -only fig5 prints
 // the full sweep).
 func BenchmarkFig5CyclesPerProcessor(b *testing.B) {
 	b.ReportAllocs()

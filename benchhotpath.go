@@ -1,29 +1,19 @@
 package amosim
 
 import (
-	"encoding/json"
-	"fmt"
 	"runtime"
+	"slices"
 	"time"
 )
 
-// The hot-path benchmark behind `amotables -bench-hotpath`: one "op" is
-// the same workload as BenchmarkSimulatorThroughput — build a fresh
-// 32-processor machine and run the flat AMO barrier for its episode
-// budget — so the checked-in BENCH_hotpath.json tracks the event kernel's
-// throughput and allocation trajectory release over release.
-//
-// The document mixes two kinds of fields. Plain fields are deterministic:
-// simulated cycles, per-barrier costs, and the kernel's event and
-// allocation gauges for the simulation phase, identical on every host
-// (the ci.sh determinism gate regenerates the document twice and diffs
-// everything except Host* lines). Host-prefixed fields read the host
-// clock and allocator and vary between machines and runs; the ci.sh
-// throughput gate compares them against the checked-in baseline with a
-// benchstat-style ±20% tolerance instead of diffing.
+// The hot-path bench document: one "op" is the same workload as
+// BenchmarkSimulatorThroughput — build a fresh 32-processor machine and
+// run the flat AMO barrier for its episode budget — so the checked-in
+// BENCH_hotpath.json tracks the event kernel's throughput and allocation
+// trajectory release over release.
 
-// HotpathBench is the BENCH_hotpath.json document.
-type HotpathBench struct {
+// hotpathDoc is the BENCH_hotpath.json document.
+type hotpathDoc struct {
 	Generator string
 
 	// Workload identity: the BenchmarkSimulatorThroughput configuration.
@@ -38,11 +28,11 @@ type HotpathBench struct {
 	NetMessagesPerBarrier float64
 	EventsPerRun          uint64 // kernel events dispatched by the simulation phase
 
-	// Host measurements (nondeterministic; excluded from determinism
-	// diffs, gated by tolerance instead).
-	HostIterations  int     // timed ops behind the averages below
-	HostNsPerOp     float64 // wall-clock nanoseconds per op
-	HostAllocsPerOp float64 // heap allocations per op (construction + run)
+	// Host measurements. The per-op figures are the median of
+	// hotpathBatches timed batches.
+	HostIterations  int     // timed ops across all batches
+	HostNsPerOp     float64 `gate:"max"` // wall-clock nanoseconds per op
+	HostAllocsPerOp float64 `gate:"max"` // heap allocations per op (construction + run)
 	HostBytesPerOp  float64 // heap bytes per op
 	// HostSimAllocs counts heap allocations during the simulation phase
 	// alone (machine construction excluded) of one instrumented run: the
@@ -50,51 +40,53 @@ type HotpathBench struct {
 	HostSimAllocs uint64
 }
 
-// hotpathConfig pins the benchmark workload to the
-// BenchmarkSimulatorThroughput shape.
-func hotpathConfig() (Config, Mechanism, BarrierOptions) {
-	return DefaultConfig(32), AMO, BarrierOptions{Episodes: 4, Warmup: 1}
-}
+// The timed loop runs in batches and reports the median batch, so one
+// batch disturbed by the host does not move the gated figures.
+const (
+	hotpathBatches   = 5
+	hotpathBatchSize = 10
+)
 
-// BenchHotpath measures the hot path and returns the BENCH_hotpath.json
-// document. iterations is the timed-loop length; <= 0 selects the default
-// of 50 (one op is ~1-3ms, so the default keeps the gate fast).
-func BenchHotpath(iterations int) ([]byte, error) {
-	if iterations <= 0 {
-		iterations = 50
-	}
-	cfg, mech, bopts := hotpathConfig()
+// benchHotpath measures the hot path.
+func benchHotpath() (hotpathDoc, error) {
+	cfg, mech := DefaultConfig(32), AMO
+	bopts := BarrierOptions{Episodes: 4, Warmup: 1}
 
 	// Deterministic section: one reference run plus one instrumented run
 	// with kernel metrics enabled (the opt-in Kernel snapshot section).
 	r, err := RunBarrier(cfg, mech, bopts)
 	if err != nil {
-		return nil, err
+		return hotpathDoc{}, err
 	}
 	events, simAllocs, err := hotpathKernelRun(cfg, mech, bopts)
 	if err != nil {
-		return nil, err
+		return hotpathDoc{}, err
 	}
 
-	// Host section: warm once, then time the op loop with the allocator
+	// Host section: warm once, then time each batch with the allocator
 	// counters bracketing it.
 	if _, err := RunBarrier(cfg, mech, bopts); err != nil {
-		return nil, err
+		return hotpathDoc{}, err
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < iterations; i++ {
-		if _, err := RunBarrier(cfg, mech, bopts); err != nil {
-			return nil, err
+	var ns, allocs, bytes [hotpathBatches]float64
+	for b := range ns {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for i := 0; i < hotpathBatchSize; i++ {
+			if _, err := RunBarrier(cfg, mech, bopts); err != nil {
+				return hotpathDoc{}, err
+			}
 		}
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		ns[b] = float64(elapsed.Nanoseconds()) / hotpathBatchSize
+		allocs[b] = float64(after.Mallocs-before.Mallocs) / hotpathBatchSize
+		bytes[b] = float64(after.TotalAlloc-before.TotalAlloc) / hotpathBatchSize
 	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
 
-	n := float64(iterations)
-	doc := HotpathBench{
-		Generator: "amotables -bench-hotpath",
+	return hotpathDoc{
+		Generator: "amotables -bench hotpath",
 		Procs:     cfg.Processors,
 		Mechanism: mech.String(),
 		Episodes:  bopts.Episodes,
@@ -105,17 +97,19 @@ func BenchHotpath(iterations int) ([]byte, error) {
 		NetMessagesPerBarrier: r.NetMessagesPerBarrier,
 		EventsPerRun:          events,
 
-		HostIterations:  iterations,
-		HostNsPerOp:     float64(elapsed.Nanoseconds()) / n,
-		HostAllocsPerOp: float64(after.Mallocs-before.Mallocs) / n,
-		HostBytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / n,
+		HostIterations:  hotpathBatches * hotpathBatchSize,
+		HostNsPerOp:     median(ns[:]),
+		HostAllocsPerOp: median(allocs[:]),
+		HostBytesPerOp:  median(bytes[:]),
 		HostSimAllocs:   simAllocs,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	}, nil
+}
+
+// median returns the middle element of an odd-length sample, sorting it
+// in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // hotpathKernelRun executes the benchmark workload on a machine with
@@ -143,36 +137,4 @@ func hotpathKernelRun(cfg Config, mech Mechanism, bopts BarrierOptions) (events,
 	}
 	d := m.Metrics().Diff(before)
 	return d.Kernel.EventsExecuted, d.Kernel.HostMallocs, nil
-}
-
-// CompareHotpath gates current against the checked-in baseline document:
-// it fails if wall-clock throughput or allocations per op regressed by
-// more than tolerance (benchstat-style ratio; 0 selects the default 20%).
-// Improvements of any size pass — the baseline is re-generated when the
-// trajectory moves.
-func CompareHotpath(baseline, current []byte, tolerance float64) error {
-	if tolerance <= 0 {
-		tolerance = 0.20
-	}
-	var base, cur HotpathBench
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return fmt.Errorf("amosim: bad hotpath baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return fmt.Errorf("amosim: bad hotpath measurement: %w", err)
-	}
-	check := func(name string, baseV, curV float64) error {
-		if baseV <= 0 {
-			return nil
-		}
-		if ratio := curV / baseV; ratio > 1+tolerance {
-			return fmt.Errorf("amosim: hotpath %s regressed %.0f%% (baseline %.0f, now %.0f, tolerance %.0f%%)",
-				name, (ratio-1)*100, baseV, curV, tolerance*100)
-		}
-		return nil
-	}
-	if err := check("ns/op", base.HostNsPerOp, cur.HostNsPerOp); err != nil {
-		return err
-	}
-	return check("allocs/op", base.HostAllocsPerOp, cur.HostAllocsPerOp)
 }

@@ -1,11 +1,9 @@
 package amosim
 
-import "encoding/json"
-
-// BenchRow is one mechanism x primitive benchmark in the BenchMetricsJSON
-// summary. Attribution is derived from the measurement-window Snapshot
+// metricsRow is one mechanism x primitive benchmark of the metrics bench
+// document. Attribution is derived from the measurement-window Snapshot
 // diff; its Compute+MemoryStall+SpinIdle sum exactly to TotalCPUCycles.
-type BenchRow struct {
+type metricsRow struct {
 	Primitive        string // "barrier" (centralized) or "ticket"
 	Mechanism        string
 	Procs            int
@@ -16,27 +14,33 @@ type BenchRow struct {
 	Attribution      Attribution
 }
 
-// BenchMetricsJSON runs one barrier and one ticket-lock benchmark per
-// mechanism — on the sweep engine, so the runs parallelize and memoize
-// like any other sweep — and returns the compact JSON summary the repo
-// checks in as BENCH_metrics.json. The document is byte-identical at any
-// worker count: rows are assembled in mechanism order (barrier before
-// ticket within each mechanism) from the ordered result slice.
-func BenchMetricsJSON(procs int, bopts BarrierOptions, lopts LockOptions) ([]byte, error) {
-	cfg := DefaultConfig(procs)
+// metricsDoc is the BENCH_metrics.json document.
+type metricsDoc struct {
+	Generator string
+	Rows      []metricsRow
+}
+
+// benchMetrics runs one barrier and one ticket-lock benchmark per
+// mechanism at 32 CPUs and the default budgets — on the sweep engine, so
+// the runs parallelize and memoize like any other sweep. The document is
+// byte-identical at any worker count: rows are assembled in mechanism
+// order (barrier before ticket within each mechanism) from the ordered
+// result slice.
+func benchMetrics() (metricsDoc, error) {
+	cfg := DefaultConfig(32)
 	var pts []SweepPoint
 	for _, mech := range Mechanisms {
-		pts = append(pts, BarrierPoint(cfg, mech, bopts), LockPoint(cfg, Ticket, mech, lopts))
+		pts = append(pts, BarrierPoint(cfg, mech, BarrierOptions{}), LockPoint(cfg, Ticket, mech, LockOptions{}))
 	}
 	vals, err := runPoints(pts)
 	if err != nil {
-		return nil, err
+		return metricsDoc{}, err
 	}
-	var rows []BenchRow
+	doc := metricsDoc{Generator: "amotables -bench metrics"}
 	for i := 0; i < len(vals); i += 2 {
 		b := vals[i].(BarrierResult)
 		l := vals[i+1].(LockResult)
-		rows = append(rows, BenchRow{
+		doc.Rows = append(doc.Rows, metricsRow{
 			Primitive: "barrier", Mechanism: b.Mechanism, Procs: b.Procs,
 			CyclesPerOp:      b.CyclesPerBarrier,
 			NetMessagesPerOp: b.NetMessagesPerBarrier,
@@ -45,7 +49,7 @@ func BenchMetricsJSON(procs int, bopts BarrierOptions, lopts LockOptions) ([]byt
 			Attribution:      b.Metrics.Attribution(),
 		})
 		passes := float64(l.Procs * l.Acquires)
-		rows = append(rows, BenchRow{
+		doc.Rows = append(doc.Rows, metricsRow{
 			Primitive: "ticket", Mechanism: l.Mechanism, Procs: l.Procs,
 			CyclesPerOp:      l.CyclesPerPass,
 			NetMessagesPerOp: l.MessagesPerPass,
@@ -54,13 +58,5 @@ func BenchMetricsJSON(procs int, bopts BarrierOptions, lopts LockOptions) ([]byt
 			Attribution:      l.Metrics.Attribution(),
 		})
 	}
-	doc := struct {
-		Generator string
-		Rows      []BenchRow
-	}{"amotables -bench-metrics", rows}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return doc, nil
 }

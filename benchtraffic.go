@@ -1,38 +1,32 @@
 package amosim
 
 import (
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"time"
 
 	"amosim/internal/workload"
 )
 
-// The traffic benchmark behind `amotables -bench-traffic`: a compact
-// open-loop grid — every traffic app on every backend under the default
-// mechanism pair at two offered rates — written as BENCH_traffic.json.
-// Every simulated figure is deterministic; ci.sh regenerates the document
-// and diffs the deterministic fields against the checked-in baseline, so
-// drift in the arrival process, the latency histogram, a queue workload,
-// or a backend cost model is caught the same way BENCH_crossover.json
-// catches combining drift. Host* fields record wall clock for context and
-// are excluded from the comparison.
+// The traffic bench document: a compact open-loop grid — every traffic
+// app on every backend under the default mechanism pair at two offered
+// rates. Every simulated figure is deterministic, so drift in the arrival
+// process, the latency histogram, a queue workload, or a backend cost
+// model fails the gate. Host* fields record wall clock for context.
 
-// TrafficBenchProcs is the machine scale the benchmark document pins.
-const TrafficBenchProcs = 8
+// trafficBenchProcs is the machine scale the document pins.
+const trafficBenchProcs = 8
 
-// TrafficBenchRates is the offered-rate ladder the document pins: one
+// trafficBenchRates is the offered-rate ladder the document pins: one
 // rate every mechanism absorbs and one past saturation.
-var TrafficBenchRates = []int{1, 16}
+var trafficBenchRates = []int{1, 16}
 
 // trafficBenchOptions is the pinned driver configuration.
 var trafficBenchOptions = workload.TrafficOptions{
 	Process: "poisson", Requests: 240, Warmup: 24, Seed: 1,
 }
 
-// TrafficBenchRow is one (app, backend, rate, mechanism) cell.
-type TrafficBenchRow struct {
+// trafficRow is one (app, backend, rate, mechanism) cell.
+type trafficRow struct {
 	App       string
 	Backend   string
 	Rate      int
@@ -47,8 +41,8 @@ type TrafficBenchRow struct {
 	Max       uint64
 }
 
-// TrafficBench is the BENCH_traffic.json document.
-type TrafficBench struct {
+// trafficDoc is the BENCH_traffic.json document.
+type trafficDoc struct {
 	Generator string
 
 	// Workload identity: the pinned grid.
@@ -59,36 +53,35 @@ type TrafficBench struct {
 	Rates    []int
 
 	// Deterministic outputs, expansion order (app, backend, rate, mech).
-	Rows []TrafficBenchRow
+	Rows []trafficRow
 
-	// Host measurements (nondeterministic; excluded from CompareTraffic).
+	// Host measurements.
 	HostCPUs    int
 	HostSeconds float64
 }
 
-// BenchTraffic runs the pinned open-loop grid and returns the
-// BENCH_traffic.json document.
-func BenchTraffic() ([]byte, error) {
+// benchTraffic runs the pinned open-loop grid.
+func benchTraffic() (trafficDoc, error) {
 	start := time.Now()
 	cells, err := TrafficSweep(TrafficExperiment{
-		Procs:   []int{TrafficBenchProcs},
-		Rates:   TrafficBenchRates,
+		Procs:   []int{trafficBenchProcs},
+		Rates:   trafficBenchRates,
 		Options: trafficBenchOptions,
 	})
 	if err != nil {
-		return nil, err
+		return trafficDoc{}, err
 	}
-	doc := TrafficBench{
-		Generator: "amotables -bench-traffic",
-		Procs:     TrafficBenchProcs,
+	doc := trafficDoc{
+		Generator: "amotables -bench traffic",
+		Procs:     trafficBenchProcs,
 		Process:   trafficBenchOptions.Process,
 		Requests:  trafficBenchOptions.Requests,
 		Warmup:    trafficBenchOptions.Warmup,
-		Rates:     TrafficBenchRates,
+		Rates:     trafficBenchRates,
 		HostCPUs:  runtime.NumCPU(),
 	}
 	for _, c := range cells {
-		doc.Rows = append(doc.Rows, TrafficBenchRow{
+		doc.Rows = append(doc.Rows, trafficRow{
 			App: c.App, Backend: c.Backend.String(), Rate: c.Rate,
 			Mechanism: c.Mechanism.String(),
 			Cycles:    c.Result.Cycles,
@@ -101,41 +94,5 @@ func BenchTraffic() ([]byte, error) {
 		})
 	}
 	doc.HostSeconds = time.Since(start).Seconds()
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// CompareTraffic gates current against the checked-in BENCH_traffic.json:
-// every deterministic field must match exactly. A diff means the arrival
-// process, the sojourn histogram, a traffic workload, or a backend cost
-// model changed observable behavior — regenerate the baseline deliberately
-// if the change is intended.
-func CompareTraffic(baseline, current []byte) error {
-	var base, cur TrafficBench
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return fmt.Errorf("amosim: bad traffic baseline: %w", err)
-	}
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return fmt.Errorf("amosim: bad traffic measurement: %w", err)
-	}
-	det := func(doc TrafficBench) TrafficBench {
-		doc.HostCPUs = 0
-		doc.HostSeconds = 0
-		return doc
-	}
-	baseDet, err := json.Marshal(det(base))
-	if err != nil {
-		return err
-	}
-	curDet, err := json.Marshal(det(cur))
-	if err != nil {
-		return err
-	}
-	if string(baseDet) != string(curDet) {
-		return fmt.Errorf("amosim: traffic deterministic fields drifted from baseline:\nbaseline: %s\nnow:      %s", baseDet, curDet)
-	}
-	return nil
+	return doc, nil
 }

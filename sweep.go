@@ -304,22 +304,6 @@ func (rc RunConfig) workloadRC() workload.RunConfig {
 	return workload.RunConfig{ChaosSeed: rc.ChaosSeed, ChaosLevel: rc.ChaosLevel}
 }
 
-// WorkloadPoint returns the sweep point for one registered workload at its
-// default parameters. The kernel verifies its own output against a
-// sequential oracle, so a synchronization bug fails the point instead of
-// skewing it.
-//
-// Deprecated: resolve a typed spec with WorkloadSpecByName (or construct
-// one directly, e.g. workload.StencilSpec{Chunk: 8}) and call its Point
-// method. This stringly wrapper remains for one release.
-func WorkloadPoint(app string, cfg Config, mech Mechanism) (SweepPoint, error) {
-	s, ok := workload.ByName(app)
-	if !ok {
-		return SweepPoint{}, fmt.Errorf("amosim: unknown workload %q (have %v)", app, workloadNames())
-	}
-	return s.Point(cfg, mech, workload.RunConfig{}), nil
-}
-
 // workloadNames lists every registered workload spec name.
 func workloadNames() []string {
 	specs := workload.All()

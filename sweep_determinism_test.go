@@ -7,7 +7,7 @@ import (
 
 // The sweep engine's central promise: parallel and sequential sweeps emit
 // byte-identical output. These tests exercise the promise end to end — the
-// rendered table text and the bench-metrics JSON the repo checks in — with
+// rendered table text and the metrics bench document the repo checks in — with
 // the cache reset between runs so the parallel run actually simulates
 // instead of replaying memoized results.
 
@@ -68,26 +68,24 @@ func TestLockTableByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestBenchMetricsJSONByteIdenticalAcrossWorkers(t *testing.T) {
-	bopts := BarrierOptions{Episodes: 2, Warmup: 1}
-	lopts := LockOptions{Acquires: 2}
+func TestBenchMetricsByteIdenticalAcrossWorkers(t *testing.T) {
 	var seq, par []byte
 	withWorkers(t, 1, func() {
 		var err error
-		seq, err = BenchMetricsJSON(8, bopts, lopts)
+		seq, err = Bench("metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	withWorkers(t, 4, func() {
 		var err error
-		par, err = BenchMetricsJSON(8, bopts, lopts)
+		par, err = Bench("metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if !bytes.Equal(seq, par) {
-		t.Fatalf("bench-metrics JSON differs between -workers=1 and -workers=4:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+		t.Fatalf("metrics bench document differs between -workers=1 and -workers=4:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
 }
 
