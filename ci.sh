@@ -39,6 +39,12 @@ fi
 echo "== go test"
 go test ./...
 
+echo "== benchmark module"
+# bench/ is its own module (replace amosim => ../), so the root's vet,
+# build and test above never reach it: vet it and run its smoke,
+# determinism and attribution tests here.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== go test -race (short)"
 go test -race -short ./internal/sim/... ./internal/machine/... ./internal/syncprim/... ./internal/chaos/...
 
@@ -96,13 +102,19 @@ fuzz_smoke internal/syncprim FuzzParseLockKind
 fuzz_smoke internal/chaos FuzzChaosTrial
 
 echo "== chaos smoke"
-# A hostile-level fault-injection run must finish invariant-clean — on the
-# default machine and on both alternative memory-system backends.
-go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -chaos-seed 1 -chaos-level 2 | grep -q "invariants clean"
-go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -chaos-seed 1 -chaos-level 2 -backend syncron | grep -q "invariants clean"
-go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -chaos-seed 1 -chaos-level 2 -backend dsm | grep -q "invariants clean"
-# The same hostile run must finish invariant-clean on the parallel kernel.
-go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -chaos-seed 1 -chaos-level 2 -engine parallel -shards 4 | grep -q "invariants clean"
+# A hostile-level fault-injection run must exit 0 and finish
+# invariant-clean — on the default machine, on both alternative
+# memory-system backends, and on the parallel kernel. Each run's output goes
+# to a file first: under set -e a failing run stops CI, which it would not
+# do at the head of a pipe.
+chaos_smoke() {
+	go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -chaos-seed 1 -chaos-level 2 "$@" >"$tmp/chaos"
+	grep -q "invariants clean" "$tmp/chaos"
+}
+chaos_smoke
+chaos_smoke -backend syncron
+chaos_smoke -backend dsm
+chaos_smoke -engine parallel -shards 4
 
 echo "== metrics smoke"
 # The -metrics writer is self-verifying: it fails unless the JSON document

@@ -35,6 +35,12 @@ func TestScheduleCallSteadyStateZeroAlloc(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			eng.ScheduleCall(Time(i%7), testCall, arg)
 		}
+		// Beyond the wheel span: these wait in the overflow heap, and each
+		// burst moves the wheel origin more than a full turn, so the
+		// buckets wrap around.
+		for i := Time(0); i < 8; i++ {
+			eng.ScheduleCall(wheelSpan+i*wheelSpan/3, testCall, arg)
+		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -12,19 +12,19 @@ func TestArenaFreeListExhaustionAndGrowth(t *testing.T) {
 	for i := 0; i < k; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	if len(e.arena) != k || len(e.free) != 0 {
-		t.Fatalf("cold burst: arena %d free %d, want %d/0", len(e.arena), len(e.free), k)
+	if len(e.q.arena) != k || len(e.q.free) != 0 {
+		t.Fatalf("cold burst: arena %d free %d, want %d/0", len(e.q.arena), len(e.q.free), k)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.free) != k {
-		t.Fatalf("after run: free list has %d slots, want %d", len(e.free), k)
+	if len(e.q.free) != k {
+		t.Fatalf("after run: free list has %d slots, want %d", len(e.q.free), k)
 	}
 	seen := make(map[int32]bool)
-	for _, id := range e.free {
-		if id < 0 || int(id) >= len(e.arena) {
-			t.Fatalf("free list holds out-of-range slot %d (arena %d)", id, len(e.arena))
+	for _, id := range e.q.free {
+		if id < 0 || int(id) >= len(e.q.arena) {
+			t.Fatalf("free list holds out-of-range slot %d (arena %d)", id, len(e.q.arena))
 		}
 		if seen[id] {
 			t.Fatalf("slot %d recycled twice", id)
@@ -35,21 +35,21 @@ func TestArenaFreeListExhaustionAndGrowth(t *testing.T) {
 	for i := 0; i < k; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	if len(e.arena) != k {
-		t.Fatalf("warm burst grew the arena to %d, want %d (reuse)", len(e.arena), k)
+	if len(e.q.arena) != k {
+		t.Fatalf("warm burst grew the arena to %d, want %d (reuse)", len(e.q.arena), k)
 	}
-	if len(e.free) != 0 {
-		t.Fatalf("warm burst left %d free slots, want 0 (exhausted)", len(e.free))
+	if len(e.q.free) != 0 {
+		t.Fatalf("warm burst left %d free slots, want 0 (exhausted)", len(e.q.free))
 	}
 	// One past exhaustion grows by exactly one slot.
 	e.Schedule(0, func() {})
-	if len(e.arena) != k+1 {
-		t.Fatalf("overflow event grew arena to %d, want %d", len(e.arena), k+1)
+	if len(e.q.arena) != k+1 {
+		t.Fatalf("overflow event grew arena to %d, want %d", len(e.q.arena), k+1)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.free) != k+1 {
-		t.Fatalf("after second run: free list has %d slots, want %d", len(e.free), k+1)
+	if len(e.q.free) != k+1 {
+		t.Fatalf("after second run: free list has %d slots, want %d", len(e.q.free), k+1)
 	}
 }

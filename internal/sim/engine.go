@@ -14,11 +14,16 @@
 //
 // Two kernels implement the Engine interface:
 //
-//   - Sequential (NewSequential): a single indexed-heap event queue — the
+//   - Sequential (NewSequential): a single event queue — the
 //     allocation-free hot path every small experiment runs on;
 //   - Parallel (NewParallel): a conservative parallel kernel that partitions
 //     nodes across shards and executes lookahead windows concurrently,
 //     producing the exact event order of Sequential (see parallel.go).
+//
+// Both kernels share one event queue type (queue.go): a pooled event arena,
+// per-cycle FIFO buckets for events due within a fixed span of the last
+// dispatched one, and a binary heap for the rest and for the rare push that
+// would not sort after its bucket's tail.
 //
 // Components bind to a node-affine view via ForNode: on Sequential the view
 // is the engine itself; on Parallel it is the node's shard. All scheduling,

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -319,48 +320,180 @@ func TestStop(t *testing.T) {
 	}
 }
 
-// Property: for any set of delays, events fire in nondecreasing time order
-// and ties fire in scheduling order.
+// Property: for any program of handler pushes, the sequential kernel fires
+// events in (time, push order), and the parallel kernel fires them in
+// exactly the sequential order. Programs push at delays on both sides of
+// every wheel-span multiple up to 3x the span, in same-cycle bursts, and
+// across shards onto cycles the target shard is filling from inside the
+// same window; the run is split by RunUntil deadlines.
 func TestEventOrderProperty(t *testing.T) {
-	f := func(delays []uint16) bool {
-		if len(delays) == 0 {
-			return true
-		}
-		e := NewEngine()
-		type rec struct {
-			at  Time
-			seq int
-		}
-		var fired []rec
-		for i, d := range delays {
-			at := Time(d)
-			seq := i
-			e.Schedule(at, func() { fired = append(fired, rec{e.Now(), seq}) })
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		if len(fired) != len(delays) {
-			return false
-		}
-		if !sort.SliceIsSorted(fired, func(i, j int) bool {
-			if fired[i].at != fired[j].at {
-				return fired[i].at < fired[j].at
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		f := func(seed uint64) bool {
+			want, _ := runOrderProgram(t, NewSequential(), seed)
+			for i := 1; i < len(want); i++ {
+				a, b := want[i-1], want[i]
+				if a.at > b.at || a.at == b.at && a.push >= b.push {
+					t.Logf("seed %d: sequential fired %+v after %+v", seed, b, a)
+					return false
+				}
 			}
-			return fired[i].seq < fired[j].seq
-		}) {
-			return false
-		}
-		for i := range fired {
-			if fired[i].at != Time(delays[fired[i].seq]) {
+			got, nodes := runOrderProgram(t, newEngine(), seed)
+			if !sameOrder(got, want) {
+				t.Logf("seed %d: global order differs from sequential", seed)
 				return false
 			}
+			for n := range nodes {
+				var wantNode []orderRec
+				for _, r := range want {
+					if r.node == n {
+						wantNode = append(wantNode, r)
+					}
+				}
+				if !sameOrder(nodes[n], wantNode) {
+					t.Logf("seed %d: node %d order differs from sequential", seed, n)
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// orderRec is one fired event of an order program. push is the event's
+// push index; it is the sequential kernel's push order, and meaningless
+// on the parallel kernel, where shards push concurrently.
+type orderRec struct {
+	at    Time
+	node  int
+	label uint64
+	push  uint64
+}
+
+// orderEv is one scheduled event of an order program, due at cycle due.
+type orderEv struct {
+	label uint64
+	depth int
+	node  int
+	push  uint64
+	due   Time
+}
+
+// orderDelays are the delays order programs push at most often: zero
+// (same-cycle), the parallel lookahead and just past it, and both sides of
+// every wheel-span multiple up to 3x the span, where a push moves between
+// a bucket and the overflow heap.
+var orderDelays = []Time{
+	0, 0, 1, orderLookahead, orderLookahead + 1,
+	wheelSpan - 1, wheelSpan, wheelSpan + 1,
+	2*wheelSpan - 1, 2 * wheelSpan, 2*wheelSpan + 1,
+	3*wheelSpan - 1, 3 * wheelSpan,
+}
+
+// orderLookahead is the parallel-2 kernel's window (see kernels): the
+// shortest legal cross-shard delay.
+const orderLookahead = 4
+
+// mix64 is the SplitMix64 finalizer: order programs derive every decision
+// from event labels, so both kernels run the same program.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// runOrderProgram runs the order program for seed on eng, split by
+// RunUntil deadlines, and returns the fired events in global order (as
+// the Emit sink received them) and in each node's own execution order.
+func runOrderProgram(t *testing.T, eng Engine, seed uint64) (global []orderRec, nodes [2][]orderRec) {
+	t.Helper()
+	defer eng.Shutdown()
+	const maxDepth = 6
+	var pushes atomic.Uint64
+	eng.SetEmitSink(func(cycle uint64, kind, what string) {
+		r := orderRec{at: cycle}
+		if _, err := fmt.Sscanf(what, "%d %x %d", &r.node, &r.label, &r.push); err != nil {
+			t.Errorf("bad emission %q: %v", what, err)
+		}
+		global = append(global, r)
+	})
+	var fire func(any)
+	fire = func(a any) {
+		ev := a.(*orderEv)
+		view := eng.ForNode(ev.node)
+		now := view.Now()
+		if now != ev.due {
+			t.Errorf("event %x due at %d fired at %d", ev.label, ev.due, now)
+		}
+		nodes[ev.node] = append(nodes[ev.node], orderRec{at: now, node: ev.node, label: ev.label, push: ev.push})
+		view.Emit(now, "order", fmt.Sprintf("%d %x %d", ev.node, ev.label, ev.push))
+		if ev.depth == maxDepth {
+			return
+		}
+		h := mix64(ev.label)
+		for c := uint64(0); c < h%4; c++ {
+			hc := mix64(h + c + 1)
+			delay := orderDelays[(hc>>8)%uint64(len(orderDelays))]
+			if hc%4 == 0 {
+				delay = Time(hc>>8) % (3*wheelSpan + 2)
+			}
+			node := ev.node
+			if (hc>>40)%3 == 0 {
+				node = 1 - node
+				delay = max(delay, orderLookahead)
+			}
+			burst := uint64(1)
+			if (hc>>48)%5 == 0 {
+				burst += 1 + (hc>>52)%3
+			}
+			for k := uint64(0); k < burst; k++ {
+				child := &orderEv{label: mix64(hc + k), depth: ev.depth + 1, node: node, push: pushes.Add(1), due: now + delay}
+				switch {
+				case node != ev.node || (hc>>56)%2 == 0:
+					view.ScheduleCallNode(node, delay, fire, child)
+				case (hc>>57)%2 == 0:
+					view.ScheduleCall(delay, fire, child)
+				default:
+					view.Schedule(delay, func() { fire(child) })
+				}
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for r := uint64(0); r < 6; r++ {
+		node := int(r % 2)
+		eng.ForNode(node).ScheduleCall(Time(r/2), fire, &orderEv{label: mix64(seed + r), node: node, push: pushes.Add(1), due: Time(r / 2)})
 	}
+	step := 1 + Time(mix64(^seed)%(2*wheelSpan))
+	for deadline := step; ; deadline += step {
+		err := eng.RunUntil(deadline)
+		if err == nil {
+			break
+		}
+		if err != ErrDeadline {
+			t.Fatalf("RunUntil(%d): %v", deadline, err)
+		}
+	}
+	if int(pushes.Load()) != len(global) {
+		t.Errorf("%d events pushed, %d fired", pushes.Load(), len(global))
+	}
+	return global, nodes
+}
+
+// sameOrder reports whether two runs fired the same events at the same
+// times in the same order; push indices are not compared.
+func sameOrder(a, b []orderRec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].at != b[i].at || a[i].node != b[i].node || a[i].label != b[i].label {
+			return false
+		}
+	}
+	return true
 }
 
 // Property: sleeping processes accumulate exactly the requested cycles.

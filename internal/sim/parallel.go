@@ -7,7 +7,7 @@ import (
 )
 
 // Parallel is the conservative parallel discrete-event kernel. Nodes are
-// partitioned across shards; each shard owns an independent event heap,
+// partitioned across shards; each shard owns an independent event queue,
 // clock, and process set, and executes one lookahead window at a time on its
 // own goroutine. The window width is the minimum cross-shard message latency
 // (derived by the machine from the topology's hop table), so no event
@@ -21,7 +21,7 @@ import (
 //
 //   - events that already carry a global sequence (assigned at a previous
 //     boundary or pushed from setup context) order by it, exactly as in the
-//     single heap;
+//     sequential queue;
 //   - events pushed during the current window carry their shard-local push
 //     index instead, and always sort after every sequence-carrying event at
 //     the same timestamp. That matches Sequential, where every pre-window
@@ -36,7 +36,7 @@ import (
 // in (time, sequence) order, so records are ranked by (pusher time, pusher
 // sequence, push index), resolving pushers that themselves gained their
 // sequence this window in dependency rounds — and assigns global sequences
-// from one monotone counter. The assignment never reorders a live heap
+// from one monotone counter. The assignment never reorders a live queue
 // (assigned-before-unassigned and local push order are both preserved by
 // construction), after which cross-shard messages are delivered and staged
 // trace records are flushed to the sink in (time, sequence, emission) order.
@@ -55,18 +55,6 @@ type Parallel struct {
 	shutdown  bool
 	stopped   atomic.Bool
 	doneCh    chan struct{}
-}
-
-// pevent is one shard arena slot. seq is the event's global sequence; zero
-// means the event was pushed during the current window and orders by local
-// (its push-log index) until the boundary assigns the real sequence.
-type pevent struct {
-	at    Time
-	seq   uint64
-	local int32
-	fn    func()
-	call  func(any)
-	arg   any
 }
 
 // pushRec logs one push performed during a window: enough lineage to rank it
@@ -104,18 +92,17 @@ type emission struct {
 	what  string
 }
 
-// shard is one partition's event kernel: a clone of the sequential
-// arena/heap structure plus window bookkeeping. All fields are owned by the
-// shard's worker goroutine during a window and by the coordinator between
-// windows (the window/done channel pair orders the ownership handoff).
+// shard is one partition's event kernel: the same event queue as the
+// sequential kernel (see queue) plus window bookkeeping. All fields are
+// owned by the shard's worker goroutine during a window and by the
+// coordinator between windows (the window/done channel pair orders the
+// ownership handoff).
 type shard struct {
 	par      *Parallel
 	id       int32
 	now      Time
 	end      Time // current window end (exclusive), for lookahead asserts
-	arena    []pevent
-	free     []int32
-	order    []int32
+	q        queue
 	executed uint64
 	pool     procPool
 	pushLog  []pushRec
@@ -239,7 +226,7 @@ func (par *Parallel) Spawn(name string, delay Time, fn func(p *Process)) *Proces
 func (par *Parallel) Pending() int {
 	n := 0
 	for _, s := range par.shards {
-		n += len(s.order)
+		n += s.q.n
 	}
 	return n
 }
@@ -299,11 +286,7 @@ func (par *Parallel) RunUntil(deadline Time) error {
 	for !par.stopped.Load() {
 		start := ^Time(0)
 		for _, s := range par.shards {
-			if len(s.order) > 0 {
-				if h := s.arena[s.order[0]].at; h < start {
-					start = h
-				}
-			}
+			start = min(start, s.q.nextAt())
 		}
 		if start == ^Time(0) {
 			break // drained
@@ -320,7 +303,7 @@ func (par *Parallel) RunUntil(deadline Time) error {
 		}
 		launched := 0
 		for _, s := range par.shards {
-			if len(s.order) > 0 && s.arena[s.order[0]].at < end {
+			if s.q.nextAt() < end {
 				s.windowCh <- end
 				launched++
 			}
@@ -362,9 +345,6 @@ func (par *Parallel) boundary() {
 		for i := range s.pushLog {
 			par.refs = append(par.refs, recRef{shard: s.id, idx: int32(i)})
 		}
-	}
-	if len(par.refs) == 0 {
-		return
 	}
 	rec := func(r recRef) *pushRec { return &par.shards[r.shard].pushLog[r.idx] }
 	// Rank by pusher execution time first: Sequential performs pushes in the
@@ -412,7 +392,7 @@ func (par *Parallel) boundary() {
 				par.seq++
 				pr.seq = par.seq
 				if pr.slot >= 0 && !pr.executed {
-					ev := &par.shards[pr.src].arena[pr.slot]
+					ev := &par.shards[pr.src].q.arena[pr.slot]
 					ev.seq = pr.seq
 					ev.local = -1
 				}
@@ -457,8 +437,7 @@ func (par *Parallel) boundary() {
 		for i := range s.pushLog {
 			pr := &s.pushLog[i]
 			if pr.slot < 0 {
-				d := par.shards[pr.dst]
-				d.insert(pevent{at: pr.at, seq: pr.seq, local: -1, fn: pr.fn, call: pr.call, arg: pr.arg})
+				par.shards[pr.dst].q.push(pr.at, pr.seq, -1, pr.fn, pr.call, pr.arg)
 			}
 			*pr = pushRec{}
 		}
@@ -481,9 +460,9 @@ func (s *shard) work() {
 // runWindow dispatches this shard's events with timestamps below end.
 func (s *shard) runWindow(end Time) {
 	s.end = end
-	for len(s.order) > 0 && !s.par.stopped.Load() {
-		id := s.order[0]
-		ev := &s.arena[id]
+	for s.q.n > 0 && !s.par.stopped.Load() {
+		id := s.q.peek()
+		ev := &s.q.arena[id]
 		if ev.at >= end {
 			break
 		}
@@ -498,14 +477,7 @@ func (s *shard) runWindow(end Time) {
 			s.pushLog[ev.local].executed = true
 		}
 		fn, call, arg := ev.fn, ev.call, ev.arg
-		*ev = pevent{local: -1}
-		last := len(s.order) - 1
-		s.order[0] = s.order[last]
-		s.order = s.order[:last]
-		if last > 0 {
-			s.siftDown(0)
-		}
-		s.free = append(s.free, id)
+		s.q.pop(id)
 		s.executed++
 		if fn != nil {
 			fn()
@@ -517,69 +489,6 @@ func (s *shard) runWindow(end Time) {
 	s.curLocal = -1
 }
 
-// insert places a ready event (sequence already assigned) into the heap.
-func (s *shard) insert(ev pevent) {
-	var id int32
-	if n := len(s.free); n > 0 {
-		id = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.arena = append(s.arena, pevent{})
-		id = int32(len(s.arena) - 1)
-	}
-	s.arena[id] = ev
-	s.order = append(s.order, id)
-	s.siftUp(len(s.order) - 1)
-}
-
-// less orders the shard heap exactly as the sequential heap would order the
-// same events: by time, then assigned sequence; events awaiting a sequence
-// (pushed this window) sort after every assigned event at their timestamp,
-// in local push order.
-func (s *shard) less(a, b int32) bool {
-	ea, eb := &s.arena[a], &s.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if (ea.seq == 0) != (eb.seq == 0) {
-		return eb.seq == 0
-	}
-	if ea.seq != eb.seq {
-		return ea.seq < eb.seq
-	}
-	return ea.local < eb.local
-}
-
-func (s *shard) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(s.order[i], s.order[parent]) {
-			break
-		}
-		s.order[i], s.order[parent] = s.order[parent], s.order[i]
-		i = parent
-	}
-}
-
-func (s *shard) siftDown(i int) {
-	n := len(s.order)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s.less(s.order[r], s.order[l]) {
-			m = r
-		}
-		if !s.less(s.order[m], s.order[i]) {
-			break
-		}
-		s.order[i], s.order[m] = s.order[m], s.order[i]
-		i = m
-	}
-}
-
 // push is the common scheduling entry: during a window it stages lineage in
 // the push log; outside one (setup, phase attachment, quiescence wakeups)
 // the coordinator's counter assigns the global sequence immediately, which
@@ -587,7 +496,7 @@ func (s *shard) siftDown(i int) {
 func (s *shard) push(at Time, fn func(), call func(any), arg any) {
 	if !s.inEvent {
 		s.par.seq++ //lint:coordinator-context — no window is running, the caller is setup/phase code
-		s.insert(pevent{at: at, seq: s.par.seq, local: -1, fn: fn, call: call, arg: arg})
+		s.q.push(at, s.par.seq, -1, fn, call, arg)
 		return
 	}
 	s.pushLog = append(s.pushLog, pushRec{
@@ -595,18 +504,7 @@ func (s *shard) push(at Time, fn func(), call func(any), arg any) {
 		pusherAt: s.curAt, pusherSeq: s.curSeq, pusherLoc: s.curLocal,
 	})
 	recIdx := int32(len(s.pushLog) - 1)
-	var id int32
-	if n := len(s.free); n > 0 {
-		id = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.arena = append(s.arena, pevent{})
-		id = int32(len(s.arena) - 1)
-	}
-	s.arena[id] = pevent{at: at, seq: 0, local: recIdx, fn: fn, call: call, arg: arg}
-	s.pushLog[recIdx].slot = id
-	s.order = append(s.order, id)
-	s.siftUp(len(s.order) - 1)
+	s.pushLog[recIdx].slot = s.q.push(at, 0, recIdx, fn, call, arg)
 }
 
 // pushCross stages an event for another shard; it is delivered at the next
@@ -615,7 +513,7 @@ func (s *shard) push(at Time, fn func(), call func(any), arg any) {
 func (s *shard) pushCross(dst int32, at Time, call func(any), arg any) {
 	if !s.inEvent {
 		s.par.seq++ //lint:coordinator-context — no window is running, the caller is setup/phase code
-		s.par.shards[dst].insert(pevent{at: at, seq: s.par.seq, local: -1, call: call, arg: arg})
+		s.par.shards[dst].q.push(at, s.par.seq, -1, nil, call, arg)
 		return
 	}
 	if at < s.end {

@@ -1,34 +1,21 @@
 package sim
 
-// event is one arena slot. Exactly one of fn / call is set: fn is the
-// plain-closure form (Schedule), call+arg the prebound allocation-free form
-// (ScheduleCall).
-type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	call func(any)
-	arg  any
-}
-
-// Sequential is the single-heap discrete-event kernel: one event queue, one
-// clock, events dispatched strictly in (time, sequence) order. The zero
+// Sequential is the single-queue discrete-event kernel: one event queue,
+// one clock, events dispatched strictly in (time, sequence) order. The zero
 // value is not usable; create one with NewSequential.
 //
-// The event queue is allocation-free in steady state: events live in a
-// pooled arena recycled through a free list, and the priority queue is an
-// indexed binary heap of arena slots, so neither scheduling nor dispatch
-// boxes through interfaces or grows the heap once the arena has warmed up.
-// Hot callers use ScheduleCall with a prebound func(any) plus a pointer
-// argument, which stores both without allocating.
+// The event queue (see queue) is allocation-free in steady state: events
+// live in a pooled arena, filed in per-cycle FIFO buckets when due within
+// the wheel span and in a binary heap of arena slots otherwise, so neither
+// scheduling nor dispatch boxes through interfaces or allocates once the
+// arena has warmed up. Every push takes the next sequence, so one within
+// the span always joins its bucket's tail. Hot callers use ScheduleCall
+// with a prebound func(any) plus a pointer argument, which stores both
+// without allocating.
 type Sequential struct {
-	now Time
-	seq uint64
-	// arena holds every event slot ever allocated; free lists the recycled
-	// slots; order is the binary heap of live slots in (at, seq) order.
-	arena    []event
-	free     []int32
-	order    []int32
+	now      Time
+	seq      uint64
+	q        queue
 	executed uint64
 	pool     procPool
 	stopped  bool
@@ -58,7 +45,7 @@ func (e *Sequential) NumShards() int { return 1 }
 // NodeShard implements Engine.
 func (e *Sequential) NodeShard(node int) int { return 0 }
 
-// Emit implements Engine: with a single heap, execution order is emission
+// Emit implements Engine: with a single queue, execution order is emission
 // order, so records flow straight to the sink.
 func (e *Sequential) Emit(cycle uint64, kind, what string) {
 	if e.sink != nil {
@@ -98,60 +85,11 @@ func (e *Sequential) ScheduleCallNode(node int, delay Time, call func(any), arg 
 
 func (e *Sequential) push(at Time, fn func(), call func(any), arg any) {
 	e.seq++
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.arena = append(e.arena, event{})
-		id = int32(len(e.arena) - 1)
-	}
-	ev := &e.arena[id]
-	ev.at, ev.seq, ev.fn, ev.call, ev.arg = at, e.seq, fn, call, arg
-	e.order = append(e.order, id)
-	e.siftUp(len(e.order) - 1)
-}
-
-func (e *Sequential) less(a, b int32) bool {
-	ea, eb := &e.arena[a], &e.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
-func (e *Sequential) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(e.order[i], e.order[parent]) {
-			break
-		}
-		e.order[i], e.order[parent] = e.order[parent], e.order[i]
-		i = parent
-	}
-}
-
-func (e *Sequential) siftDown(i int) {
-	n := len(e.order)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && e.less(e.order[r], e.order[l]) {
-			m = r
-		}
-		if !e.less(e.order[m], e.order[i]) {
-			break
-		}
-		e.order[i], e.order[m] = e.order[m], e.order[i]
-		i = m
-	}
+	e.q.push(at, e.seq, 0, fn, call, arg)
 }
 
 // Pending reports the number of queued events.
-func (e *Sequential) Pending() int { return len(e.order) }
+func (e *Sequential) Pending() int { return e.q.n }
 
 // LiveProcesses reports the number of spawned processes that have not yet
 // returned.
@@ -173,9 +111,9 @@ func (e *Sequential) RunUntil(deadline Time) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.order) > 0 && !e.stopped {
-		id := e.order[0]
-		ev := &e.arena[id]
+	for e.q.n > 0 && !e.stopped {
+		id := e.q.peek()
+		ev := &e.q.arena[id]
 		if ev.at > deadline {
 			return ErrDeadline
 		}
@@ -184,16 +122,7 @@ func (e *Sequential) RunUntil(deadline Time) error {
 		}
 		e.now = ev.at
 		fn, call, arg := ev.fn, ev.call, ev.arg
-		// Release the slot before dispatching so the handler can reuse it;
-		// zero it defensively so stale callbacks can never leak.
-		*ev = event{}
-		last := len(e.order) - 1
-		e.order[0] = e.order[last]
-		e.order = e.order[:last]
-		if last > 0 {
-			e.siftDown(0)
-		}
-		e.free = append(e.free, id)
+		e.q.pop(id)
 		e.executed++
 		if fn != nil {
 			fn()
