@@ -22,19 +22,12 @@ echo "== go build"
 go build ./...
 
 echo "== amolint"
+# Every rule, the escape gate included: the hot path's compiler-reported
+# heap sites are pinned in ESCAPES.baseline. An escapes finding means a
+# change introduced (or removed) a heap allocation on the hot path: audit
+# the sites it names, then regenerate the baseline deliberately with
+# go run ./cmd/amolint -write-escapes and commit it.
 go run ./cmd/amolint ./...
-
-echo "== escape gate"
-# The hot path's compiler-reported heap sites are pinned in
-# ESCAPES.baseline. A failure here means a change introduced (or removed)
-# a heap allocation on the hot path: audit the sites the gate names, then
-# regenerate the baseline deliberately.
-if ! go run ./cmd/amolint -rules escapes ./...; then
-	echo "escape gate failed: audit the heap sites above, then run" >&2
-	echo "    go run ./cmd/amolint -write-escapes" >&2
-	echo "and commit the updated ESCAPES.baseline." >&2
-	exit 1
-fi
 
 echo "== go test"
 go test ./...

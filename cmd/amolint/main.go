@@ -1,20 +1,23 @@
 // Command amolint runs the repository's simulator-specific static analysis
-// over the whole module: map-iteration determinism, enum-switch
-// exhaustiveness, banned host-nondeterminism sources, discarded cycle
-// costs, pooled-value lifecycle tracking, and the zero-alloc escape gate.
-// It uses only the standard library (the source importer resolves stdlib
-// imports from GOROOT), so it runs offline as part of tier-1 verify.
+// over the whole module: one table-driven determinism rule (host
+// nondeterminism banned per package scope), enum-switch exhaustiveness,
+// discarded cycle costs, bare counter tuples, sweep-engine machine
+// blindness, pooled-value lifecycle tracking, and the zero-alloc escape
+// gate. It uses only the standard library (the source importer resolves
+// stdlib imports from GOROOT), so it runs offline as part of tier-1 verify.
 //
 // Usage:
 //
-//	amolint [-rules lifecycle,escapes] [-json] [packages]
+//	amolint [-rules determinism,escapes] [-json] [packages]
 //	amolint -list-rules
 //	amolint -write-escapes
 //
-// Package arguments are module-relative filters: "./..." (or no argument)
-// lints every package; "./internal/sim" or "internal/sim/..." restrict the
-// reported findings to matching packages (the whole module is still loaded
-// and type-checked). -json emits the findings as a deterministic JSON array
+// Package arguments are module-relative filters: "./..." at the module root
+// (or no argument) lints every package; "./internal/sim" restricts the
+// reported findings to files directly in that directory, and
+// "internal/sim/..." to files anywhere beneath it (the whole module is
+// still loaded and type-checked). -list-rules prints the rule names, one
+// per line. -json emits the findings as a deterministic JSON array
 // of {file,line,col,rule,msg} objects on stdout. -write-escapes regenerates
 // ESCAPES.baseline from the current compiler escape-analysis report instead
 // of linting. Exits 1 when findings exist, 2 on load errors.
@@ -27,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"amosim/internal/analysis"
@@ -146,40 +150,31 @@ func relTo(dir, path string) string {
 }
 
 // filterByPatterns keeps diagnostics whose file falls under one of the
-// package patterns, resolved relative to cwd. No patterns or "./..." from
-// the module root keeps everything.
+// package patterns, resolved relative to cwd: "dir/..." matches files
+// anywhere beneath dir, a plain "dir" only files directly inside it. No
+// patterns, or a recursive pattern at the module root, keeps everything.
 func filterByPatterns(mod *analysis.Module, diags []analysis.Diagnostic, patterns []string, cwd string) []analysis.Diagnostic {
 	if len(patterns) == 0 {
 		return diags
 	}
-	var prefixes []string
+	var trees, dirs []string
 	for _, p := range patterns {
-		recursive := false
-		if strings.HasSuffix(p, "/...") {
-			recursive = true
-			p = strings.TrimSuffix(p, "/...")
-		}
-		if p == "." && recursive {
-			p = ""
-		}
-		dir := filepath.Clean(filepath.Join(cwd, p))
+		tree, recursive := strings.CutSuffix(p, "/...")
 		if !recursive {
-			// Exact package directory: match files directly inside it.
-			prefixes = append(prefixes, dir+string(filepath.Separator))
+			dirs = append(dirs, filepath.Join(cwd, p))
 			continue
 		}
-		if dir == mod.Root || p == "" {
+		dir := filepath.Join(cwd, tree)
+		if dir == mod.Root {
 			return diags
 		}
-		prefixes = append(prefixes, dir+string(filepath.Separator))
+		trees = append(trees, dir+string(filepath.Separator))
 	}
 	var out []analysis.Diagnostic
 	for _, d := range diags {
-		for _, pre := range prefixes {
-			if strings.HasPrefix(d.Pos.Filename, pre) {
-				out = append(out, d)
-				break
-			}
+		inTree := func(t string) bool { return strings.HasPrefix(d.Pos.Filename, t) }
+		if slices.Contains(dirs, filepath.Dir(d.Pos.Filename)) || slices.ContainsFunc(trees, inTree) {
+			out = append(out, d)
 		}
 	}
 	return out

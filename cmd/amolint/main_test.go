@@ -6,32 +6,57 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"amosim/internal/analysis"
 )
 
 // fixmod is the fixture module, reached relative to this package's dir.
 const fixmod = "../../internal/analysis/testdata/src/fixmod"
 
-// TestListRules checks the -rules listing flag: one rule name per line,
-// matching the registered rule set.
+// TestListRules checks the -list-rules flag: one rule name per line, the
+// exact ordered rule suite.
 func TestListRules(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list-rules"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list-rules exit %d, stderr %q", code, stderr.String())
 	}
-	got := strings.Fields(stdout.String())
-	all := analysis.AllRules()
-	if len(got) != len(all) {
-		t.Fatalf("-list-rules printed %d names, want %d: %q", len(got), len(all), got)
+	const want = "determinism,exhaustive,latency,barecounter,sweepshare,lifecycle,escapes"
+	if got := strings.Join(strings.Fields(stdout.String()), ","); got != want {
+		t.Fatalf("-list-rules printed %s, want %s", got, want)
 	}
-	for i, r := range all {
-		if got[i] != r.Name() {
-			t.Errorf("rule %d = %q, want %q", i, got[i], r.Name())
+}
+
+// TestPackageFilter pins package-pattern matching on the fixture module: a
+// plain directory pattern matches only the files directly inside it.
+func TestPackageFilter(t *testing.T) {
+	dir, err := filepath.Abs(fixmod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"./internal"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 {
+		t.Errorf("./internal (no .go files of its own): exit %d, findings:\n%s", code, stdout.String())
+	}
+	stdout.Reset()
+	if code := run([]string{"./internal/machine"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("./internal/machine: exit %d, want 1 (findings exist); stderr %q", code, stderr.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		if !strings.HasPrefix(line, "internal/machine/") {
+			t.Errorf("./internal/machine reported a finding outside it: %s", line)
 		}
 	}
-	if len(got) < 9 {
-		t.Errorf("rule suite shrank to %d rules, want >= 9", len(got))
+
+	// "./..." below the module root covers that subtree only.
+	t.Chdir(filepath.Join(dir, "internal", "machine"))
+	stdout.Reset()
+	if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("./... in internal/machine: exit %d, want 1 (findings exist); stderr %q", code, stderr.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		if !strings.HasPrefix(line, "banned.go:") {
+			t.Errorf("./... in internal/machine reported a finding outside it: %s", line)
+		}
 	}
 }
 

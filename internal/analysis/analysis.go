@@ -4,19 +4,17 @@
 // golang.org/x/tools dependency, so the analyzer runs offline) and applies
 // simulator-specific correctness rules:
 //
-//   - maprange: no raw `for … range` over a map inside the simulation
-//     packages — map iteration order is randomized by the runtime, and a
-//     single unordered fan-out desynchronizes the event stream between
-//     runs, breaking the golden tables. Iterations must go through a
-//     sorted-key helper or carry a //lint:order-independent annotation.
+//   - determinism: host nondeterminism must not reach code that shapes the
+//     event stream, so every run replays from (config, seed). One table,
+//     determinismScopes, maps each part of the module to its bans: the
+//     math/rand import, the global math/rand source, the wall clock, raw map
+//     ranges (with or without the //lint:order-independent escape),
+//     goroutines outside the event kernel, and unannotated writes to the
+//     parallel kernel's coordinator state (see DeterminismRule).
 //   - exhaustive: a switch over an enum-like constant type (cache states,
 //     directory states, message kinds, AMO opcodes) must either cover every
 //     declared constant or have a default case, so adding a new protocol
 //     message or opcode surfaces every dispatch site that needs a decision.
-//   - banned: simulation code must not consult wall-clock time (time.Now),
-//     the global math/rand source, or spawn goroutines outside the event
-//     kernel (internal/sim) — all three smuggle host nondeterminism into
-//     the simulated machine.
 //   - latency: the cycle-cost result of timed memory-system accessors must
 //     not be silently discarded; dropping it charges zero cycles and skews
 //     every downstream table.
@@ -31,15 +29,6 @@
 //     concurrently, so an engine that could see a *machine.Machine could
 //     share one between workers; machine-blindness makes that race
 //     structurally impossible.
-//   - chaosdet: the fault-injection layer (internal/chaos) must not import
-//     math/rand at all nor consult the wall clock — its replay guarantee
-//     (a failure reproduces from config + seed) requires every random draw
-//     to flow through the package's splittable seeded RNG.
-//   - backendpure: the pluggable memory-system backends (internal/syncron,
-//     internal/dsm) must not import math/rand, consult the wall clock, or
-//     range over a map raw — a backend must replay byte-identically from
-//     (config, seed), and these packages sit outside simPackages so the
-//     maprange/banned rules would otherwise not reach them.
 //   - lifecycle: pooled hot-path values (event-arena slots, *Msg records,
 //     AcquireData word buffers, dirReq/fineJob/finePut records) must be
 //     released or have their ownership transferred exactly once on every
@@ -85,9 +74,9 @@ type Rule interface {
 }
 
 // simPackages lists the module-relative import paths of the packages whose
-// event handlers feed the deterministic simulation schedule. The maprange
-// and banned rules apply only here; exhaustive and latency apply
-// module-wide.
+// event handlers feed the deterministic simulation schedule: the first row
+// of determinismScopes, and the core of the barecounter and lifecycle
+// scopes. exhaustive and latency apply module-wide.
 var simPackages = map[string]bool{
 	"internal/sim":       true,
 	"internal/directory": true,
@@ -97,14 +86,9 @@ var simPackages = map[string]bool{
 	"internal/cache":     true,
 }
 
-// inSimPackages reports whether pkg is one of the simulation packages.
-func inSimPackages(mod *Module, pkg *Package) bool {
-	return simPackages[mod.RelPath(pkg)]
-}
-
 // AllRules returns every rule, in a fixed order.
 func AllRules() []Rule {
-	return []Rule{MapRangeRule{}, ExhaustiveRule{}, BannedRule{}, LatencyRule{}, BareCounterRule{}, SweepShareRule{}, ChaosDetRule{}, BackendPureRule{}, ShardPureRule{}, OpenLoopRule{}, LifecycleRule{}, EscapeRule{}}
+	return []Rule{DeterminismRule{}, ExhaustiveRule{}, LatencyRule{}, BareCounterRule{}, SweepShareRule{}, LifecycleRule{}, EscapeRule{}}
 }
 
 // RuleNames returns the names of rules, comma-joined, for usage text.
@@ -164,20 +148,13 @@ func Run(mod *Module, rules []Rule) []Diagnostic {
 	return out
 }
 
-// OrderIndependentAnnotation is the comment that suppresses the maprange
-// rule for the range statement on the same or the following line. It
-// asserts that the loop body commutes: executing iterations in any order
-// produces identical simulator state and no per-iteration side effects
-// (sends, schedules) escape in iteration order.
-const OrderIndependentAnnotation = "//lint:order-independent"
-
-// annotatedLines returns the set of line numbers in file carrying an
-// order-independence annotation.
-func annotatedLines(fset *token.FileSet, file *ast.File) map[int]bool {
+// annotationLines returns the line numbers in file carrying a comment that
+// starts with prefix (one of the //lint: annotations).
+func annotationLines(fset *token.FileSet, file *ast.File, prefix string) map[int]bool {
 	lines := make(map[int]bool)
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, OrderIndependentAnnotation) {
+			if strings.HasPrefix(c.Text, prefix) {
 				lines[fset.Position(c.Pos()).Line] = true
 			}
 		}

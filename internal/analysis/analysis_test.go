@@ -143,15 +143,18 @@ func TestNoExternalDependencies(t *testing.T) {
 	}
 }
 
+// ruleSet is the exact, ordered rule suite.
+const ruleSet = "determinism,exhaustive,latency,barecounter,sweepshare,lifecycle,escapes"
+
 // TestSelectRules exercises the rule-subset flag parsing.
 func TestSelectRules(t *testing.T) {
 	all, err := analysis.SelectRules("")
-	if err != nil || len(all) != 12 {
-		t.Fatalf("SelectRules(\"\") = %d rules, err %v; want 12, nil", len(all), err)
+	if err != nil || analysis.RuleNames(all) != ruleSet {
+		t.Fatalf("SelectRules(\"\") = %s, err %v; want %s, nil", analysis.RuleNames(all), err, ruleSet)
 	}
-	sub, err := analysis.SelectRules("maprange, banned")
-	if err != nil || len(sub) != 2 {
-		t.Fatalf("SelectRules subset = %d rules, err %v; want 2, nil", len(sub), err)
+	sub, err := analysis.SelectRules("determinism, latency")
+	if err != nil || analysis.RuleNames(sub) != "determinism,latency" {
+		t.Fatalf("SelectRules subset = %s, err %v; want determinism,latency, nil", analysis.RuleNames(sub), err)
 	}
 	if _, err := analysis.SelectRules("nosuchrule"); err == nil {
 		t.Fatal("SelectRules accepted an unknown rule name")

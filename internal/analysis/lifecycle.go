@@ -73,17 +73,12 @@ func (LifecycleRule) Name() string { return "lifecycle" }
 // the line directly below it.
 const OwnsTransferAnnotation = "//lint:owns-transfer"
 
-// lifecyclePackages are the packages whose pooled hot-path objects the rule
-// tracks: the simulation packages plus internal/proc (the CPU model uses
-// the network's word-buffer pool for cache lines).
-var lifecyclePackages = map[string]bool{
-	"internal/sim":       true,
-	"internal/directory": true,
-	"internal/network":   true,
-	"internal/machine":   true,
-	"internal/core":      true,
-	"internal/cache":     true,
-	"internal/proc":      true,
+// lifecyclePackage reports whether the module-relative package path rel
+// holds pooled hot-path objects the rule tracks: the simulation packages
+// plus internal/proc (the CPU model uses the network's word-buffer pool for
+// cache lines).
+func lifecyclePackage(rel string) bool {
+	return simPackages[rel] || rel == "internal/proc"
 }
 
 // freeListFields are the struct fields holding pool free lists. Indexing
@@ -180,12 +175,12 @@ func setEnv(dst, src lcEnv) {
 
 // Check implements Rule.
 func (LifecycleRule) Check(mod *Module, pkg *Package) []Diagnostic {
-	if !lifecyclePackages[mod.RelPath(pkg)] {
+	if !lifecyclePackage(mod.RelPath(pkg)) {
 		return nil
 	}
 	a := &lifecycleAnalyzer{mod: mod, pkg: pkg, emitted: make(map[string]bool)}
 	for _, file := range pkg.Files {
-		a.ann = transferLines(mod.Fset, file)
+		a.ann = annotationLines(mod.Fset, file, OwnsTransferAnnotation)
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -195,20 +190,6 @@ func (LifecycleRule) Check(mod *Module, pkg *Package) []Diagnostic {
 		}
 	}
 	return a.diags
-}
-
-// transferLines returns the line numbers of file carrying an owns-transfer
-// annotation.
-func transferLines(fset *token.FileSet, file *ast.File) map[int]bool {
-	lines := make(map[int]bool)
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, OwnsTransferAnnotation) {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
 }
 
 // lcFrame is one enclosing loop, switch or select: the collection point for
@@ -397,7 +378,7 @@ func (a *lifecycleAnalyzer) lifecycleMember(obj types.Object) bool {
 	if p != a.mod.Path && !strings.HasPrefix(p, a.mod.Path+"/") {
 		return false
 	}
-	return lifecyclePackages[strings.TrimPrefix(strings.TrimPrefix(p, a.mod.Path), "/")]
+	return lifecyclePackage(strings.TrimPrefix(strings.TrimPrefix(p, a.mod.Path), "/"))
 }
 
 // acquireExpr recognizes an acquire site used as an assignment source: a
@@ -480,8 +461,7 @@ func (a *lifecycleAnalyzer) funcFieldOf(env lcEnv, arg ast.Expr) *types.Var {
 // annotatedTransfer reports whether the call at pos carries an
 // owns-transfer annotation (same line, or the line directly above).
 func (a *lifecycleAnalyzer) annotatedTransfer(pos token.Pos) bool {
-	line := a.mod.Fset.Position(pos).Line
-	return a.ann[line] || a.ann[line-1]
+	return annotationCovers(a.ann, a.mod.Fset.Position(pos).Line)
 }
 
 // ---- expression evaluation ----

@@ -1,5 +1,5 @@
-// Package chaos is a chaosdet-rule fixture: the fault-injection layer may
-// not touch math/rand or the wall clock in any form.
+// Package chaos is a determinism-rule fixture: the fault-injection layer
+// may not touch math/rand or the wall clock in any form.
 package chaos
 
 import (

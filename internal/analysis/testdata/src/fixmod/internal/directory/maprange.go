@@ -1,5 +1,5 @@
-// Package directory is a maprange-rule fixture mirroring a simulation
-// package: raw map iteration here must be flagged.
+// Package directory is a determinism-rule fixture mirroring a simulation
+// package: raw map iteration here must be flagged unless annotated.
 package directory
 
 import "sort"

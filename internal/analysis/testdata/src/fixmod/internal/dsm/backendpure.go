@@ -1,5 +1,5 @@
-// Package dsm is the second backendpure-rule fixture: the disaggregated
-// shared-memory backend is held to the same determinism contract.
+// Package dsm is the second backend fixture of the determinism rule: the
+// disaggregated shared-memory backend is held to the same contract.
 package dsm
 
 import "time"

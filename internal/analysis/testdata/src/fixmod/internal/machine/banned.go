@@ -1,5 +1,5 @@
-// Package machine is a banned-rule fixture: wall clock, global rand, and
-// goroutine spawns are forbidden in simulation packages.
+// Package machine is a determinism-rule fixture: wall clock, global rand,
+// and goroutine spawns are forbidden in simulation packages.
 package machine
 
 import (

@@ -1,5 +1,5 @@
 // Package sim is the event kernel: the one simulation package allowed to
-// spawn goroutines (the banned rule's goroutine true negative).
+// spawn goroutines (the determinism rule's goroutine true negative).
 package sim
 
 // Spawn starts a process goroutine; not flagged inside internal/sim.

@@ -1,6 +1,6 @@
-// parallel.go is the shardpure-rule fixture: a miniature parallel kernel
-// exercising every check. Note that maprange and banned also reach
-// internal/sim, so some positives here carry two expectations.
+// parallel.go is the determinism rule's parallel-kernel fixture: a
+// miniature kernel exercising every ban of the parallel* row. The
+// simulation-code row covers it too; each site is still reported once.
 package sim
 
 import (
@@ -23,21 +23,21 @@ type shardState struct {
 	executed uint64
 }
 
-// Seed is the rand-import carrier: the constructor itself is one the
-// banned rule permits, so only the import line is flagged.
+// Seed is the rand-import carrier: the constructors are ones the global
+// math/rand ban permits, so only the import line is flagged.
 func Seed() *rand.Rand {
 	return rand.New(rand.NewSource(1))
 }
 
-// Elapsed is the wall-clock positive.
+// Elapsed is the wall-clock positive (a simulation-code row ban).
 func Elapsed(start time.Time) time.Duration {
 	return time.Since(start) // want "time.Since in the parallel kernel"
 }
 
-// Merge is the raw-map-range positive; maprange fires alongside shardpure.
+// Merge is the raw-map-range positive: the strict ban, reported once.
 func Merge(pending map[uint64]int) int {
 	n := 0
-	for at := range pending { // want `in the parallel kernel: the merge path has no order-independent loops` `nondeterministic iteration over map\[uint64\]int: range a sorted key slice`
+	for at := range pending { // want `in the parallel kernel: the merge path has no order-independent loops`
 		n += pending[at]
 	}
 	return n

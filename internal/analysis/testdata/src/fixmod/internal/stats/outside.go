@@ -1,5 +1,5 @@
-// Package stats is outside the simulation-package set: map iteration here
-// is not the maprange rule's business.
+// Package stats is outside every determinism scope: map iteration here is
+// not the determinism rule's business.
 package stats
 
 // Sum iterates a map freely; no diagnostic expected.

@@ -1,4 +1,4 @@
-// Package syncron is a backendpure-rule fixture: a memory-system backend
+// Package syncron is a determinism-rule fixture: a memory-system backend
 // may not touch math/rand, the wall clock, or raw map iteration.
 package syncron
 

@@ -1,4 +1,4 @@
-// Package traffic is the openloop-rule fixture: the arrival process must
+// Package traffic is a determinism-rule fixture: the arrival process must
 // replay byte-identically from (process, seed, rate, n) alone.
 package traffic
 

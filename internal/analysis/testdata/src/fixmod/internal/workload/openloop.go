@@ -1,5 +1,5 @@
-// Package workload is the second openloop-rule fixture: request workloads
-// feed the open-loop driver and share its determinism contract.
+// Package workload is the second open-loop fixture of the determinism
+// rule: request workloads feed the open-loop driver and share its contract.
 package workload
 
 // Degrees is the raw-map-range positive: emitting a graph in map order

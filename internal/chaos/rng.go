@@ -10,7 +10,7 @@
 //
 // Everything is driven by a splittable seeded PRNG: a failure replays from
 // (config, seed) alone, with no wall-clock or host state anywhere in the
-// schedule (enforced by the amolint chaosdet rule).
+// schedule (enforced by the amolint determinism rule).
 package chaos
 
 import "fmt"

@@ -9,7 +9,7 @@
 // count.
 //
 // The package is a leaf: no simulator imports, no wall clock, no
-// math/rand (enforced by the amolint openloop rule).
+// math/rand (enforced by the amolint determinism rule).
 package traffic
 
 import (
