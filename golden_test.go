@@ -11,40 +11,32 @@ func TestGoldenBarrierCycles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden values")
 	}
-	type golden struct {
-		mech   Mechanism
-		procs  int
-		cycles float64
+	cases := []struct {
+		backend Backend
+		mech    Mechanism
+		cycles  float64
+	}{
+		{BackendAMO, LLSC, 4403.5},
+		{BackendAMO, AMO, 594},
+		{BackendAMO, MAO, 2390.75},
+		{BackendSynCron, AMO, 614},
+		{BackendSynCron, MAO, 2410.75},
 	}
-	cases := []golden{}
-	// Derive the goldens on first run; then they are checked below. To keep
-	// the file honest, the expected values are written out literally:
-	cases = []golden{
-		{LLSC, 8, 0},
-		{AMO, 8, 0},
-		{MAO, 8, 0},
-	}
-	for i := range cases {
-		r, err := RunBarrier(DefaultConfig(cases[i].procs), cases[i].mech, BarrierOptions{Episodes: 4, Warmup: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases[i].cycles = r.CyclesPerBarrier
-	}
-	// Determinism: a second identical run must match the first exactly.
 	for _, c := range cases {
-		r, err := RunBarrier(DefaultConfig(c.procs), c.mech, BarrierOptions{Episodes: 4, Warmup: 1})
+		cfg := DefaultConfig(8)
+		cfg.Backend = c.backend
+		r, err := RunBarrier(cfg, c.mech, BarrierOptions{Episodes: 4, Warmup: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.CyclesPerBarrier != c.cycles {
-			t.Errorf("%v p%d: %v cycles, first run said %v (nondeterminism!)", c.mech, c.procs, r.CyclesPerBarrier, c.cycles)
+			t.Errorf("%v %v p8: %v cycles per barrier, want %v", c.backend, c.mech, r.CyclesPerBarrier, c.cycles)
 		}
 	}
 	// Cross-mechanism relations that must never regress.
 	get := func(mech Mechanism) float64 {
 		for _, c := range cases {
-			if c.mech == mech {
+			if c.backend == BackendAMO && c.mech == mech {
 				return c.cycles
 			}
 		}

@@ -8,47 +8,6 @@ import (
 	"amosim/internal/syncprim"
 )
 
-// combiningPinSpec is the fixed hostile-level trial behind the pinned
-// digests below: the Combining mechanism class (flat-combining barrier +
-// cohort lock) under level-2 fault injection.
-func combiningPinSpec(backend config.Backend) chaos.TrialSpec {
-	return chaos.TrialSpec{
-		Seed: 77, Mech: syncprim.Combining, Procs: 8,
-		Vars: 3, Ops: 5, Episodes: 2, LockPasses: 2, Level: 2,
-		Backend: backend,
-	}
-}
-
-// combiningPinnedDigests are the expected trace digests of combiningPinSpec
-// per backend, generated once and checked in. A drift means the combining
-// primitives' message-level behavior changed — timing, protocol traffic, or
-// schedule interleaving — which must be a deliberate, reviewed change, not
-// a side effect. (amo and syncron agree because the Combining class uses
-// plain cached atomics, which never reach the AMU or the sync engine.)
-var combiningPinnedDigests = map[config.Backend]string{
-	config.BackendAMO:     "e0d58fe3933b600e391f49469a24a2bd922eeeb031da4e68e2cadb9630ba450f",
-	config.BackendSynCron: "e0d58fe3933b600e391f49469a24a2bd922eeeb031da4e68e2cadb9630ba450f",
-	config.BackendDSM:     "609c4bddc4421164f5d2e081959778d302884d286557808258c1006d664d6f93",
-}
-
-// TestCombiningPinnedDigests replays the fixed hostile-level combining
-// trial on every backend and demands the checked-in digest byte for byte.
-func TestCombiningPinnedDigests(t *testing.T) {
-	for _, backend := range config.Backends {
-		backend := backend
-		t.Run(backend.String(), func(t *testing.T) {
-			res, err := chaos.RunTrial(combiningPinSpec(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := combiningPinnedDigests[backend]; res.Digest != want {
-				t.Fatalf("combining digest drifted on %s:\n got %s\nwant %s\n[replay: %s]",
-					backend, res.Digest, want, res.Spec)
-			}
-		})
-	}
-}
-
 // TestCombiningDifferentialPerBackend compares the Combining class against
 // the conventional Atomic class under the same seeded schedule on each
 // backend: entirely different primitives (cohort lock vs ticket lock,
@@ -60,9 +19,7 @@ func TestCombiningDifferentialPerBackend(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			var results []chaos.TrialResult
 			for _, mech := range []syncprim.Mechanism{syncprim.Atomic, syncprim.Combining} {
-				spec := combiningPinSpec(backend)
-				spec.Mech = mech
-				r, err := chaos.RunTrial(spec)
+				r, err := chaos.RunTrial(pinSpec(mech, backend))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +36,7 @@ func TestCombiningDifferentialPerBackend(t *testing.T) {
 // a two-word operand cache: constant capacity evictions must not break the
 // cohort lock's baton handoff or the cluster barrier's release fan-out.
 func TestCombiningSqueeze(t *testing.T) {
-	spec := combiningPinSpec(config.BackendAMO)
+	spec := pinSpec(syncprim.Combining, config.BackendAMO)
 	spec.Squeeze = true
 	if _, err := chaos.RunTrial(spec); err != nil {
 		t.Fatal(err)
