@@ -21,6 +21,14 @@
 // operations (MAOs, as in the Cray T3E / SGI Origin): those bypass the
 // coherence protocol entirely, operating on memory directly, with uncached
 // loads for spinning.
+//
+// The AMU is also the unit behind each SynCron sync-engine partition
+// (internal/syncron): there the operand cache is the partition's bounded
+// sync table, and Params.SpillCycles charges the memory write-back of a
+// table-full spill. That charge is the one timing difference between the
+// two: a fill that displaces a live entry costs OpCycles + SpillCycles
+// before the operation executes (0 extra for the paper's AMU, DRAMCycles
+// for SynCron).
 package core
 
 import (
@@ -126,6 +134,13 @@ type Params struct {
 	OpCycles    uint64
 	QueueCycles uint64
 	DRAMCycles  uint64
+	// SpillCycles is charged on top of OpCycles when a fill displaced a
+	// live operand-cache entry (SynCron's overflow write-back; 0 for the
+	// paper's AMU).
+	SpillCycles uint64
+	// BlockBytes is the coherence block size, used to match cached words
+	// to a recalled block. It must be positive.
+	BlockBytes int
 }
 
 // amuEntry is one word of the AMU operand cache.
@@ -165,8 +180,9 @@ type AMU struct {
 	tick  uint64
 	// transient marks the zero-word-cache ablation: the single slot is
 	// flushed after every operation, so nothing coalesces.
-	transient  bool
-	blockBytes int
+	transient bool
+	// overflows counts fills that displaced a live entry.
+	overflows uint64
 
 	queue     []network.Msg
 	queueHead int
@@ -188,7 +204,12 @@ type AMU struct {
 }
 
 // New creates an AMU bound to its node's directory controller and memory.
+// The caller installs it as the directory's recall port (or wraps it, as
+// SynCron's engine does) with dir.SetAMU.
 func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, dir *directory.Controller, p Params) *AMU {
+	if p.BlockBytes <= 0 {
+		panic("core: BlockBytes must be positive")
+	}
 	words := p.CacheWords
 	transient := false
 	if words == 0 {
@@ -205,17 +226,8 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, dir *director
 	a.dispatchFn = a.dispatch
 	a.startFn = a.start
 	a.executeFn = a.execute
-	a.fillMAOFn = func() {
-		a.fill(a.cur.Addr, a.mem.ReadWord(a.cur.Addr), false)
-		a.occupy(a.p.OpCycles, a.executeFn)
-	}
-	a.fineGetDone = func(val uint64) {
-		a.fill(a.cur.Addr, val, true)
-		a.occupy(a.p.OpCycles, a.executeFn)
-	}
-	if dir != nil {
-		dir.SetAMU(a)
-	}
+	a.fillMAOFn = func() { a.fillAndExecute(a.mem.ReadWord(a.cur.Addr), false) }
+	a.fineGetDone = func(val uint64) { a.fillAndExecute(val, true) }
 	return a
 }
 
@@ -241,14 +253,23 @@ func (a *AMU) acquirePut() *finePut {
 	return p
 }
 
-// SetBlockBytes informs the AMU of the coherence block size (needed by
-// Recall to match cached words to blocks).
-func (a *AMU) SetBlockBytes(b int) { a.blockBytes = b }
-
 // Stats returns the AMU's named counters: operations executed, operand
 // cache hits, fine puts issued, recalls served, and the queue/FU/DRAM
 // occupancy gauge.
 func (a *AMU) Stats() metrics.AMUStats { return a.stats }
+
+// Overflows returns how many fills displaced a live operand-cache entry.
+func (a *AMU) Overflows() uint64 { return a.overflows }
+
+// Quiesced returns an error if a request is still queued or in flight — at
+// quiescence a busy unit means a request leaked.
+func (a *AMU) Quiesced() error {
+	if a.busy || a.queueHead != len(a.queue) {
+		return fmt.Errorf("core: node %d AMU still busy at quiescence (%d queued)",
+			a.p.Node, len(a.queue)-a.queueHead)
+	}
+	return nil
+}
 
 // occupy charges cycles of AMU occupancy (queue, function unit or DRAM
 // fill) before running job.
@@ -429,8 +450,20 @@ func (a *AMU) lookup(addr uint64) *amuEntry {
 	return nil
 }
 
-// fill installs (addr, val), evicting the LRU entry if needed.
-func (a *AMU) fill(addr, val uint64, coherent bool) {
+// fillAndExecute installs the fetched operand of a.cur and schedules the
+// operation, charging SpillCycles on top when the fill displaced a live
+// entry.
+func (a *AMU) fillAndExecute(val uint64, coherent bool) {
+	cycles := a.p.OpCycles
+	if a.fill(a.cur.Addr, val, coherent) {
+		cycles += a.p.SpillCycles
+	}
+	a.occupy(cycles, a.executeFn)
+}
+
+// fill installs (addr, val), evicting the LRU entry if needed, and reports
+// whether it displaced a live entry.
+func (a *AMU) fill(addr, val uint64, coherent bool) bool {
 	victim, oldest := -1, ^uint64(0)
 	for i := range a.cache {
 		if !a.cache[i].valid {
@@ -442,15 +475,14 @@ func (a *AMU) fill(addr, val uint64, coherent bool) {
 			victim = i
 		}
 	}
-	if a.cache[victim].valid {
+	spilled := a.cache[victim].valid
+	if spilled {
 		a.evict(victim)
+		a.overflows++
 	}
-	a.fillAt(victim, addr, val, coherent)
-}
-
-func (a *AMU) fillAt(i int, addr, val uint64, coherent bool) {
 	a.tick++
-	a.cache[i] = amuEntry{addr: addr, val: val, valid: true, coherent: coherent, lru: a.tick}
+	a.cache[victim] = amuEntry{addr: addr, val: val, valid: true, coherent: coherent, lru: a.tick}
+	return spilled
 }
 
 // evict flushes entry i. Coherent entries go through the directory's
@@ -471,13 +503,16 @@ func (a *AMU) evict(i int) {
 // word of block into memory and invalidate those entries. The directory
 // clears its own amu-sharer bookkeeping.
 func (a *AMU) Recall(block uint64) {
-	if a.blockBytes == 0 {
-		panic("core: Recall before SetBlockBytes")
-	}
 	a.stats.Recalls++
+	a.FlushBlock(block)
+}
+
+// FlushBlock is Recall without the counter: it writes every coherent
+// cached word of block back to memory and invalidates it.
+func (a *AMU) FlushBlock(block uint64) {
 	for i := range a.cache {
 		e := &a.cache[i]
-		if e.valid && e.coherent && memsys.BlockAddr(e.addr, a.blockBytes) == block {
+		if e.valid && e.coherent && memsys.BlockAddr(e.addr, a.p.BlockBytes) == block {
 			a.mem.WriteWord(e.addr, e.val)
 			e.valid = false
 		}

@@ -55,7 +55,7 @@ func TestOpApplyUnknownPanics(t *testing.T) {
 }
 
 // rig wires an AMU to a real directory, memory and network, with a capture
-// endpoint for replies.
+// endpoint for replies and their arrival cycles.
 type rig struct {
 	eng     sim.Engine
 	net     *network.Network
@@ -63,9 +63,12 @@ type rig struct {
 	dir     *directory.Controller
 	amu     *AMU
 	replies []network.Msg
+	at      []sim.Time
 }
 
-func newRig(t *testing.T, cacheWords int) *rig {
+// newRig builds the rig around an AMU with the given operand-cache size and
+// spill charge (0 for the paper's AMU, DRAMCycles for a SynCron partition).
+func newRig(t *testing.T, cacheWords int, spillCycles uint64) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	topo, err := topology.NewFatTree(2, 8)
@@ -75,8 +78,8 @@ func newRig(t *testing.T, cacheWords int) *rig {
 	net := network.New(eng, topo, network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	mem := memsys.New(2, 128, 60)
 	dir := directory.New(eng, net, mem, directory.Params{Node: 0, ProcsPerNode: 2, BlockBytes: 128, DirCycles: 8, DRAMCycles: 60})
-	amu := New(eng, net, mem, dir, Params{Node: 0, CacheWords: cacheWords, OpCycles: 2, QueueCycles: 8, DRAMCycles: 60})
-	amu.SetBlockBytes(128)
+	amu := New(eng, net, mem, dir, Params{Node: 0, CacheWords: cacheWords, OpCycles: 2, QueueCycles: 8, DRAMCycles: 60, SpillCycles: spillCycles, BlockBytes: 128})
+	dir.SetAMU(amu)
 	r := &rig{eng: eng, net: net, mem: mem, dir: dir, amu: amu}
 	net.RegisterHub(0, func(m network.Msg) {
 		switch m.Kind {
@@ -87,7 +90,10 @@ func newRig(t *testing.T, cacheWords int) *rig {
 			dir.Handle(m)
 		}
 	})
-	net.RegisterCPU(2, func(m network.Msg) { r.replies = append(r.replies, m) })
+	net.RegisterCPU(2, func(m network.Msg) {
+		r.replies = append(r.replies, m)
+		r.at = append(r.at, eng.Now())
+	})
 	return r
 }
 
@@ -124,7 +130,7 @@ func (r *rig) run(t *testing.T) {
 }
 
 func TestAMOMissFillsAndHitsCoalesce(t *testing.T) {
-	r := newRig(t, 8)
+	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
 	r.mem.WriteWord(addr, 10)
 	for i := 0; i < 5; i++ {
@@ -154,7 +160,7 @@ func TestAMOMissFillsAndHitsCoalesce(t *testing.T) {
 }
 
 func TestAMOTestValueFiresPutOnce(t *testing.T) {
-	r := newRig(t, 8)
+	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
 	for i := 0; i < 4; i++ {
 		r.amo(OpInc, addr, 0, 4, FlagTest) // fires when count reaches 4
@@ -169,7 +175,7 @@ func TestAMOTestValueFiresPutOnce(t *testing.T) {
 }
 
 func TestAMOUpdateAlwaysPutsEveryOp(t *testing.T) {
-	r := newRig(t, 8)
+	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
 	for i := 0; i < 3; i++ {
 		r.amo(OpFetchAdd, addr, 2, 0, FlagUpdateAlways)
@@ -184,7 +190,7 @@ func TestAMOUpdateAlwaysPutsEveryOp(t *testing.T) {
 }
 
 func TestMAOBypassesDirectory(t *testing.T) {
-	r := newRig(t, 8)
+	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
 	r.mem.WriteWord(addr, 100)
 	r.mao(addr, 1)
@@ -199,7 +205,7 @@ func TestMAOBypassesDirectory(t *testing.T) {
 }
 
 func TestUncachedLoadSeesAMUValue(t *testing.T) {
-	r := newRig(t, 8)
+	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
 	r.mao(addr, 5) // AMU now holds 5, memory still 0
 	r.run(t)
@@ -217,7 +223,7 @@ func TestUncachedLoadSeesAMUValue(t *testing.T) {
 }
 
 func TestUncachedStoreUpdatesAMUAndMemory(t *testing.T) {
-	r := newRig(t, 8)
+	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
 	r.mao(addr, 1) // AMU caches the word
 	r.run(t)
@@ -240,28 +246,42 @@ func TestUncachedStoreUpdatesAMUAndMemory(t *testing.T) {
 	}
 }
 
+// TestCapacityEvictionLRU fills a two-word cache past capacity, once as
+// the paper's AMU and once as a SynCron partition, whose spill of the LRU
+// entry delays the displacing operation by SpillCycles.
 func TestCapacityEvictionLRU(t *testing.T) {
-	r := newRig(t, 2) // two-word AMU cache
-	a := r.mem.AllocWord(0)
-	b := r.mem.AllocWord(0)
-	c := r.mem.AllocWord(0)
-	r.amo(OpInc, a, 0, 0, 0)
-	r.amo(OpInc, b, 0, 0, 0)
-	r.amo(OpInc, c, 0, 0, 0) // evicts a (LRU)
-	r.run(t)
-	if got := r.mem.ReadWord(a); got != 1 {
-		t.Fatalf("evicted word a = %d in memory, want 1", got)
-	}
-	if r.dir.AMUHolds(a) {
-		t.Fatal("directory still tracks evicted word a")
-	}
-	if !r.dir.AMUHolds(b) || !r.dir.AMUHolds(c) {
-		t.Fatal("resident words lost their registration")
+	for _, c := range []struct {
+		spill   uint64
+		thirdAt sim.Time
+	}{{0, 666}, {60, 726}} {
+		r := newRig(t, 2, c.spill) // two-word AMU cache
+		a := r.mem.AllocWord(0)
+		b := r.mem.AllocWord(0)
+		w := r.mem.AllocWord(0)
+		r.amo(OpInc, a, 0, 0, 0)
+		r.amo(OpInc, b, 0, 0, 0)
+		r.amo(OpInc, w, 0, 0, 0) // evicts a (LRU)
+		r.run(t)
+		if got := r.mem.ReadWord(a); got != 1 {
+			t.Fatalf("spill %d: evicted word a = %d in memory, want 1", c.spill, got)
+		}
+		if r.dir.AMUHolds(a) {
+			t.Fatalf("spill %d: directory still tracks evicted word a", c.spill)
+		}
+		if !r.dir.AMUHolds(b) || !r.dir.AMUHolds(w) {
+			t.Fatalf("spill %d: resident words lost their registration", c.spill)
+		}
+		if n := r.amu.Overflows(); n != 1 {
+			t.Fatalf("spill %d: overflows = %d, want 1", c.spill, n)
+		}
+		if len(r.at) != 3 || r.at[2] != c.thirdAt {
+			t.Fatalf("spill %d: replies at %v, want the third at %d", c.spill, r.at, c.thirdAt)
+		}
 	}
 }
 
 func TestZeroWordCacheTransient(t *testing.T) {
-	r := newRig(t, 0)
+	r := newRig(t, 0, 0)
 	addr := r.mem.AllocWord(0)
 	for i := 0; i < 3; i++ {
 		r.amo(OpInc, addr, 0, 0, 0)
@@ -280,7 +300,7 @@ func TestZeroWordCacheTransient(t *testing.T) {
 }
 
 func TestRecallFlushesAndInvalidates(t *testing.T) {
-	r := newRig(t, 8)
+	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
 	r.amo(OpFetchAdd, addr, 9, 0, 0)
 	r.run(t)
@@ -306,15 +326,30 @@ func TestRecallFlushesAndInvalidates(t *testing.T) {
 	}
 }
 
-func TestRecallBeforeSetBlockBytesPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	a := New(eng, nil, memsys.New(1, 128, 60), nil, Params{CacheWords: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.Recall(0)
+func TestNewPanicsOnNonPositiveBlockBytes(t *testing.T) {
+	for _, bb := range []int{0, -128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("BlockBytes %d: expected panic", bb)
+				}
+			}()
+			New(sim.NewEngine(), nil, memsys.New(1, 128, 60), nil, Params{CacheWords: 2, BlockBytes: bb})
+		}()
+	}
+}
+
+func TestQuiescedReportsQueuedWork(t *testing.T) {
+	r := newRig(t, 8, 0)
+	addr := r.mem.AllocWord(0)
+	r.amu.Handle(network.Msg{Kind: network.KindAMORequest, Src: network.Endpoint{Node: 1, CPU: 2}, Dst: network.Hub(0), Addr: addr, Op: int(OpInc)})
+	if r.amu.Quiesced() == nil {
+		t.Fatal("AMU with a request in flight reported quiesced")
+	}
+	r.run(t)
+	if err := r.amu.Quiesced(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Property: a random sequence of AMO fetch-adds ends with the sum of all
@@ -325,7 +360,7 @@ func TestAMOSumProperty(t *testing.T) {
 			return true
 		}
 		rigT := &testing.T{}
-		r := newRig(rigT, int(cacheWords%4))
+		r := newRig(rigT, int(cacheWords%4), 0)
 		addr := r.mem.AllocWord(0)
 		var want uint64
 		for _, d := range deltas {

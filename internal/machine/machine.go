@@ -222,15 +222,16 @@ func (m *Machine) EnableKernelMetrics() {
 	})
 }
 
-// hubHandler routes hub-bound messages to the node's directory or AMU via
-// the hubRoute function table.
-func (m *Machine) hubHandler(dir *directory.Controller, amu *core.AMU) network.Handler {
+// hubHandler routes hub-bound messages to the node's directory or to its
+// memory-side unit (an AMU's or a sync engine's Handle) via the hubRoute
+// function table.
+func (m *Machine) hubHandler(dir *directory.Controller, unit network.Handler) network.Handler {
 	return func(msg network.Msg) {
 		switch hubRoute[msg.Kind] {
 		case routeDir:
 			dir.Handle(msg)
 		case routeAMU:
-			amu.Handle(msg)
+			unit(msg)
 		default:
 			panic(fmt.Sprintf("machine: hub %d got unexpected %v", dir.Node(), msg))
 		}

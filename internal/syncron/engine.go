@@ -3,16 +3,17 @@
 // directory-based node: every node carries a set of per-memory-partition
 // synchronization engines instead of a single AMU.
 //
-// Each engine partition owns a queue, a function unit and a small bounded
-// sync table; requests partition by word address. A request that hits its
-// partition's table completes at FU speed; a miss allocates an entry,
-// fetching the operand coherently (AMOs, via the directory's fine-grained
-// get) or from memory (MAOs). When the table is full the LRU entry spills
-// back to memory — SynCron's overflow path — which charges an extra memory
-// write-back on the fill. Inter-node coordination is hierarchical: a CPU
-// hands its request to the local node's engine first, which inspects it
-// and forwards remote-homed requests to the home partition; the home
-// engine replies directly to the requesting CPU.
+// Each engine partition is a core.AMU — a queue, a function unit and an
+// operand cache that here plays the partition's small bounded sync table;
+// requests partition by word address. A request that hits its partition's
+// table completes at FU speed; a miss allocates an entry, fetching the
+// operand coherently (AMOs, via the directory's fine-grained get) or from
+// memory (MAOs). When the table is full the LRU entry spills back to memory
+// — SynCron's overflow path — which the unit charges as SpillCycles (one
+// extra memory write-back) on the fill. Inter-node coordination is
+// hierarchical: a CPU hands its request to the local node's engine first,
+// which inspects it and forwards remote-homed requests to the home
+// partition; the home engine replies directly to the requesting CPU.
 //
 // Processor loads and stores remain fully coherent through the unchanged
 // MSI directory, so the conventional mechanisms (LL/SC, processor atomics,
@@ -22,7 +23,6 @@ package syncron
 
 import (
 	"fmt"
-	"sort"
 
 	"amosim/internal/core"
 	"amosim/internal/directory"
@@ -49,68 +49,26 @@ type Params struct {
 	// InspectCycles is the local engine's charge for inspecting and
 	// forwarding a remote-homed request.
 	InspectCycles uint64
-}
-
-// entry is one sync-table slot.
-type entry struct {
-	addr     uint64
-	val      uint64
-	valid    bool
-	coherent bool // fetched via fine get (true) or MAO/uncached (false)
-	lru      uint64
-}
-
-// finePut is a pooled fine-put record; see core.AMU for the pattern.
-type finePut struct {
-	pt   *partition
-	addr uint64
-	read func() (uint64, bool)
-	done func()
-}
-
-// partition is one engine: queue + FU + bounded sync table.
-type partition struct {
-	e    *Engine
-	id   int
-	tabl []entry
-	tick uint64
-
-	queue     []network.Msg
-	queueHead int
-	busy      bool
-
-	cur network.Msg
-	// overflowFill marks that the in-flight fill spilled an LRU entry; the
-	// execute stage is charged an extra memory write-back for it.
-	overflowFill bool
-
-	dispatchFn  func()
-	startFn     func()
-	executeFn   func()
-	fillMAOFn   func()
-	fineGetDone func(val uint64)
-	putFree     []*finePut
+	// BlockBytes is the coherence block size (for recalls).
+	BlockBytes int
 }
 
 // Engine is one node's set of synchronization-engine partitions. It
 // implements directory.AMUPort so the directory can recall engine-held
 // words, and the machine's hub routes AMO/MAO/uncached traffic to Handle.
 type Engine struct {
-	eng sim.Engine
-	net *network.Network
-	mem *memsys.Memory
-	dir *directory.Controller
-	p   Params
+	net   *network.Network
+	p     Params
+	mask  uint64
+	parts []*core.AMU
 
-	mask       uint64
-	parts      []*partition
-	blockBytes int
-
+	// Engine-level counters: Forwards, Recalls and the inspect share of
+	// OccupancyCycles. Stats adds the partitions' counters.
 	stats metrics.SyncStats
 }
 
 // New creates a node's engine set bound to its directory controller and
-// memory, registering itself as the directory's word-grain sync agent.
+// memory. The caller installs it as the directory's recall port.
 func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, dir *directory.Controller, p Params) *Engine {
 	if p.Partitions <= 0 || p.Partitions&(p.Partitions-1) != 0 {
 		panic(fmt.Sprintf("syncron: Partitions must be a positive power of two, got %d", p.Partitions))
@@ -118,37 +76,37 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, dir *director
 	if p.TableEntries <= 0 || p.TableEntries&(p.TableEntries-1) != 0 {
 		panic(fmt.Sprintf("syncron: TableEntries must be a positive power of two, got %d", p.TableEntries))
 	}
-	e := &Engine{eng: eng, net: net, mem: mem, dir: dir, p: p, mask: uint64(p.Partitions - 1)}
+	e := &Engine{net: net, p: p, mask: uint64(p.Partitions - 1)}
 	for i := 0; i < p.Partitions; i++ {
-		pt := &partition{e: e, id: i, tabl: make([]entry, p.TableEntries)}
-		pt.dispatchFn = pt.dispatch
-		pt.startFn = pt.start
-		pt.executeFn = pt.execute
-		pt.fillMAOFn = func() {
-			pt.fill(pt.cur.Addr, e.mem.ReadWord(pt.cur.Addr), false)
-			pt.finishFill()
-		}
-		pt.fineGetDone = func(val uint64) {
-			pt.fill(pt.cur.Addr, val, true)
-			pt.finishFill()
-		}
-		e.parts = append(e.parts, pt)
-	}
-	if dir != nil {
-		dir.SetAMU(e)
+		e.parts = append(e.parts, core.New(eng, net, mem, dir, core.Params{
+			Node:        p.Node,
+			CacheWords:  p.TableEntries,
+			OpCycles:    p.OpCycles,
+			QueueCycles: p.QueueCycles,
+			DRAMCycles:  p.DRAMCycles,
+			SpillCycles: p.DRAMCycles,
+			BlockBytes:  p.BlockBytes,
+		}))
 	}
 	return e
 }
 
-// SetBlockBytes informs the engine of the coherence block size (needed by
-// Recall to match table entries to blocks).
-func (e *Engine) SetBlockBytes(b int) { e.blockBytes = b }
-
 // Stats returns the node's engine counters, summed over partitions.
-func (e *Engine) Stats() metrics.SyncStats { return e.stats }
+func (e *Engine) Stats() metrics.SyncStats {
+	s := e.stats
+	for _, pt := range e.parts {
+		u := pt.Stats()
+		s.Ops += u.Ops
+		s.TableHits += u.CacheHits
+		s.FinePuts += u.FinePuts
+		s.OccupancyCycles += u.OccupancyCycles
+		s.Overflows += pt.Overflows()
+	}
+	return s
+}
 
 // partitionOf selects the engine partition owning addr.
-func (e *Engine) partitionOf(addr uint64) *partition {
+func (e *Engine) partitionOf(addr uint64) *core.AMU {
 	return e.parts[(addr>>3)&e.mask]
 }
 
@@ -156,294 +114,42 @@ func (e *Engine) partitionOf(addr uint64) *partition {
 // ones, forwarding the rest to their home node's engine) and uncached
 // accesses to this node's memory. Runs in event context.
 func (e *Engine) Handle(m network.Msg) {
-	switch m.Kind {
-	case network.KindAMORequest, network.KindMAORequest:
+	if m.Kind == network.KindAMORequest || m.Kind == network.KindMAORequest {
 		if home := memsys.HomeNode(m.Addr); home != e.p.Node {
 			// Hierarchical coordination: the local engine inspects the
 			// request and relays it to the home partition; the home engine
 			// replies straight to the requesting CPU (m.Src is preserved).
 			e.stats.Forwards++
 			e.stats.OccupancyCycles += e.p.InspectCycles
-			fm := m
-			fm.Dst = network.Hub(home)
-			e.net.SendAfter(sim.Time(e.p.InspectCycles), fm)
+			m.Dst = network.Hub(home)
+			e.net.SendAfter(sim.Time(e.p.InspectCycles), m)
 			return
 		}
-		pt := e.partitionOf(m.Addr)
-		pt.queue = append(pt.queue, m)
-		pt.dispatch()
-	case network.KindUncachedLoad:
-		e.handleUncachedLoad(m)
-	case network.KindUncachedStore:
-		e.handleUncachedStore(m)
-	default:
-		panic(fmt.Sprintf("syncron: unexpected message %v", m))
 	}
+	e.partitionOf(m.Addr).Handle(m)
 }
 
 // Recall implements directory.AMUPort: synchronously flush every
 // engine-held word of block into memory and invalidate those entries.
 func (e *Engine) Recall(block uint64) {
-	if e.blockBytes == 0 {
-		panic("syncron: Recall before SetBlockBytes")
-	}
 	e.stats.Recalls++
 	for _, pt := range e.parts {
-		for i := range pt.tabl {
-			en := &pt.tabl[i]
-			if en.valid && en.coherent && memsys.BlockAddr(en.addr, e.blockBytes) == block {
-				e.mem.WriteWord(en.addr, en.val)
-				en.valid = false
-			}
-		}
+		pt.FlushBlock(block)
 	}
 }
 
 // Peek returns the engine-held value of addr without touching LRU state.
 func (e *Engine) Peek(addr uint64) (uint64, bool) {
-	pt := e.partitionOf(addr)
-	for i := range pt.tabl {
-		if pt.tabl[i].valid && pt.tabl[i].addr == addr {
-			return pt.tabl[i].val, true
-		}
-	}
-	return 0, false
-}
-
-// CachedWords returns the addresses held across every partition's table in
-// ascending order, for introspection.
-func (e *Engine) CachedWords() []uint64 {
-	var out []uint64
-	for _, pt := range e.parts {
-		for i := range pt.tabl {
-			if pt.tabl[i].valid {
-				out = append(out, pt.tabl[i].addr)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return e.partitionOf(addr).Peek(addr)
 }
 
 // Quiesced returns an error if any partition still has queued or in-flight
 // work — at quiescence a busy engine means a request leaked.
 func (e *Engine) Quiesced() error {
-	for _, pt := range e.parts {
-		if pt.busy || pt.queueHead != len(pt.queue) {
-			return fmt.Errorf("syncron: node %d partition %d still busy at quiescence (%d queued)",
-				e.p.Node, pt.id, len(pt.queue)-pt.queueHead)
+	for i, pt := range e.parts {
+		if err := pt.Quiesced(); err != nil {
+			return fmt.Errorf("syncron: partition %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-// handleUncachedLoad serves a cache-bypassing load: the sync table is
-// authoritative for engine-held words, then memory.
-func (e *Engine) handleUncachedLoad(m network.Msg) {
-	lat := e.p.OpCycles
-	val, ok := e.Peek(m.Addr)
-	if !ok {
-		lat = e.p.DRAMCycles
-		val = e.mem.ReadWord(m.Addr)
-	}
-	e.occupy(lat, func() {
-		e.net.Send(network.Msg{
-			Kind:      network.KindUncachedLoadReply,
-			Src:       network.Hub(e.p.Node),
-			Dst:       m.Src,
-			Addr:      m.Addr,
-			Value:     val,
-			DataBytes: memsys.WordBytes,
-			Txn:       m.Txn,
-		})
-	})
-}
-
-// handleUncachedStore serves a cache-bypassing store, updating the table
-// copy if present.
-func (e *Engine) handleUncachedStore(m network.Msg) {
-	pt := e.partitionOf(m.Addr)
-	for i := range pt.tabl {
-		if pt.tabl[i].valid && pt.tabl[i].addr == m.Addr {
-			pt.tabl[i].val = m.Value
-		}
-	}
-	e.occupy(e.p.DRAMCycles, func() {
-		e.mem.WriteWord(m.Addr, m.Value)
-		e.net.Send(network.Msg{
-			Kind: network.KindUncachedStoreAck,
-			Src:  network.Hub(e.p.Node),
-			Dst:  m.Src,
-			Addr: m.Addr,
-			Txn:  m.Txn,
-		})
-	})
-}
-
-// occupy charges engine occupancy before running job.
-func (e *Engine) occupy(cycles uint64, job func()) {
-	e.stats.OccupancyCycles += cycles
-	e.eng.Schedule(sim.Time(cycles), job)
-}
-
-// --- partition pipeline -----------------------------------------------------
-
-func (pt *partition) occupy(cycles uint64, job func()) {
-	pt.e.stats.OccupancyCycles += cycles
-	pt.e.eng.Schedule(sim.Time(cycles), job)
-}
-
-// dispatch starts the head-of-queue request if the FU is idle.
-func (pt *partition) dispatch() {
-	if pt.busy || pt.queueHead == len(pt.queue) {
-		return
-	}
-	pt.busy = true
-	pt.cur = pt.queue[pt.queueHead]
-	pt.queue[pt.queueHead] = network.Msg{}
-	pt.queueHead++
-	if pt.queueHead == len(pt.queue) {
-		pt.queue = pt.queue[:0]
-		pt.queueHead = 0
-	}
-	pt.occupy(pt.e.p.QueueCycles, pt.startFn)
-}
-
-// start begins processing pt.cur at the FU.
-func (pt *partition) start() {
-	m := &pt.cur
-	if en := pt.lookup(m.Addr); en != nil {
-		pt.e.stats.TableHits++
-		pt.occupy(pt.e.p.OpCycles, pt.executeFn)
-		return
-	}
-	if m.Flags&core.FlagMAO != 0 || m.Kind == network.KindMAORequest {
-		pt.occupy(pt.e.p.DRAMCycles, pt.fillMAOFn)
-		return
-	}
-	pt.e.dir.FineGet(m.Addr, pt.fineGetDone)
-}
-
-// finishFill schedules execution after a fill, charging the overflow spill
-// (an extra memory write-back) when the fill displaced a live entry.
-func (pt *partition) finishFill() {
-	cycles := pt.e.p.OpCycles
-	if pt.overflowFill {
-		pt.overflowFill = false
-		cycles += pt.e.p.DRAMCycles
-	}
-	pt.occupy(cycles, pt.executeFn)
-}
-
-// execute performs the operation. The operand may have been recalled
-// between start and execute; restart then, re-acquiring the word.
-func (pt *partition) execute() {
-	m := &pt.cur
-	en := pt.lookup(m.Addr)
-	if en == nil {
-		pt.start()
-		return
-	}
-	pt.e.stats.Ops++
-	old := en.val
-	en.val = core.Op(m.Op).Apply(old, m.Value, m.Aux)
-	pt.reply(*m, old)
-
-	wantPut := en.coherent &&
-		(m.Flags&core.FlagUpdateAlways != 0 ||
-			(m.Flags&core.FlagTest != 0 && en.val == m.Aux))
-	if wantPut {
-		pt.e.stats.FinePuts++
-		p := pt.acquirePut()
-		p.addr = m.Addr
-		pt.e.dir.FinePut(p.addr, p.read, p.done)
-	}
-	pt.busy = false
-	pt.cur = network.Msg{}
-	pt.e.eng.Schedule(0, pt.dispatchFn)
-}
-
-func (pt *partition) reply(m network.Msg, old uint64) {
-	kind := network.KindAMOReply
-	if m.Kind == network.KindMAORequest {
-		kind = network.KindMAOReply
-	}
-	pt.e.net.Send(network.Msg{
-		Kind:      kind,
-		Src:       network.Hub(pt.e.p.Node),
-		Dst:       m.Src,
-		Addr:      m.Addr,
-		Value:     old,
-		DataBytes: memsys.WordBytes,
-		Txn:       m.Txn,
-	})
-}
-
-// lookup finds a valid table entry for addr, touching its LRU stamp.
-func (pt *partition) lookup(addr uint64) *entry {
-	for i := range pt.tabl {
-		if pt.tabl[i].valid && pt.tabl[i].addr == addr {
-			pt.tick++
-			pt.tabl[i].lru = pt.tick
-			return &pt.tabl[i]
-		}
-	}
-	return nil
-}
-
-// fill installs (addr, val), spilling the LRU entry when the table is full.
-func (pt *partition) fill(addr, val uint64, coherent bool) {
-	victim, oldest := -1, ^uint64(0)
-	for i := range pt.tabl {
-		if !pt.tabl[i].valid {
-			victim = i
-			break
-		}
-		if pt.tabl[i].lru < oldest {
-			oldest = pt.tabl[i].lru
-			victim = i
-		}
-	}
-	if pt.tabl[victim].valid {
-		pt.evict(victim)
-		pt.e.stats.Overflows++
-		pt.overflowFill = true
-	}
-	pt.tick++
-	pt.tabl[victim] = entry{addr: addr, val: val, valid: true, coherent: coherent, lru: pt.tick}
-}
-
-// evict flushes slot i: coherent entries through the directory's FineEvict
-// (so cached sharers receive the final value), MAO entries straight to
-// memory.
-func (pt *partition) evict(i int) {
-	en := &pt.tabl[i]
-	if en.coherent {
-		pt.e.dir.FineEvict(en.addr, en.val)
-	} else {
-		pt.e.mem.WriteWord(en.addr, en.val)
-	}
-	en.valid = false
-}
-
-// acquirePut pops a pooled fine-put record (or builds one, binding its
-// callbacks exactly once).
-func (pt *partition) acquirePut() *finePut {
-	if k := len(pt.putFree) - 1; k >= 0 {
-		p := pt.putFree[k]
-		pt.putFree = pt.putFree[:k]
-		return p
-	}
-	p := &finePut{pt: pt}
-	p.read = func() (uint64, bool) {
-		if en := p.pt.lookup(p.addr); en != nil {
-			return en.val, true
-		}
-		return 0, false
-	}
-	p.done = func() {
-		p.addr = 0
-		p.pt.putFree = append(p.pt.putFree, p)
-	}
-	return p
 }
