@@ -1,6 +1,10 @@
 package amosim
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"testing"
+)
 
 // TestGoldenBarrierCycles pins exact simulated cycle counts for a small
 // configuration. The simulator is fully deterministic, so these values are
@@ -48,5 +52,48 @@ func TestGoldenBarrierCycles(t *testing.T) {
 	}
 	if ratio := get(LLSC) / get(AMO); ratio < 5 || ratio > 15 {
 		t.Errorf("LLSC/AMO ratio at 8 CPUs = %.2f, expected 5..15 (paper: 5.48)", ratio)
+	}
+}
+
+// paperTablesGolden is the benchmark module's pin of the paper-tables
+// workload: one "== name ==" section per experiment, each holding that
+// experiment's Render() plus a newline. The test reads the file in place,
+// so tier-1 and the benchmark check the same bytes.
+const paperTablesGolden = "bench/testdata/golden/paper-tables.txt"
+
+// TestPaperTablesGolden pins the paper's tables and the AMU ablations, at
+// their paper-standard scales, byte for byte.
+func TestPaperTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale tables")
+	}
+	raw, err := os.ReadFile(paperTablesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	name := ""
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if s, ok := strings.CutPrefix(line, "== "); ok && strings.HasSuffix(s, " ==\n") {
+			name = strings.TrimSuffix(s, " ==\n")
+			continue
+		}
+		want[name] += line
+	}
+	for _, name := range []string{
+		"fig1", "table2", "fig5", "table3", "fig6", "table4", "fig7",
+		"ablation-amucache", "ablation-update",
+	} {
+		e, ok := ExperimentByName(name)
+		if !ok {
+			t.Fatalf("experiment %q not registered", name)
+		}
+		tab, err := e.Run(ExperimentParams{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := tab.Render() + "\n"; got != want[name] {
+			t.Errorf("%s differs from %s:\ngot:\n%swant:\n%s", name, paperTablesGolden, got, want[name])
+		}
 	}
 }
