@@ -51,6 +51,11 @@ func TestScheduleCallSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcessSwitchSteadyStateZeroAlloc pins both ways a sleep returns.
+// The four spinners sleep in phase, so each finds another's wake due first
+// and parks: a context switch. The lone sleeper on each shard runs ahead
+// until its wake ties a spinner's or crosses a parallel window end; on a
+// shard, running ahead appends to the push log.
 func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		eng := newEngine()
@@ -59,6 +64,13 @@ func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
 			eng.ForNode(i%2).Spawn("spinner", 0, func(p *Process) {
 				for {
 					p.Sleep(10)
+				}
+			})
+		}
+		for node := 0; node < eng.NumShards(); node++ {
+			eng.ForNode(node).Spawn("sleeper", 1, func(p *Process) {
+				for {
+					p.Sleep(1)
 				}
 			})
 		}

@@ -88,7 +88,33 @@ func paperDelay(rng *uint64) Time {
 	}
 }
 
+// BenchmarkProcessSwitch measures 1000 process context switches per op:
+// two processes sleep in phase, so each finds the other's wake due first
+// and every sleep parks.
 func BenchmarkProcessSwitch(b *testing.B) {
+	e := NewEngine()
+	const hops = 500 // per process
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 2; k++ {
+			e.Spawn("p", 0, func(p *Process) {
+				for j := 0; j < hops; j++ {
+					p.Sleep(1)
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	e.Shutdown()
+}
+
+// BenchmarkSleepRunAhead measures 1000 sleeps per op by one lone process:
+// nothing else is queued, so every sleep runs ahead without parking.
+func BenchmarkSleepRunAhead(b *testing.B) {
 	e := NewEngine()
 	const hops = 1000
 	b.ReportAllocs()

@@ -25,6 +25,13 @@
 // dispatched one, and a binary heap for the rest and for the rare push that
 // would not sort after its bucket's tail.
 //
+// Both kernels also run sleeps ahead: when a sleeping process's wake would
+// be the next event dispatched anyway, Process.Sleep returns without
+// parking, and the kernel advances its clock in place and counts the wake
+// as dispatched. The event order, event counts and emitted records are
+// those of a parked sleep; only the queue push, the pop and the two
+// coroutine switches are skipped.
+//
 // Components bind to a node-affine view via ForNode: on Sequential the view
 // is the engine itself; on Parallel it is the node's shard. All scheduling,
 // clock reads and process spawns must go through the component's own view.

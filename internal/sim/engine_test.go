@@ -127,6 +127,127 @@ func TestProcessSleepAdvancesTime(t *testing.T) {
 	})
 }
 
+// TestProcessRunAheadStopsAtDeadline pins run-ahead's deadline guard: a
+// lone process sleeping in a loop stops at RunUntil's deadline with its
+// next wake queued, and resumes at the same cycles. Its sleeps of 3 stay
+// below the parallel-2 kernel's window of 4, so both kernels run sleeps
+// ahead.
+func TestProcessRunAheadStopsAtDeadline(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		const sleeps = 50
+		var woke []Time
+		e.ForNode(1).Spawn("sleeper", 2, func(p *Process) {
+			for i := 0; i < sleeps; i++ {
+				woke = append(woke, p.Now())
+				p.Sleep(3)
+			}
+		})
+		if err := e.RunUntil(100); err != ErrDeadline {
+			t.Fatalf("RunUntil(100) = %v, want ErrDeadline", err)
+		}
+		if now, pending := e.Now(), e.Pending(); now != 98 || pending != 1 {
+			t.Fatalf("at the deadline: Now = %d, Pending = %d; want 98 and 1 (the wake at 101)", now, pending)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if len(woke) != sleeps {
+			t.Fatalf("woke %d times, want %d", len(woke), sleeps)
+		}
+		for i, at := range woke {
+			if want := 2 + 3*Time(i); at != want {
+				t.Fatalf("wake %d at cycle %d, want %d", i, at, want)
+			}
+		}
+	})
+}
+
+// TestProcessRunAheadAfterStop pins run-ahead's Stop guard: a process that
+// calls Stop and then sleeps leaves its wake queued, and Run returns
+// without resuming it.
+func TestProcessRunAheadAfterStop(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		resumed := false
+		e.ForNode(1).Spawn("stopper", 0, func(p *Process) {
+			p.Sleep(1)
+			e.Stop()
+			p.Sleep(1)
+			resumed = true
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if resumed {
+			t.Fatal("the sleep after Stop returned")
+		}
+		if now, pending := e.Now(), e.Pending(); now != 1 || pending != 1 {
+			t.Fatalf("after Stop: Now = %d, Pending = %d; want 1 and 1", now, pending)
+		}
+	})
+}
+
+// TestProcessRunAheadCountsWakes pins that a wake run ahead counts as a
+// dispatched event: a lone process that sleeps n times costs n+1 events,
+// its start and n wakes, as parked sleeps do. A Sleep(0) with nothing else
+// due returns at the same cycle.
+func TestProcessRunAheadCountsWakes(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		const sleeps = 40
+		var end Time
+		e.ForNode(1).Spawn("sleeper", 5, func(p *Process) {
+			p.Sleep(0)
+			if now := p.Now(); now != 5 {
+				t.Errorf("Sleep(0) at cycle 5 returned at %d", now)
+			}
+			for i := 1; i < sleeps; i++ {
+				p.Sleep(Time(i % 4))
+			}
+			end = p.Now()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if got := e.Executed(); got != sleeps+1 {
+			t.Fatalf("Executed = %d, want %d", got, sleeps+1)
+		}
+		if end != 65 {
+			t.Fatalf("last wake at cycle %d, want 65", end)
+		}
+	})
+}
+
+// TestProcessRunAheadYieldsOnTie pins run-ahead's tie rule: an event due at
+// the wake's own cycle was pushed first, so it runs first and the sleep
+// parks. A Sleep(0) and a Sleep(3) each find a handler due at their wake.
+func TestProcessRunAheadYieldsOnTie(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		v := e.ForNode(1)
+		var got []string
+		v.Spawn("sleeper", 5, func(p *Process) {
+			p.Sleep(0)
+			got = append(got, fmt.Sprint("wake ", p.Now()))
+			p.Sleep(3)
+			got = append(got, fmt.Sprint("wake ", p.Now()))
+		})
+		v.Schedule(5, func() { got = append(got, "handler 5") })
+		v.Schedule(8, func() { got = append(got, "handler 8") })
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if s, want := fmt.Sprint(got), "[handler 5 wake 5 handler 8 wake 8]"; s != want {
+			t.Fatalf("order %s, want %s", s, want)
+		}
+	})
+}
+
 func TestProcessesInterleaveDeterministically(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		run := func() []string {
@@ -320,12 +441,15 @@ func TestStop(t *testing.T) {
 	}
 }
 
-// Property: for any program of handler pushes, the sequential kernel fires
-// events in (time, push order), and the parallel kernel fires them in
-// exactly the sequential order. Programs push at delays on both sides of
-// every wheel-span multiple up to 3x the span, in same-cycle bursts, and
-// across shards onto cycles the target shard is filling from inside the
-// same window; the run is split by RunUntil deadlines.
+// Property: for any program of handler pushes and sleeping processes, the
+// sequential kernel fires events in (time, push order), and the parallel
+// kernel fires them in exactly the sequential order. Programs push at
+// delays on both sides of every wheel-span multiple up to 3x the span, in
+// same-cycle bursts, and across shards onto cycles the target shard is
+// filling from inside the same window. Their processes push handler events
+// too, and sleep both below the lookahead, where a parallel shard can run
+// the sleep ahead inside its window, and across window ends and the wheel
+// span; the run is split by RunUntil deadlines.
 func TestEventOrderProperty(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		f := func(seed uint64) bool {
@@ -362,9 +486,10 @@ func TestEventOrderProperty(t *testing.T) {
 	})
 }
 
-// orderRec is one fired event of an order program. push is the event's
-// push index; it is the sequential kernel's push order, and meaningless
-// on the parallel kernel, where shards push concurrently.
+// orderRec is one fired event or process step of an order program. push
+// is the event's push index, or for a process step that of the Sleep or
+// Spawn before it; it is the sequential kernel's push order, and
+// meaningless on the parallel kernel, where shards push concurrently.
 type orderRec struct {
 	at    Time
 	node  int
@@ -396,6 +521,18 @@ var orderDelays = []Time{
 // shortest legal cross-shard delay.
 const orderLookahead = 4
 
+// orderSleeps are the delays order-program processes sleep: zero and the
+// delays below the lookahead, which a parallel shard may run ahead inside
+// its window; the lookahead and just past it, which always cross a window
+// end; and both sides of the wheel span.
+var orderSleeps = []Time{
+	0, 1, 2, orderLookahead - 1, orderLookahead, orderLookahead + 1,
+	wheelSpan - 1, wheelSpan, wheelSpan + 1,
+}
+
+// orderProcSteps is how many records each order-program process emits.
+const orderProcSteps = 24
+
 // mix64 is the SplitMix64 finalizer: order programs derive every decision
 // from event labels, so both kernels run the same program.
 func mix64(x uint64) uint64 {
@@ -420,31 +557,41 @@ func runOrderProgram(t *testing.T, eng Engine, seed uint64) (global []orderRec, 
 		}
 		global = append(global, r)
 	})
+	// record logs one fired event or process step on its node and emits it.
+	record := func(node int, label, push uint64, due Time) Time {
+		view := eng.ForNode(node)
+		now := view.Now()
+		if now != due {
+			t.Errorf("record %x due at %d fired at %d", label, due, now)
+		}
+		nodes[node] = append(nodes[node], orderRec{at: now, node: node, label: label, push: push})
+		view.Emit(now, "order", fmt.Sprintf("%d %x %d", node, label, push))
+		return now
+	}
+	// target picks a push's node and delay from hc: mostly its own node,
+	// and the other node at the lookahead or later.
+	target := func(node int, hc uint64) (int, Time) {
+		delay := orderDelays[(hc>>8)%uint64(len(orderDelays))]
+		if hc%4 == 0 {
+			delay = Time(hc>>8) % (3*wheelSpan + 2)
+		}
+		if (hc>>40)%3 == 0 {
+			return 1 - node, max(delay, orderLookahead)
+		}
+		return node, delay
+	}
 	var fire func(any)
 	fire = func(a any) {
 		ev := a.(*orderEv)
 		view := eng.ForNode(ev.node)
-		now := view.Now()
-		if now != ev.due {
-			t.Errorf("event %x due at %d fired at %d", ev.label, ev.due, now)
-		}
-		nodes[ev.node] = append(nodes[ev.node], orderRec{at: now, node: ev.node, label: ev.label, push: ev.push})
-		view.Emit(now, "order", fmt.Sprintf("%d %x %d", ev.node, ev.label, ev.push))
+		now := record(ev.node, ev.label, ev.push, ev.due)
 		if ev.depth == maxDepth {
 			return
 		}
 		h := mix64(ev.label)
 		for c := uint64(0); c < h%4; c++ {
 			hc := mix64(h + c + 1)
-			delay := orderDelays[(hc>>8)%uint64(len(orderDelays))]
-			if hc%4 == 0 {
-				delay = Time(hc>>8) % (3*wheelSpan + 2)
-			}
-			node := ev.node
-			if (hc>>40)%3 == 0 {
-				node = 1 - node
-				delay = max(delay, orderLookahead)
-			}
+			node, delay := target(ev.node, hc)
 			burst := uint64(1)
 			if (hc>>48)%5 == 0 {
 				burst += 1 + (hc>>52)%3
@@ -465,6 +612,30 @@ func runOrderProgram(t *testing.T, eng Engine, seed uint64) (global []orderRec, 
 	for r := uint64(0); r < 6; r++ {
 		node := int(r % 2)
 		eng.ForNode(node).ScheduleCall(Time(r/2), fire, &orderEv{label: mix64(seed + r), node: node, push: pushes.Add(1), due: Time(r / 2)})
+	}
+	// Two sleeping processes per node. Each step records, pushes a handler
+	// event two levels short of the depth limit, and sleeps; the next
+	// step's push index is taken at that Sleep, where a parked sleep
+	// pushes its wake.
+	for r := uint64(0); r < 4; r++ {
+		node := int(r % 2)
+		label, push, due := mix64(seed+r+6), pushes.Add(1), Time(r)
+		eng.ForNode(node).Spawn("sleeper", due, func(p *Process) {
+			view := eng.ForNode(node)
+			for step := 0; ; step++ {
+				now := record(node, label, push, due)
+				if step == orderProcSteps {
+					return
+				}
+				h := mix64(label)
+				dst, delay := target(node, h)
+				child := &orderEv{label: mix64(h + 1), depth: maxDepth - 2, node: dst, push: pushes.Add(1), due: now + delay}
+				view.ScheduleCallNode(dst, delay, fire, child)
+				sleep := orderSleeps[(h>>16)%uint64(len(orderSleeps))]
+				label, push, due = mix64(h+2), pushes.Add(1), now+sleep
+				p.Sleep(sleep)
+			}
+		})
 	}
 	step := 1 + Time(mix64(^seed)%(2*wheelSpan))
 	for deadline := step; ; deadline += step {

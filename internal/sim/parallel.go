@@ -608,3 +608,26 @@ func (s *shard) schedCall(delay Time, call func(any), arg any) {
 }
 
 func (s *shard) clock() Time { return s.now }
+
+// runAhead is Sequential.runAhead bounded by the window end, which never
+// passes RunUntil's deadline: below it, no other shard's push can land.
+// The skipped wake is logged as an executed local push and becomes the
+// current lineage, so the boundary ranks it, and the process's later
+// pushes and Emit records, as if it had been queued and dispatched. Its
+// record keeps slot 0, which is never read once executed: slot -1 would
+// make the boundary deliver it as a cross-shard event.
+func (s *shard) runAhead(d Time) bool {
+	at := s.now + d
+	if at >= s.end || s.par.stopped.Load() || !s.q.runAhead(at) {
+		return false
+	}
+	s.pushLog = append(s.pushLog, pushRec{
+		at: at, src: s.id, dst: s.id, executed: true,
+		pusherAt: s.curAt, pusherSeq: s.curSeq, pusherLoc: s.curLocal,
+	})
+	s.now = at
+	s.curAt, s.curSeq, s.curLocal = at, 0, int32(len(s.pushLog)-1)
+	s.emitCnt = 0
+	s.executed++
+	return true
+}

@@ -13,6 +13,11 @@ import "iter"
 type scheduler interface {
 	schedCall(delay Time, call func(any), arg any)
 	clock() Time
+	// runAhead moves the clock forward by d in place of queueing and
+	// dispatching a sleeping process's wake, when that wake would be the
+	// next event dispatched anyway, and reports whether it did. The skipped
+	// wake counts as dispatched and takes its place in the event order.
+	runAhead(d Time) bool
 }
 
 // procPool is one scheduler's process bookkeeping: the live-process count
@@ -143,9 +148,15 @@ func (p *Process) Name() string { return p.name }
 // Now returns the current simulated time.
 func (p *Process) Now() Time { return p.eng.clock() }
 
-// Sleep suspends the process for d cycles. Sleep(0) yields to other work
-// scheduled at the current instant.
+// Sleep suspends the process for d cycles. When its wake would be the next
+// event dispatched anyway (nothing else is due at or before now+d, and the
+// run goes on that far), Sleep advances the clock and returns without
+// parking; the event order is the one a parked sleep gives. Sleep(0) still
+// yields to other work scheduled at the current instant.
 func (p *Process) Sleep(d Time) {
+	if p.eng.runAhead(d) {
+		return
+	}
 	p.eng.schedCall(d, dispatchCall, p)
 	p.park()
 }

@@ -124,6 +124,18 @@ func (q *queue) nextAt() Time {
 	return q.arena[q.peek()].at
 }
 
+// runAhead reports whether an event pushed now for time at would be the
+// next one popped: every queued event is due strictly later, since one due
+// at at was pushed earlier and sorts first. If so, it moves the wheel
+// origin to at, as pushing and popping that event would.
+func (q *queue) runAhead(at Time) bool {
+	if q.nextAt() <= at {
+		return false
+	}
+	q.last = at
+	return true
+}
+
 // pop removes slot id, which peek has just returned, and recycles it. The
 // slot is zeroed, so a caller copies what it needs before popping; the
 // handler it then dispatches may reuse the slot at once.

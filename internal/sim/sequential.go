@@ -14,6 +14,7 @@ package sim
 // without allocating.
 type Sequential struct {
 	now      Time
+	deadline Time // the running RunUntil's bound
 	seq      uint64
 	q        queue
 	executed uint64
@@ -111,6 +112,7 @@ func (e *Sequential) RunUntil(deadline Time) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.deadline = deadline
 	for e.q.n > 0 && !e.stopped {
 		id := e.q.peek()
 		ev := &e.q.arena[id]
@@ -154,6 +156,22 @@ func (e *Sequential) schedCall(delay Time, call func(any), arg any) {
 }
 
 func (e *Sequential) clock() Time { return e.now }
+
+// runAhead dispatches a sleeping process's wake in place when the run loop
+// would dispatch it next: no queued event is due at or before now+d (see
+// queue.runAhead), the wake is within RunUntil's deadline, and Stop has not
+// been called. The wake takes its sequence and counts as executed, exactly
+// as if it had been pushed and popped.
+func (e *Sequential) runAhead(d Time) bool {
+	at := e.now + d
+	if e.stopped || at > e.deadline || !e.q.runAhead(at) {
+		return false
+	}
+	e.seq++
+	e.now = at
+	e.executed++
+	return true
+}
 
 // Spawn starts fn as a new process after delay cycles. The process runs to
 // completion unless the engine is shut down first. name is used in debugging
