@@ -1,6 +1,7 @@
 package amosim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -223,65 +224,42 @@ func TestBackendNeverAliasesCacheKey(t *testing.T) {
 	}
 }
 
-// TestTableByteIdenticalAcrossWorkersPerBackend extends the sweep engine's
-// central promise to the new backends: parallel and sequential sweeps emit
-// byte-identical tables on syncron and dsm, not just on the default
-// machine.
-func TestTableByteIdenticalAcrossWorkersPerBackend(t *testing.T) {
-	procs := []int{4, 8}
-	for _, b := range []Backend{BackendSynCron, BackendDSM} {
-		b := b
-		t.Run(b.String(), func(t *testing.T) {
-			opts := BarrierOptions{Episodes: 2, Warmup: 1, RunConfig: RunConfig{Backend: b}}
-			var seq, par string
-			withWorkers(t, 1, func() {
-				tb, err := Table2(procs, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seq = tb.Render()
-			})
-			withWorkers(t, 4, func() {
-				tb, err := Table2(procs, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par = tb.Render()
-			})
-			if seq != par {
-				t.Fatalf("Table2 on %s differs between -workers=1 and -workers=4:\n--- sequential ---\n%s\n--- parallel ---\n%s", b, seq, par)
-			}
-		})
+// TestEngineKernelCacheKeysNeverAlias pins the cache-safety side of the
+// engine axis: points differing only in kernel or shard count must have
+// distinct sweep keys, or a parallel run could be served a sequential
+// run's cached result (harmless today precisely because the results are
+// identical — but the key must not rely on that).
+func TestEngineKernelCacheKeysNeverAlias(t *testing.T) {
+	cfg := DefaultConfig(16)
+	opts := BarrierOptions{Episodes: 2, Warmup: 1}
+	seen := map[string]string{}
+	for _, rc := range []RunConfig{
+		{},
+		{Engine: "parallel", Shards: 1},
+		{Engine: "parallel", Shards: 2},
+		{Engine: "parallel", Shards: 8},
+	} {
+		o := opts
+		o.RunConfig = rc
+		k := BarrierPoint(cfg, AMO, o).Key
+		label := fmt.Sprintf("%+v", rc)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("sweep key aliases between %s and %s", prev, label)
+		}
+		seen[k] = label
 	}
 }
 
 // TestBackendTableRuns smoke-tests the cross-backend comparison table at a
-// small scale: every row must have a cell for all three backends and the
-// table must render deterministically across repeated runs.
+// small scale: every row must have a cell for all three backends. The
+// differential matrix renders the same table at Workers 1 and 4 on a cold
+// cache.
 func TestBackendTableRuns(t *testing.T) {
-	bopts := BarrierOptions{Episodes: 1, Warmup: 1}
-	lopts := LockOptions{Acquires: 1}
-	var first string
-	for i := 0; i < 2; i++ {
-		tb, err := BackendTable([]int{4}, bopts, lopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := tb.Render()
-		if i == 0 {
-			first = out
-			continue
-		}
-		if out != first {
-			t.Fatalf("BackendTable not deterministic:\n--- first ---\n%s\n--- second ---\n%s", first, out)
-		}
-	}
-	wantRows := len(Mechanisms)*2 + len(WorkloadApps)
-	tb, err := BackendTable([]int{4}, bopts, lopts)
+	tb, err := BackendTable([]int{4}, BarrierOptions{Episodes: 1, Warmup: 1}, LockOptions{Acquires: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tb.Rows); got != wantRows {
-		t.Fatalf("BackendTable([4]) has %d rows, want %d", got, wantRows)
+	if got, want := len(tb.Rows), len(Mechanisms)*2+len(WorkloadApps); got != want {
+		t.Fatalf("BackendTable([4]) has %d rows, want %d", got, want)
 	}
 }

@@ -47,17 +47,14 @@ echo "== process carriers -race"
 # exercise that hand-off, repeated under the race detector.
 go test -race -count=3 -run 'Process|Cond|Await|Shutdown|Spawn|Deadlock' ./internal/sim
 
-echo "== sweep engine -race"
-# The parallel sweep path must be race-clean: the engine package's own
-# tests plus a real multi-worker table sweep through the root package.
+echo "== sweep engine and differential matrix -race"
+# The parallel sweep path and the parallel event kernel must be race-clean:
+# the engine package's own tests, then the differential matrix (Workers 1
+# vs 4 and sequential vs parallel kernel, on every backend) under the race
+# detector: determinism and race-freedom are the same promise here. -short
+# skips the rows that only the full tier-1 run pays for.
 go test -race ./internal/sweep/...
-go test -race -run 'TestTableByteIdenticalAcrossWorkers|TestBenchMetricsByteIdenticalAcrossWorkers' .
-
-echo "== parallel event kernel -race"
-# The parallel discrete-event kernel's differential matrix (sequential vs
-# parallel results across backends and shard counts) under the race
-# detector: determinism and race-freedom are the same promise here.
-go test -race -run 'TestEngine' .
+go test -race -short -run TestDifferentialMatrix .
 
 echo "== combining primitives -race"
 # The Combining mechanism class (cohort lock + cluster barrier) and its
@@ -68,8 +65,8 @@ go test -race -run 'TestCombining|TestPinnedDigests' ./internal/syncprim ./inter
 echo "== open-loop traffic -race (short)"
 # The open-loop traffic harness: the arrival process, the latency
 # histogram, the irregular workloads across mechanisms/backends, the
-# traffic-enabled chaos trials, and the root-level byte-identity matrix
-# (worker counts and kernels) under the race detector.
+# traffic-enabled chaos trials, and the root-level traffic sweep tests
+# under the race detector.
 go test -race -short ./internal/traffic/... ./internal/stats/...
 go test -race -short -run 'TestTraffic' ./internal/workload ./internal/chaos .
 
@@ -116,36 +113,20 @@ echo "== metrics smoke"
 go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -metrics "$tmp/metrics.json" >/dev/null
 go run ./cmd/amosim -primitive ticket -mech LLSC -procs 8 -metrics "$tmp/metrics.json" >/dev/null
 
-echo "== parallel sweep determinism"
-# The parallel runner must emit byte-identical stdout to the sequential
-# path on a real experiment.
-go run ./cmd/amotables -only table2 -procs 4,8,16 -episodes 2 -warmup 1 -workers 1 >"$tmp/seq"
-go run ./cmd/amotables -only table2 -procs 4,8,16 -episodes 2 -warmup 1 -workers 4 >"$tmp/par"
+echo "== amotables determinism"
+# One CLI run end to end: Table 2 at -workers 1 on the sequential kernel
+# and at -workers 4 on the parallel kernel must print the same bytes, and
+# every -progress line must carry the [pdes:4] tag, so the diff cannot
+# pass with the kernel flags lost before they reach the sweep points. The
+# differential matrix in tier-1 checks the machines' shard counts and
+# covers the other experiments and scales.
+go run ./cmd/amotables -only table2 -procs 8,16 -episodes 2 -warmup 1 -workers 1 >"$tmp/seq"
+go run ./cmd/amotables -only table2 -procs 8,16 -episodes 2 -warmup 1 -workers 4 -engine parallel -shards 4 -progress >"$tmp/par" 2>"$tmp/progress"
 diff -u "$tmp/seq" "$tmp/par"
-
-echo "== parallel event kernel determinism"
-# The parallel discrete-event kernel must emit byte-identical stdout to the
-# sequential kernel on the same table (shards=4 needs >= 4 nodes, so the
-# sweep starts at 8 processors).
-go run ./cmd/amotables -only table2 -procs 8,16 -episodes 2 -warmup 1 >"$tmp/seq"
-go run ./cmd/amotables -only table2 -procs 8,16 -episodes 2 -warmup 1 -engine parallel -shards 4 >"$tmp/par"
-diff -u "$tmp/seq" "$tmp/par"
-
-echo "== crossover determinism"
-# The crossover experiment (AMO vs combining vs conventional, all three
-# backends) must emit byte-identical stdout on the sequential and parallel
-# event kernels at its CI scales. The 1024/4096 flagship scales are a
-# manual run: amotables -only crossover.
-go run ./cmd/amotables -only crossover -procs 64,256 >"$tmp/seq"
-go run ./cmd/amotables -only crossover -procs 64,256 -engine parallel -shards 4 >"$tmp/par"
-diff -u "$tmp/seq" "$tmp/par"
-
-echo "== traffic determinism"
-# The open-loop traffic table (sojourn percentiles by offered rate) must
-# emit byte-identical stdout on the sequential and parallel event kernels.
-go run ./cmd/amotables -only traffic -procs 8 -traffic-requests 120 >"$tmp/seq"
-go run ./cmd/amotables -only traffic -procs 8 -traffic-requests 120 -engine parallel -shards 4 >"$tmp/par"
-diff -u "$tmp/seq" "$tmp/par"
+if [ ! -s "$tmp/progress" ] || grep -v -F '[pdes:4]' "$tmp/progress" >&2; then
+	echo "amotables: -progress lines above lack the [pdes:4] tag" >&2
+	exit 1
+fi
 
 echo "== bench drift gates"
 # Regenerate every checked-in BENCH_<name>.json and compare it against the

@@ -93,7 +93,7 @@ func main() {
 		mechFlag  = flag.String("mech", "AMO", "LLSC, Atomic, ActMsg, MAO, AMO or Combining")
 		backend   = flag.String("backend", "amo", "memory-system backend: amo, syncron or dsm")
 		engine    = flag.String("engine", "", "event kernel: seq or parallel (default seq; results are identical)")
-		shards    = flag.Int("shards", 0, "parallel-kernel shard count (with -engine parallel)")
+		shards    = flag.Int("shards", 0, "parallel-kernel shard count (with -engine parallel; <= 1 runs the sequential kernel)")
 		procs     = flag.Int("procs", 32, "processor count")
 		episodes  = flag.Int("episodes", 8, "measured barrier episodes")
 		warmup    = flag.Int("warmup", 2, "warm-up barrier episodes")

@@ -71,7 +71,7 @@ func main() {
 		mech     = flag.String("mech", "llsc", "mechanism for ablation-tree (llsc, atomic, actmsg, mao, amo)")
 		backend  = flag.String("backend", "amo", "memory-system backend for every experiment: amo, syncron or dsm")
 		engine   = flag.String("engine", "", "event kernel for barrier/lock experiments: seq or parallel (output is identical)")
-		shards   = flag.Int("shards", 0, "parallel-kernel shard count (with -engine parallel)")
+		shards   = flag.Int("shards", 0, "parallel-kernel shard count (with -engine parallel; <= 1 runs the sequential kernel)")
 		bench    = flag.String("bench", "", "write the named bench document ("+strings.Join(amosim.BenchNames(), ", ")+") to stdout as JSON, then exit")
 		gate     = flag.String("gate", "", "with -bench: baseline document to compare the fresh one against; exit nonzero on drift")
 		tRates   = flag.String("traffic-rates", "", "comma-separated offered rates (req/kcycle) for the traffic experiment")

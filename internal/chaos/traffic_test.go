@@ -38,28 +38,6 @@ func TestTrafficTrialDifferential(t *testing.T) {
 	}
 }
 
-// TestTrafficTrialAcrossKernels demands the traffic-enabled trial replay
-// byte-identically (same digest) on the parallel event kernel.
-func TestTrafficTrialAcrossKernels(t *testing.T) {
-	seq, err := chaos.RunTrial(trafficTrialSpec(syncprim.AMO))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := trafficTrialSpec(syncprim.AMO)
-	spec.Engine = "parallel"
-	spec.Shards = 2
-	par, err := chaos.RunTrial(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Digest != par.Digest {
-		t.Fatalf("traffic trial digest diverges across kernels:\nseq %s\npar %s", seq.Digest, par.Digest)
-	}
-	if seq.TrafficDone != par.TrafficDone || seq.Cycles != par.Cycles {
-		t.Fatalf("traffic trial outcome diverges across kernels: %+v vs %+v", seq, par)
-	}
-}
-
 // TestTrafficTrialAcrossBackends runs the traffic-enabled trial on every
 // backend: the functional outcome is backend-independent.
 func TestTrafficTrialAcrossBackends(t *testing.T) {

@@ -125,6 +125,7 @@ type Config struct {
 	Engine string
 	// Shards is the parallel kernel's partition count; 0 means 1. Values
 	// above 1 require Engine "parallel" and at most one shard per node.
+	// Engine "parallel" with Shards <= 1 runs the sequential kernel.
 	Shards int
 	// MinPacketBytes is the minimum network packet size.
 	MinPacketBytes int

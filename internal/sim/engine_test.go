@@ -43,6 +43,24 @@ func TestScheduleNilPanics(t *testing.T) {
 	NewEngine().Schedule(0, nil)
 }
 
+// NewParallel has no one-shard mode (one partition is the sequential
+// kernel's job) and no unbounded window.
+func TestNewParallelNeedsTwoShardsAndAWindow(t *testing.T) {
+	for _, c := range []struct {
+		shards int
+		window Time
+	}{{1, 4}, {2, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewParallel(%d shards, window %d) did not panic", c.shards, c.window)
+				}
+			}()
+			NewParallel(c.shards, make([]int, 2), c.window)
+		}()
+	}
+}
+
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fired []Time

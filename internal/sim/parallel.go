@@ -42,7 +42,7 @@ import (
 // trace records are flushed to the sink in (time, sequence, emission) order.
 type Parallel struct {
 	nodeShard []int32
-	window    Time // lookahead width; 0 = unbounded (single shard)
+	window    Time // lookahead width
 	shards    []*shard
 	seq       uint64 // global order counter: setup pushes + boundary ranking
 	now       Time   // global clock: latest executed event time
@@ -119,21 +119,16 @@ type shard struct {
 // NewParallel returns a parallel engine over shards partitions. nodeShard
 // maps every node to its owning shard (values in [0, shards)); window is the
 // conservative lookahead width in cycles — the minimum latency of any
-// cross-shard message. A window of 0 is only legal with one shard.
+// cross-shard message. One partition is the sequential kernel's job, so
+// NewParallel needs at least two shards and a positive window.
 func NewParallel(shards int, nodeShard []int, window Time) *Parallel {
-	if shards <= 0 {
-		panic("sim: NewParallel needs at least one shard")
-	}
-	if shards > 1 && window == 0 {
-		panic("sim: multi-shard engine needs a positive lookahead window")
+	if shards < 2 || window == 0 {
+		panic("sim: NewParallel needs at least two shards and a positive lookahead window")
 	}
 	par := &Parallel{
 		window:    window,
 		nodeShard: make([]int32, len(nodeShard)),
 		doneCh:    make(chan struct{}),
-	}
-	if shards == 1 {
-		par.window = 0
 	}
 	for i, sh := range nodeShard {
 		if sh < 0 || sh >= shards {
@@ -295,7 +290,7 @@ func (par *Parallel) RunUntil(deadline Time) error {
 			return ErrDeadline
 		}
 		end := start + par.window
-		if par.window == 0 || end < start {
+		if end < start {
 			end = ^Time(0)
 		}
 		if deadline < ^Time(0) && end > deadline+1 {

@@ -112,3 +112,37 @@ func TestSetDefaultRunnerSharesCacheAndWorkers(t *testing.T) {
 		t.Fatalf("RunSweepPoints = %v, %v", vals, err)
 	}
 }
+
+// TestSweepCacheReusedAcrossExperiments checks that experiments sharing
+// cells share their simulations through the default Runner's cache.
+func TestSweepCacheReusedAcrossExperiments(t *testing.T) {
+	procs := []int{4, 8}
+	opts := BarrierOptions{Episodes: 2, Warmup: 1}
+	withRunner(Runner{Workers: 2}, func() {
+		if _, err := Table2(procs, opts); err != nil {
+			t.Fatal(err)
+		}
+		after := SweepCacheStats()
+		wantPoints := uint64(len(procs) * len(Mechanisms))
+		if after.Misses != wantPoints || after.Hits != 0 {
+			t.Fatalf("cold-cache Table2: stats %+v, want %d misses, 0 hits", after, wantPoints)
+		}
+		// Figure 5 covers the identical grid: every cell must be a hit.
+		if _, err := Figure5(procs, opts); err != nil {
+			t.Fatal(err)
+		}
+		st := SweepCacheStats()
+		if st.Misses != wantPoints || st.Hits != after.Hits+wantPoints {
+			t.Fatalf("Figure5 after Table2 re-simulated: stats %+v, want %d misses and %d hits", st, wantPoints, wantPoints)
+		}
+	})
+}
+
+func TestSweepResultsAtPanicsOnMissingCell(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At on a missing cell did not panic")
+		}
+	}()
+	SweepResults{}.At(4, AMO)
+}

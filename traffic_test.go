@@ -7,64 +7,16 @@ import (
 	"amosim/internal/workload"
 )
 
-// testTrafficExperiment is the compact grid the determinism tests render:
-// one app, one rate, all three backends, both default mechanisms.
-func testTrafficExperiment(procs int) TrafficExperiment {
+// testTrafficExperiment is the compact traffic grid: one app, one rate,
+// all three backends, both default mechanisms.
+func testTrafficExperiment(procs ...int) TrafficExperiment {
 	return TrafficExperiment{
-		Procs: []int{procs},
+		Procs: procs,
 		Apps:  []string{"mpmc"},
 		Rates: []int{32},
 		Options: workload.TrafficOptions{
 			Requests: 300, Warmup: 16,
 		},
-	}
-}
-
-func renderTraffic(t *testing.T, e TrafficExperiment) string {
-	t.Helper()
-	tb, err := TrafficTable(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb.Render()
-}
-
-// The traffic table must render byte-identically at any sweep worker
-// count, at both CI scales.
-func TestTrafficTableByteIdenticalAcrossWorkers(t *testing.T) {
-	for _, p := range []int{64, 256} {
-		if p > 64 && testing.Short() {
-			t.Log("skipping 256-CPU grid under -short")
-			break
-		}
-		e := testTrafficExperiment(p)
-		var seq, par string
-		withWorkers(t, 1, func() { seq = renderTraffic(t, e) })
-		withWorkers(t, 4, func() { par = renderTraffic(t, e) })
-		if seq != par {
-			t.Fatalf("TrafficTable at %d CPUs differs between -workers=1 and -workers=4:\n--- sequential ---\n%s\n--- parallel ---\n%s", p, seq, par)
-		}
-	}
-}
-
-// The traffic table must render byte-identically on the sequential and
-// parallel event kernels (arrivals are scheduled sim events, so the
-// schedule replays exactly under sharded execution).
-func TestTrafficTableByteIdenticalAcrossKernels(t *testing.T) {
-	for _, p := range []int{64, 256} {
-		if p > 64 && testing.Short() {
-			t.Log("skipping 256-CPU grid under -short")
-			break
-		}
-		e := testTrafficExperiment(p)
-		var seq, par string
-		withWorkers(t, 2, func() { seq = renderTraffic(t, e) })
-		ep := e
-		ep.RunConfig = RunConfig{Engine: "parallel", Shards: 4}
-		withWorkers(t, 2, func() { par = renderTraffic(t, ep) })
-		if seq != par {
-			t.Fatalf("TrafficTable at %d CPUs differs between event kernels:\n--- sequential kernel ---\n%s\n--- parallel kernel ---\n%s", p, seq, par)
-		}
 	}
 }
 
