@@ -49,12 +49,14 @@ go test -race -count=3 -run 'Process|Cond|Await|Shutdown|Spawn|Deadlock' ./inter
 
 echo "== sweep engine and differential matrix -race"
 # The parallel sweep path and the parallel event kernel must be race-clean:
-# the engine package's own tests, then the differential matrix (Workers 1
-# vs 4 and sequential vs parallel kernel, on every backend) under the race
-# detector: determinism and race-freedom are the same promise here. -short
-# skips the rows that only the full tier-1 run pays for.
+# the engine package's own tests, then the differential matrix and the
+# barrier, lock and per-backend Table 2 comparisons that share its check
+# (Workers 1 vs 4 and sequential vs parallel kernel, on every backend) under
+# the race detector: determinism and race-freedom are the same promise
+# here. -short skips the rows that only the full tier-1 run pays for. The
+# traffic-grid and chaos kernel comparisons race in the stages around this.
 go test -race ./internal/sweep/...
-go test -race -short -run TestDifferentialMatrix .
+go test -race -short -run 'TestDifferentialMatrix|TestEngine|TestTableByteIdenticalAcrossWorkersPerBackend' .
 
 echo "== combining primitives -race"
 # The Combining mechanism class (cohort lock + cluster barrier) and its
@@ -66,7 +68,8 @@ echo "== open-loop traffic -race (short)"
 # The open-loop traffic harness: the arrival process, the latency
 # histogram, the irregular workloads across mechanisms/backends, the
 # traffic-enabled chaos trials, and the root-level traffic sweep tests
-# under the race detector.
+# (the 64-CPU traffic grid across workers and kernels among them) under the
+# race detector.
 go test -race -short ./internal/traffic/... ./internal/stats/...
 go test -race -short -run 'TestTraffic' ./internal/workload ./internal/chaos .
 

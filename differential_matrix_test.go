@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"amosim/internal/chaos"
 	"amosim/internal/stats"
 )
 
@@ -14,17 +13,22 @@ import (
 // result document, rendered table and chaos trace digest is byte-identical
 // across sweep worker counts, across the sequential and parallel event
 // kernels at every shard count, and on all three memory-system backends.
-// TestDifferentialMatrix is the one test behind that promise.
+// matrixRow.check is the one check behind that promise.
 //
-// Each row renders one experiment per backend on the sequential kernel with
-// a cold sweep cache: the reference, at Workers 1 when the row has a Workers
-// axis. Every variant must reproduce it byte for byte: Workers 4, and the
-// parallel kernel at each of the row's shard counts, also at Workers 4, so
-// in a row with a Workers axis a parallel variant crosses both axes at
-// once. A parallel variant must also prove it ran in parallel: a machine
-// built from its config reports that shard count at every scale of the
-// row, and every point label the sweep Runner reported carries its
-// [pdes:N] tag.
+// It renders one experiment for one backend on the sequential kernel with
+// a cold sweep cache: the reference, at Workers 1 when the row has a
+// Workers axis. Every variant must reproduce it byte for byte: Workers 4,
+// and the parallel kernel at each of the row's shard counts, also at
+// Workers 4, so in a row with a Workers axis a parallel variant crosses
+// both axes at once. A parallel variant must also prove it ran in
+// parallel: a machine built from its config reports that shard count at
+// every scale of the row, and every point label the sweep Runner reported
+// carries its [pdes:N] tag.
+//
+// TestDifferentialMatrix runs the rows of matrixRows. The barrier, lock,
+// per-backend Table 2 and traffic-grid comparisons run the same check from
+// their own tests below, and the chaos trials' kernel comparisons live in
+// internal/chaos.
 
 // matrixRow is one experiment of the differential matrix.
 type matrixRow struct {
@@ -53,17 +57,7 @@ func (r matrixRow) cell(b Backend) string {
 }
 
 var matrixRows = []matrixRow{
-	{name: "barrier", backends: Backends, scales: []int{16}, shards: []int{2, 8},
-		render: func(ps []int, rc RunConfig) (string, error) {
-			opts := BarrierOptions{Episodes: 2, Warmup: 1, RunConfig: rc}
-			cfg := DefaultConfig(ps[0])
-			return sweepJSON(BarrierPoint(cfg, LLSC, opts), BarrierPoint(cfg, AMO, opts))
-		}},
-	{name: "lock", backends: Backends, scales: []int{16}, shards: []int{2, 8},
-		render: func(ps []int, rc RunConfig) (string, error) {
-			return sweepJSON(LockPoint(DefaultConfig(ps[0]), Ticket, AMO, LockOptions{Acquires: 2, RunConfig: rc}))
-		}},
-	{name: "table2", backends: Backends, scales: []int{4, 8, 16}, workers: true, render: renderTable2},
+	{name: "table2", scales: []int{4, 8, 16}, workers: true, render: renderTable2},
 	{name: "table2", scales: []int{8, 16}, shards: []int{4}, render: renderTable2},
 	{name: "table4", scales: []int{4, 8}, workers: true, render: renderTable4},
 	{name: "table4", scales: []int{8, 16}, shards: []int{4}, render: renderTable4},
@@ -81,17 +75,12 @@ var matrixRows = []matrixRow{
 			return text(BackendTable(ps, BarrierOptions{Episodes: 1, Warmup: 1, RunConfig: rc}, LockOptions{Acquires: 1, RunConfig: rc}))
 		}},
 	{name: "scale", scales: []int{64, 256, 1024, 4096}, shards: []int{8}, workers: true, long: true, render: renderScale},
-	{name: "traffic-grid", scales: []int{64}, shards: []int{4}, workers: true, render: renderTrafficGrid},
-	{name: "traffic-grid", scales: []int{256}, shards: []int{4}, workers: true, long: true, render: renderTrafficGrid},
 	{name: "crossover", scales: []int{64, 256}, shards: []int{4}, long: true, render: renderExperiment("crossover", TrafficOptions{})},
 	{name: "traffic", scales: []int{8}, shards: []int{4}, long: true, render: renderExperiment("traffic", TrafficOptions{Requests: 120})},
 	{name: "apps", backends: Backends, scales: []int{16}, shards: []int{4},
 		render: func(ps []int, rc RunConfig) (string, error) {
 			return sweepJSON(WorkloadExperiment{Procs: ps, RunConfig: rc}.Points()...)
 		}},
-	{name: "chaos", backends: Backends, scales: []int{16}, shards: []int{2}, render: renderTrial(chaosTrial)},
-	{name: "chaos", backends: Backends, scales: []int{16}, shards: []int{8}, long: true, render: renderTrial(chaosTrial)},
-	{name: "chaos-traffic", scales: []int{4}, shards: []int{2}, render: renderTrial(chaosTrafficTrial)},
 }
 
 func TestDifferentialMatrix(t *testing.T) {
@@ -105,64 +94,145 @@ func TestDifferentialMatrix(t *testing.T) {
 				if row.long && testing.Short() {
 					t.Skip("skipped under -short")
 				}
-				run := func(workers int, rc RunConfig) (out string, labels []string) {
-					progress := func(e SweepEvent) { labels = append(labels, e.Label) }
-					var err error
-					withRunner(Runner{Workers: workers, Progress: progress}, func() {
-						out, err = row.render(row.scales, rc)
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return out, labels
-				}
-				base := RunConfig{Backend: b}
-				refWorkers := 4
-				if row.workers {
-					refWorkers = 1
-				}
-				ref, _ := run(refWorkers, base)
-				same := func(variant, got string) {
-					t.Helper()
-					if got != ref {
-						t.Errorf("%s diverges from the reference:\n--- reference ---\n%s\n--- %s ---\n%s", variant, ref, variant, got)
-					}
-				}
-				if row.workers {
-					got, _ := run(4, base)
-					same("workers=4", got)
-				}
-				for _, n := range row.shards {
-					if n < 2 {
-						t.Fatalf("shards=%d: one shard runs the sequential kernel", n)
-					}
-					rc := base
-					rc.Engine, rc.Shards = "parallel", n
-					for _, p := range row.scales {
-						m, err := NewMachine(rc.apply(DefaultConfig(p)))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := m.Eng.NumShards(); got != n {
-							t.Errorf("p=%d shards=%d: the machine runs %d shard(s)", p, n, got)
-						}
-						m.Shutdown()
-					}
-					got, labels := run(4, rc)
-					same(fmt.Sprintf("shards=%d", n), got)
-					if len(labels) == 0 {
-						t.Errorf("shards=%d: the Runner reported no points", n)
-					}
-					tag := fmt.Sprintf("[pdes:%d]", n)
-					for _, l := range labels {
-						if !strings.Contains(l, tag) {
-							t.Errorf("shards=%d: point %q is not tagged %s", n, l, tag)
-							break
-						}
-					}
-				}
+				row.check(t, b)
 			})
 		}
+	}
+}
+
+// check renders the row on backend b and demands that every variant
+// reproduce the reference, and that every parallel variant really ran on
+// the parallel kernel.
+func (r matrixRow) check(t *testing.T, b Backend) {
+	t.Helper()
+	run := func(workers int, rc RunConfig) (out string, labels []string) {
+		progress := func(e SweepEvent) { labels = append(labels, e.Label) }
+		var err error
+		withRunner(Runner{Workers: workers, Progress: progress}, func() {
+			out, err = r.render(r.scales, rc)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, labels
+	}
+	base := RunConfig{Backend: b}
+	refWorkers := 4
+	if r.workers {
+		refWorkers = 1
+	}
+	ref, _ := run(refWorkers, base)
+	same := func(variant, got string) {
+		t.Helper()
+		if got != ref {
+			t.Errorf("%s diverges from the reference:\n--- reference ---\n%s\n--- %s ---\n%s", variant, ref, variant, got)
+		}
+	}
+	if r.workers {
+		got, _ := run(4, base)
+		same("workers=4", got)
+	}
+	for _, n := range r.shards {
+		if n < 2 {
+			t.Fatalf("shards=%d: one shard runs the sequential kernel", n)
+		}
+		rc := base
+		rc.Engine, rc.Shards = "parallel", n
+		for _, p := range r.scales {
+			m, err := NewMachine(rc.apply(DefaultConfig(p)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Eng.NumShards(); got != n {
+				t.Errorf("p=%d shards=%d: the machine runs %d shard(s)", p, n, got)
+			}
+			m.Shutdown()
+		}
+		got, labels := run(4, rc)
+		same(fmt.Sprintf("shards=%d", n), got)
+		if len(labels) == 0 {
+			t.Errorf("shards=%d: the Runner reported no points", n)
+		}
+		tag := fmt.Sprintf("[pdes:%d]", n)
+		for _, l := range labels {
+			if !strings.Contains(l, tag) {
+				t.Errorf("shards=%d: point %q is not tagged %s", n, l, tag)
+				break
+			}
+		}
+	}
+}
+
+// engineShardCounts is the shard axis of the single-run comparisons. 16
+// processors give 8 nodes, so 8 shards is the maximum partition (one node
+// per shard).
+var engineShardCounts = []int{2, 8}
+
+// TestEngineBarrierResultByteIdentical runs the barrier experiment on the
+// parallel kernel for every backend, shard count and mechanism: the full
+// result document, figures plus the window metrics Snapshot, must match
+// the sequential kernel's byte for byte.
+func TestEngineBarrierResultByteIdentical(t *testing.T) {
+	for _, b := range Backends {
+		for _, n := range engineShardCounts {
+			for _, mech := range []Mechanism{LLSC, AMO} {
+				t.Run(fmt.Sprintf("%s/shards=%d/%s", b, n, mech), func(t *testing.T) {
+					matrixRow{scales: []int{16}, shards: []int{n}, render: func(ps []int, rc RunConfig) (string, error) {
+						return sweepJSON(BarrierPoint(DefaultConfig(ps[0]), mech, BarrierOptions{Episodes: 2, Warmup: 1, RunConfig: rc}))
+					}}.check(t, b)
+				})
+			}
+		}
+	}
+}
+
+// TestEngineLockResultByteIdentical is the lock half: a ticket lock on AMOs.
+func TestEngineLockResultByteIdentical(t *testing.T) {
+	for _, b := range Backends {
+		for _, n := range engineShardCounts {
+			t.Run(fmt.Sprintf("%s/shards=%d", b, n), func(t *testing.T) {
+				matrixRow{scales: []int{16}, shards: []int{n}, render: func(ps []int, rc RunConfig) (string, error) {
+					return sweepJSON(LockPoint(DefaultConfig(ps[0]), Ticket, AMO, LockOptions{Acquires: 2, RunConfig: rc}))
+				}}.check(t, b)
+			})
+		}
+	}
+}
+
+// TestTableByteIdenticalAcrossWorkersPerBackend renders Table 2 at Workers
+// 1 and 4 on the syncron and dsm backends; the matrix's table2 row covers
+// the default machine.
+func TestTableByteIdenticalAcrossWorkersPerBackend(t *testing.T) {
+	for _, b := range []Backend{BackendSynCron, BackendDSM} {
+		t.Run(b.String(), func(t *testing.T) {
+			matrixRow{scales: []int{4, 8, 16}, workers: true, render: renderTable2}.check(t, b)
+		})
+	}
+}
+
+// trafficGridScales are the CPU counts of the mpmc traffic grid; -short
+// skips the 256-CPU grid.
+func trafficGridScales() []int {
+	if testing.Short() {
+		return []int{64}
+	}
+	return []int{64, 256}
+}
+
+// TestTrafficTableByteIdenticalAcrossWorkers renders the traffic grid at
+// Workers 1 and 4.
+func TestTrafficTableByteIdenticalAcrossWorkers(t *testing.T) {
+	for _, p := range trafficGridScales() {
+		matrixRow{scales: []int{p}, workers: true, render: renderTrafficGrid}.check(t, BackendAMO)
+	}
+}
+
+// TestTrafficTableByteIdenticalAcrossKernels renders the traffic grid on
+// the parallel kernel: arrivals are scheduled sim events, so the schedule
+// replays exactly under sharded execution.
+func TestTrafficTableByteIdenticalAcrossKernels(t *testing.T) {
+	for _, p := range trafficGridScales() {
+		matrixRow{scales: []int{p}, shards: []int{4}, render: renderTrafficGrid}.check(t, BackendAMO)
 	}
 }
 
@@ -240,31 +310,5 @@ func renderExperiment(name string, traffic TrafficOptions) func([]int, RunConfig
 			TreeMech: LLSC,
 			Traffic:  traffic,
 		}))
-	}
-}
-
-// chaosTrial is a hostile-level fault-injection trial; chaosTrafficTrial
-// adds an open-loop phase of Poisson-arriving fetch-add requests.
-var (
-	chaosTrial        = chaos.TrialSpec{Seed: 7, Mech: AMO, Vars: 3, Ops: 4, Episodes: 2, LockPasses: 1, Level: 2}
-	chaosTrafficTrial = chaos.TrialSpec{Seed: 41, Mech: AMO, Vars: 2, Ops: 3, Episodes: 1, Level: 1, TrafficOps: 8, TrafficRate: 2}
-)
-
-// renderTrial runs a chaos trial at the row's scale through the sweep
-// Runner and prints everything that must replay across kernels: the trace
-// digest, run length, functional outcome and injector stats. Transitions is
-// left out: the transition oracle arms on the sequential kernel only.
-func renderTrial(spec chaos.TrialSpec) func([]int, RunConfig) (string, error) {
-	return func(ps []int, rc RunConfig) (string, error) {
-		s := spec
-		s.Procs = ps[0]
-		s.Backend, s.Engine, s.Shards = rc.Backend, rc.Engine, rc.Shards
-		vals, err := runPoints(chaos.Group{Seed: s.Seed, Specs: []chaos.TrialSpec{s}}.Points())
-		if err != nil {
-			return "", err
-		}
-		r := vals[0].(chaos.TrialResult)
-		return fmt.Sprintf("digest %s\ncycles %d\nfinals %v lock %d ops %v traffic %d\ninjected %+v\n",
-			r.Digest, r.Cycles, r.FinalValues, r.LockWord, r.OpsDone, r.TrafficDone, r.Injected), nil
 	}
 }
