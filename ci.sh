@@ -144,7 +144,8 @@ for b in metrics hotpath pdes crossover traffic; do
 done
 
 echo "== hot path: zero-alloc regression tests"
-# The pooled event, message and AMU paths are pinned at exactly 0 allocs/op.
-go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core
+# The pooled event, message, AMU, home-memory and dsm-agent paths are
+# pinned at exactly 0 allocs/op.
+go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/memsys ./internal/dsm
 
 echo "CI PASS"

@@ -11,6 +11,8 @@ package config
 import (
 	"fmt"
 	"strings"
+
+	"amosim/internal/memsys"
 )
 
 // Backend selects the memory-system model the machine is built around.
@@ -254,6 +256,8 @@ func (c Config) Validate() error {
 		return fail("BlockBytes", "must be a positive multiple of 8, got %d", c.BlockBytes)
 	case !isPow2(c.BlockBytes):
 		return fail("BlockBytes", "must be a power of two, got %d", c.BlockBytes)
+	case c.BlockBytes > memsys.MaxBlockBytes:
+		return fail("BlockBytes", "must be at most %d (a block's words must fit one memory page and the directory's 64-bit AMU word mask), got %d", memsys.MaxBlockBytes, c.BlockBytes)
 	case c.CacheWays <= 0 || c.CacheSets <= 0:
 		return fail("CacheWays/CacheSets", "cache geometry must be positive, got %d ways x %d sets", c.CacheWays, c.CacheSets)
 	case !isPow2(c.CacheSets):

@@ -65,6 +65,7 @@ func TestValidateRejections(t *testing.T) {
 		{"non multiple", func(c *Config) { c.Processors = 5 }, "multiple"},
 		{"bad block bytes", func(c *Config) { c.BlockBytes = 100 }, "BlockBytes"},
 		{"non pow2 block", func(c *Config) { c.BlockBytes = 24 }, "BlockBytes"},
+		{"oversized block", func(c *Config) { c.BlockBytes = 1024 }, "must be at most 512"},
 		{"zero ways", func(c *Config) { c.CacheWays = 0 }, "cache geometry"},
 		{"non pow2 sets", func(c *Config) { c.CacheSets = 100 }, "CacheSets"},
 		{"radix 1", func(c *Config) { c.RouterRadix = 1 }, "RouterRadix"},

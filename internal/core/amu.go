@@ -167,8 +167,8 @@ type finePut struct {
 //
 // The FU pipeline (dispatch -> start -> execute) is allocation-free in
 // steady state: the single in-flight request lives in cur, the pipeline
-// stages are prebound func values, the request queue is a head-indexed
-// FIFO, and fine puts ride pooled finePut records.
+// stages are prebound func values, the request queue is a ring FIFO, and
+// fine puts ride pooled finePut records.
 type AMU struct {
 	eng sim.Engine
 	net *network.Network
@@ -184,9 +184,8 @@ type AMU struct {
 	// overflows counts fills that displaced a live entry.
 	overflows uint64
 
-	queue     []network.Msg
-	queueHead int
-	busy      bool
+	queue sim.FIFO[network.Msg]
+	busy  bool
 
 	// cur is the request owned by the FU pipeline; valid while busy. The
 	// prebound stage funcs below read it instead of capturing a message.
@@ -264,9 +263,9 @@ func (a *AMU) Overflows() uint64 { return a.overflows }
 // Quiesced returns an error if a request is still queued or in flight — at
 // quiescence a busy unit means a request leaked.
 func (a *AMU) Quiesced() error {
-	if a.busy || a.queueHead != len(a.queue) {
+	if a.busy || a.queue.Len() != 0 {
 		return fmt.Errorf("core: node %d AMU still busy at quiescence (%d queued)",
-			a.p.Node, len(a.queue)-a.queueHead)
+			a.p.Node, a.queue.Len())
 	}
 	return nil
 }
@@ -330,7 +329,7 @@ func (a *AMU) Peek(addr uint64) (uint64, bool) {
 func (a *AMU) Handle(m network.Msg) {
 	switch m.Kind {
 	case network.KindAMORequest, network.KindMAORequest:
-		a.queue = append(a.queue, m)
+		a.queue.Push(m)
 		a.dispatch()
 	case network.KindUncachedLoad:
 		a.handleUncachedLoad(m)
@@ -343,17 +342,11 @@ func (a *AMU) Handle(m network.Msg) {
 
 // dispatch starts the head-of-queue request if the FU is idle.
 func (a *AMU) dispatch() {
-	if a.busy || a.queueHead == len(a.queue) {
+	if a.busy || a.queue.Len() == 0 {
 		return
 	}
 	a.busy = true
-	a.cur = a.queue[a.queueHead]
-	a.queue[a.queueHead] = network.Msg{}
-	a.queueHead++
-	if a.queueHead == len(a.queue) {
-		a.queue = a.queue[:0]
-		a.queueHead = 0
-	}
+	a.cur = a.queue.Pop()
 	a.occupy(a.p.QueueCycles, a.startFn)
 }
 

@@ -15,7 +15,7 @@ package directory
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"amosim/internal/memsys"
 	"amosim/internal/metrics"
@@ -47,12 +47,11 @@ func (s state) String() string {
 // entry is the directory record for one block.
 type entry struct {
 	state    state
-	owner    int             // CPU id, valid when state == exclusive
-	sharers  sharerSet       // sharer vector, valid when state == shared
-	amuWords map[uint64]bool // word addrs currently held by the local AMU
+	owner    int       // CPU id, valid when state == exclusive
+	sharers  sharerSet // sharer vector, valid when state == shared
+	amuWords uint64    // bit i set: the local AMU holds word i of the block
 	busy     bool
-	waitq    []func() // head-indexed FIFO of queued transactions
-	waitHead int
+	waitq    sim.FIFO[func()] // queued transactions
 	// txn is live (txnLive) while busy; interventions and inv-acks continue
 	// it. The record is inlined in the entry so starting a transaction never
 	// allocates.
@@ -114,7 +113,12 @@ type Controller struct {
 	amu  AMUPort
 	p    Params
 
-	entries map[uint64]*entry
+	// chunks is the slab of directory entries, indexed by the block's
+	// offset within the node (see entryOf). A chunk is allocated on first
+	// touch and never moves, since transaction closures hold *entry.
+	chunks     []*chunk
+	base       uint64 // NodeBase(Node)
+	blockShift uint   // log2(BlockBytes)
 
 	// reqFree/fineFree recycle the request and fine-put/evict records below,
 	// so accepting a CPU request or flushing an AMU word never allocates.
@@ -181,7 +185,7 @@ func (c *Controller) acquireFine() *fineJob {
 		e := ctl.entryOf(j.block)
 		if j.read != nil {
 			val, ok := j.read()
-			if !ok || !e.amuWords[j.addr] {
+			if !ok || e.amuWords&ctl.wordBit(j.addr) == 0 {
 				block, done := j.block, j.done
 				ctl.releaseFine(j)
 				ctl.complete(block)
@@ -237,19 +241,30 @@ type Perturber interface {
 	RequestDelay(m network.Msg) sim.Time
 }
 
+// chunkEntries is the number of directory entries per slab chunk.
+const chunkEntries = 8
+
+// chunk is one slab allocation: the entries of chunkEntries consecutive
+// blocks.
+type chunk [chunkEntries]entry
+
 // New creates a directory controller for node p.Node. The AMU port may be
 // set later with SetAMU (the AMU and directory reference each other).
 func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, p Params) *Controller {
 	if p.ProcsPerNode <= 0 {
 		panic("directory: ProcsPerNode must be positive")
 	}
+	if !memsys.ValidBlockBytes(p.BlockBytes) {
+		panic(fmt.Sprintf("directory: bad block size %d (want a power of two in [%d, %d])", p.BlockBytes, memsys.WordBytes, memsys.MaxBlockBytes))
+	}
 	return &Controller{
-		eng:     eng,
-		net:     net,
-		pool:    net.DataPool(p.Node),
-		mem:     mem,
-		p:       p,
-		entries: make(map[uint64]*entry),
+		eng:        eng,
+		net:        net,
+		pool:       net.DataPool(p.Node),
+		mem:        mem,
+		p:          p,
+		base:       memsys.NodeBase(p.Node),
+		blockShift: uint(bits.TrailingZeros(uint(p.BlockBytes))),
 	}
 }
 
@@ -282,14 +297,41 @@ func (c *Controller) occupy(cycles uint64, job func()) {
 	c.eng.Schedule(sim.Time(cycles), job)
 }
 
+// entryOf returns the record of block, which must be homed on this node.
+// The per-node bump allocator keeps block offsets dense, so the slab is a
+// short index of fixed chunks: no hashing, and one allocation per
+// chunkEntries blocks touched.
 func (c *Controller) entryOf(block uint64) *entry {
-	e := c.entries[block]
-	if e == nil {
-		e = &entry{amuWords: make(map[uint64]bool)}
-		e.sharers.procs = c.p.Procs
-		c.entries[block] = e
+	i := (block - c.base) >> c.blockShift
+	if k := i / chunkEntries; k < uint64(len(c.chunks)) && c.chunks[k] != nil {
+		return &c.chunks[k][i%chunkEntries]
 	}
-	return e
+	return c.touch(block, i)
+}
+
+// touch allocates the chunk holding record i (block's), extending the slab
+// index as needed, and returns the record. A block homed on another node
+// always indexes past the slab (offsets within a node are below
+// 1<<NodeShift), so it lands here and panics.
+func (c *Controller) touch(block, i uint64) *entry {
+	if memsys.HomeNode(block) != c.p.Node {
+		panic(fmt.Sprintf("directory: block %#x is not homed on node %d", block, c.p.Node))
+	}
+	k := i / chunkEntries
+	if k >= uint64(len(c.chunks)) {
+		c.chunks = append(c.chunks, make([]*chunk, k+1-uint64(len(c.chunks)))...)
+	}
+	ch := new(chunk)
+	for j := range ch {
+		ch[j].sharers.procs = c.p.Procs
+	}
+	c.chunks[k] = ch
+	return &ch[i%chunkEntries]
+}
+
+// wordBit returns the amuWords bit of the word at addr.
+func (c *Controller) wordBit(addr uint64) uint64 {
+	return 1 << memsys.WordIndex(addr, c.p.BlockBytes)
 }
 
 func (c *Controller) block(addr uint64) uint64 {
@@ -331,7 +373,7 @@ func (c *Controller) Handle(m network.Msg) {
 func (c *Controller) submit(block uint64, job func()) {
 	e := c.entryOf(block)
 	if e.busy {
-		e.waitq = append(e.waitq, job)
+		e.waitq.Push(job)
 		return
 	}
 	e.busy = true
@@ -354,33 +396,24 @@ func (c *Controller) complete(block uint64) {
 	if c.observer != nil {
 		c.observer(block)
 	}
-	if e.waitHead == len(e.waitq) {
+	if e.waitq.Len() == 0 {
 		e.busy = false
-		e.waitq = e.waitq[:0]
-		e.waitHead = 0
 		return
 	}
-	next := e.waitq[e.waitHead]
-	e.waitq[e.waitHead] = nil
-	e.waitHead++
-	if e.waitHead == len(e.waitq) {
-		e.waitq = e.waitq[:0]
-		e.waitHead = 0
-	}
-	c.occupy(c.p.DirCycles, next)
+	c.occupy(c.p.DirCycles, e.waitq.Pop())
 }
 
 // recallAMU flushes AMU-held words of block into memory so that memory is
 // current before the directory supplies data or grants exclusivity.
 func (c *Controller) recallAMU(e *entry, block uint64) {
-	if len(e.amuWords) == 0 {
+	if e.amuWords == 0 {
 		return
 	}
 	if c.amu == nil {
 		panic("directory: AMU words held but no AMU port")
 	}
 	c.amu.Recall(block)
-	clear(e.amuWords)
+	e.amuWords = 0
 }
 
 // processRequest starts a CPU-originated transaction. The block is busy.
@@ -421,7 +454,7 @@ func (c *Controller) processRequest(block uint64, m network.Msg) {
 	case network.KindGetExclusive:
 		c.grantExclusive(block, e, req)
 	case network.KindUpgrade:
-		if e.state == shared && len(e.amuWords) == 0 {
+		if e.state == shared && e.amuWords == 0 {
 			// A data-less grant is only safe when no word of the block is
 			// AMU-held: sharers may be stale with respect to the AMU's value
 			// (release consistency), so a block with AMU words must be
@@ -545,14 +578,13 @@ func (c *Controller) sendStaggered(i int, m network.Msg) {
 	c.net.SendAfter(sim.Time(uint64(i)*c.p.InjectCycles), m)
 }
 
-// sortedWords returns the AMU-held word addresses of the block in ascending
-// order, for deterministic recall and introspection.
-func sortedWords(e *entry) []uint64 {
-	out := make([]uint64, 0, len(e.amuWords))
-	for w := range e.amuWords { //lint:order-independent (keys sorted below)
-		out = append(out, w)
+// sortedWords returns the AMU-held word addresses of block in ascending
+// order, for introspection: a walk of the set bits from the lowest.
+func sortedWords(block uint64, e *entry) []uint64 {
+	out := make([]uint64, 0, bits.OnesCount64(e.amuWords))
+	for m := e.amuWords; m != 0; m &= m - 1 {
+		out = append(out, block+uint64(bits.TrailingZeros64(m))*memsys.WordBytes)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -641,7 +673,7 @@ func (c *Controller) FineGet(addr uint64, done func(val uint64)) {
 	c.submit(block, func() {
 		e := c.entryOf(block)
 		finish := func() {
-			e.amuWords[addr] = true
+			e.amuWords |= c.wordBit(addr)
 			val := c.mem.ReadWord(addr)
 			c.complete(block)
 			done(val)
@@ -681,8 +713,7 @@ func (c *Controller) FinePut(addr uint64, read func() (uint64, bool), done func(
 // FineDrop records that the AMU evicted its copy of the word at addr after
 // flushing it to memory itself (capacity eviction, not recall).
 func (c *Controller) FineDrop(addr uint64) {
-	e := c.entryOf(c.block(addr))
-	delete(e.amuWords, addr)
+	c.entryOf(c.block(addr)).amuWords &^= c.wordBit(addr)
 }
 
 // FineEvict handles an AMU capacity eviction of a coherent word: the final
@@ -692,8 +723,7 @@ func (c *Controller) FineDrop(addr uint64) {
 // evicted value.
 func (c *Controller) FineEvict(addr, val uint64) {
 	block := c.block(addr)
-	e := c.entryOf(block)
-	delete(e.amuWords, addr)
+	c.entryOf(block).amuWords &^= c.wordBit(addr)
 	j := c.acquireFine()
 	j.block, j.addr, j.val = block, addr, val
 	c.submit(block, j.start)
@@ -701,7 +731,7 @@ func (c *Controller) FineEvict(addr, val uint64) {
 
 // AMUHolds reports whether the AMU is registered for the word at addr.
 func (c *Controller) AMUHolds(addr uint64) bool {
-	return c.entryOf(c.block(addr)).amuWords[addr]
+	return c.entryOf(c.block(addr)).amuWords&c.wordBit(addr) != 0
 }
 
 // Snapshot describes a block's directory record for invariant checking.
@@ -715,22 +745,12 @@ type Snapshot struct {
 
 // SnapshotOf returns the directory record for the block containing addr.
 func (c *Controller) SnapshotOf(addr uint64) Snapshot {
-	e := c.entryOf(c.block(addr))
+	block := c.block(addr)
+	e := c.entryOf(block)
 	s := Snapshot{State: e.state.String(), Owner: e.owner, Busy: e.busy}
 	s.Sharers = e.sharers.slice()
-	s.AMUWords = sortedWords(e)
+	s.AMUWords = sortedWords(block, e)
 	return s
-}
-
-// Blocks returns every block address this controller has a record for, in
-// ascending order.
-func (c *Controller) Blocks() []uint64 {
-	out := make([]uint64, 0, len(c.entries))
-	for b := range c.entries { //lint:order-independent (keys sorted below)
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Sharers returns the CPUs currently recorded as sharing the block at addr,

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"strings"
 	"testing"
 
 	"amosim/internal/memsys"
@@ -440,4 +441,74 @@ func TestStaleDowngradeAckAddsNoPhantomSharer(t *testing.T) {
 	if got := r.mem.ReadWord(addr); got != 11 {
 		t.Fatalf("memory = %d, want 11 (stale ack carries no data)", got)
 	}
+}
+
+// TestTwoAMUWordsInOneBlock registers two words of one block with the AMU,
+// highest first: the snapshot lists them in ascending order, AMUHolds
+// answers per word, and dropping one word leaves the other registered.
+func TestTwoAMUWordsInOneBlock(t *testing.T) {
+	r := newRig(t, 2)
+	base := r.mem.Alloc(0, 128, 128)
+	lo, hi := base+8, base+120 // words 1 and 15
+	r.ctrl.FineGet(hi, func(uint64) {})
+	r.ctrl.FineGet(lo, func(uint64) {})
+	r.run(t)
+	if got := r.ctrl.SnapshotOf(base).AMUWords; len(got) != 2 || got[0] != lo || got[1] != hi {
+		t.Fatalf("AMUWords = %#x, want [%#x %#x]", got, lo, hi)
+	}
+	if !r.ctrl.AMUHolds(lo) || !r.ctrl.AMUHolds(hi) || r.ctrl.AMUHolds(base) {
+		t.Fatalf("AMUHolds(base, lo, hi) = %v %v %v, want false true true",
+			r.ctrl.AMUHolds(base), r.ctrl.AMUHolds(lo), r.ctrl.AMUHolds(hi))
+	}
+	r.ctrl.FineDrop(hi)
+	if !r.ctrl.AMUHolds(lo) || r.ctrl.AMUHolds(hi) {
+		t.Fatal("FineDrop cleared a word other than its own")
+	}
+	if got := r.ctrl.SnapshotOf(base).AMUWords; len(got) != 1 || got[0] != lo {
+		t.Fatalf("AMUWords after FineDrop = %#x, want [%#x]", got, lo)
+	}
+}
+
+// TestEntriesSurviveSlabGrowth holds a block's record while blocks far
+// past it are touched: the record must stay where transactions left it.
+func TestEntriesSurviveSlabGrowth(t *testing.T) {
+	r := newRig(t, 2)
+	addr := r.mem.AllocWord(0)
+	r.request(1, network.KindGetShared, addr)
+	r.run(t)
+	e := r.ctrl.entryOf(addr)
+	for i := 0; i < 100*chunkEntries; i++ {
+		r.ctrl.FineGet(r.mem.AllocWord(0), func(uint64) {})
+	}
+	r.run(t)
+	if r.ctrl.entryOf(addr) != e {
+		t.Fatal("a directory record moved when the slab grew")
+	}
+	if got := r.ctrl.Sharers(addr); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("sharers = %v, want [1]", got)
+	}
+}
+
+func TestNewRejectsBadBlockSize(t *testing.T) {
+	r := newRig(t, 0)
+	for _, bb := range []int{0, 24, memsys.MaxBlockBytes * 2} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "bad block size") {
+					t.Errorf("New with BlockBytes %d: panic %q, want a bad block size", bb, msg)
+				}
+			}()
+			New(r.eng, r.net, r.mem, Params{ProcsPerNode: 2, BlockBytes: bb})
+		}()
+	}
+}
+
+func TestOffNodeBlockPanics(t *testing.T) {
+	r := newRig(t, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a block homed on node 1 reached node 0's directory without a panic")
+		}
+	}()
+	r.ctrl.AMUHolds(r.mem.AllocWord(1))
 }

@@ -36,10 +36,9 @@ type Agent struct {
 	mem *memsys.Memory
 	p   Params
 
-	queue     []network.Msg
-	queueHead int
-	busy      bool
-	cur       network.Msg
+	queue sim.FIFO[network.Msg]
+	busy  bool
+	cur   network.Msg
 
 	dispatchFn func()
 	executeFn  func()
@@ -61,9 +60,9 @@ func (a *Agent) Stats() metrics.DSMStats { return a.stats }
 // Quiesced returns an error if the atomic unit still has queued or
 // in-flight work at quiescence.
 func (a *Agent) Quiesced() error {
-	if a.busy || a.queueHead != len(a.queue) {
+	if a.busy || a.queue.Len() != 0 {
 		return fmt.Errorf("dsm: node %d agent still busy at quiescence (%d queued)",
-			a.p.Node, len(a.queue)-a.queueHead)
+			a.p.Node, a.queue.Len())
 	}
 	return nil
 }
@@ -95,7 +94,7 @@ func (a *Agent) Handle(m network.Msg) {
 			Txn:  m.Txn,
 		})
 	case network.KindAMORequest, network.KindMAORequest:
-		a.queue = append(a.queue, m)
+		a.queue.Push(m)
 		a.dispatch()
 	default:
 		panic(fmt.Sprintf("dsm: unexpected message %v", m))
@@ -104,17 +103,11 @@ func (a *Agent) Handle(m network.Msg) {
 
 // dispatch starts the head-of-queue atomic if the unit is idle.
 func (a *Agent) dispatch() {
-	if a.busy || a.queueHead == len(a.queue) {
+	if a.busy || a.queue.Len() == 0 {
 		return
 	}
 	a.busy = true
-	a.cur = a.queue[a.queueHead]
-	a.queue[a.queueHead] = network.Msg{}
-	a.queueHead++
-	if a.queueHead == len(a.queue) {
-		a.queue = a.queue[:0]
-		a.queueHead = 0
-	}
+	a.cur = a.queue.Pop()
 	a.stats.OccupancyCycles += a.p.RemoteCycles
 	a.eng.Schedule(sim.Time(a.p.RemoteCycles), a.executeFn)
 }

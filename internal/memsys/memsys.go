@@ -1,7 +1,7 @@
 // Package memsys models the physical memory of the simulated machine: a
 // global physical address space statically partitioned across nodes (the
 // home of an address is encoded in its high bits, as in Origin-style
-// CC-NUMA machines), a per-node bump allocator, and a sparse backing word
+// CC-NUMA machines), a per-node bump allocator, and a paged backing word
 // store with a fixed DRAM access latency.
 package memsys
 
@@ -30,6 +30,26 @@ func BlockAddr(addr uint64, blockBytes int) uint64 {
 	return addr &^ (uint64(blockBytes) - 1)
 }
 
+// MaxBlockBytes is the largest supported coherence block: 64 words, so a
+// block fits in one backing page and its words in one uint64 bitmask.
+const MaxBlockBytes = 512
+
+// ValidBlockBytes reports whether n is a supported coherence block size: a
+// power of two from one word to MaxBlockBytes.
+func ValidBlockBytes(n int) bool {
+	return n >= WordBytes && n <= MaxBlockBytes && n&(n-1) == 0
+}
+
+// A backing page is 64 words (512 bytes), so an aligned block of at most
+// MaxBlockBytes never straddles two pages.
+const (
+	pageBytes = MaxBlockBytes
+	pageWords = pageBytes / WordBytes
+)
+
+// page is one fixed-size slice of a node's memory.
+type page [pageWords]uint64
+
 // WordIndex returns the word offset of addr within its block.
 func WordIndex(addr uint64, blockBytes int) int {
 	return int(addr&(uint64(blockBytes)-1)) / WordBytes
@@ -37,6 +57,11 @@ func WordIndex(addr uint64, blockBytes int) int {
 
 // Memory is the machine-wide backing store plus per-node allocation state.
 // Reads of never-written addresses return zero, like zeroed DRAM.
+//
+// Each node's words live in fixed pages indexed by offset within the node,
+// allocated on first write. The per-node bump allocator keeps offsets
+// dense, so the page index stays short and a word access is two slice
+// indexings, with no hashing.
 //
 // The store and access counters are banked per home node: an address is
 // only ever read or written by its home node's components (directory, AMU,
@@ -51,7 +76,7 @@ type Memory struct {
 
 // bank is one node's slice of physical memory.
 type bank struct {
-	words  map[uint64]uint64 // keyed by word-aligned address
+	pages  []*page // indexed by offset within the node / pageBytes; nil = never written
 	reads  uint64
 	writes uint64
 }
@@ -62,19 +87,15 @@ func New(nodes, blockBytes int, dramCycles uint64) *Memory {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("memsys: nodes must be positive, got %d", nodes))
 	}
-	if blockBytes <= 0 || blockBytes%WordBytes != 0 {
-		panic(fmt.Sprintf("memsys: bad block size %d", blockBytes))
+	if !ValidBlockBytes(blockBytes) {
+		panic(fmt.Sprintf("memsys: bad block size %d (want a power of two in [%d, %d])", blockBytes, WordBytes, MaxBlockBytes))
 	}
-	m := &Memory{
+	return &Memory{
 		banks:      make([]bank, nodes),
 		nextFree:   make([]uint64, nodes),
 		blockBytes: blockBytes,
 		dramCycles: dramCycles,
 	}
-	for i := range m.banks {
-		m.banks[i].words = make(map[uint64]uint64)
-	}
-	return m
 }
 
 // DRAMCycles returns the per-access DRAM latency.
@@ -115,12 +136,39 @@ func (m *Memory) bank(addr uint64) *bank {
 	return &m.banks[n]
 }
 
+// words returns the backing words from addr to the end of its page, or nil
+// if the page was never written. It never allocates.
+func (b *bank) words(addr uint64) []uint64 {
+	off := addr & (1<<NodeShift - 1)
+	if p := off / pageBytes; p < uint64(len(b.pages)) && b.pages[p] != nil {
+		return b.pages[p][off%pageBytes/WordBytes:]
+	}
+	return nil
+}
+
+// wordsForWrite is words for a store: it allocates the page (and extends
+// the page index) on first write.
+func (b *bank) wordsForWrite(addr uint64) []uint64 {
+	off := addr & (1<<NodeShift - 1)
+	p := off / pageBytes
+	if p >= uint64(len(b.pages)) {
+		b.pages = append(b.pages, make([]*page, p+1-uint64(len(b.pages)))...)
+	}
+	if b.pages[p] == nil {
+		b.pages[p] = new(page)
+	}
+	return b.pages[p][off%pageBytes/WordBytes:]
+}
+
 // ReadWord returns the word at the word-aligned address addr.
 func (m *Memory) ReadWord(addr uint64) uint64 {
 	m.checkAligned(addr)
 	b := m.bank(addr)
 	b.reads++
-	return b.words[addr]
+	if w := b.words(addr); w != nil {
+		return w[0]
+	}
+	return 0
 }
 
 // WriteWord stores val at the word-aligned address addr.
@@ -128,19 +176,13 @@ func (m *Memory) WriteWord(addr, val uint64) {
 	m.checkAligned(addr)
 	b := m.bank(addr)
 	b.writes++
-	b.words[addr] = val
+	b.wordsForWrite(addr)[0] = val
 }
 
 // ReadBlock returns the words of the block containing addr.
 func (m *Memory) ReadBlock(addr uint64) []uint64 {
-	base := BlockAddr(addr, m.blockBytes)
-	n := m.blockBytes / WordBytes
-	out := make([]uint64, n)
-	b := m.bank(base)
-	b.reads++
-	for i := 0; i < n; i++ {
-		out[i] = b.words[base+uint64(i*WordBytes)]
-	}
+	out := make([]uint64, m.blockBytes/WordBytes)
+	m.ReadBlockInto(addr, out)
 	return out
 }
 
@@ -149,14 +191,15 @@ func (m *Memory) ReadBlock(addr uint64) []uint64 {
 // ReadBlock for callers that bring their own (typically pooled) buffer.
 func (m *Memory) ReadBlockInto(addr uint64, out []uint64) {
 	base := BlockAddr(addr, m.blockBytes)
-	n := m.blockBytes / WordBytes
-	if len(out) != n {
+	if n := m.blockBytes / WordBytes; len(out) != n {
 		panic(fmt.Sprintf("memsys: ReadBlockInto with %d words, want %d", len(out), n))
 	}
 	b := m.bank(base)
 	b.reads++
-	for i := 0; i < n; i++ {
-		out[i] = b.words[base+uint64(i*WordBytes)]
+	if w := b.words(base); w != nil {
+		copy(out, w)
+	} else {
+		clear(out)
 	}
 }
 
@@ -168,9 +211,7 @@ func (m *Memory) WriteBlock(addr uint64, words []uint64) {
 	}
 	b := m.bank(base)
 	b.writes++
-	for i, w := range words {
-		b.words[base+uint64(i*WordBytes)] = w
-	}
+	copy(b.wordsForWrite(base), words)
 }
 
 // Stats returns the cumulative DRAM read/write transaction counters,

@@ -135,15 +135,20 @@ func TestWriteBlockSizeChecked(t *testing.T) {
 	m.WriteBlock(0, make([]uint64, 3))
 }
 
+// TestAccessCounters pins the DRAM transaction counters: a block read or
+// write is one access however many words it moves, written page or not.
 func TestAccessCounters(t *testing.T) {
 	m := New(1, 128, 60)
 	a := m.AllocWord(0)
 	m.WriteWord(a, 1)
 	m.ReadWord(a)
 	m.ReadBlock(a)
+	m.WriteBlock(a, make([]uint64, 16))
+	m.ReadBlockInto(a, make([]uint64, 16))
+	m.ReadBlockInto(a+pageBytes, make([]uint64, 16)) // unwritten page
 	st := m.Stats()
-	if st.Reads != 2 || st.Writes != 1 {
-		t.Fatalf("Stats = %+v; want 2 reads, 1 write", st)
+	if st.Reads != 4 || st.Writes != 2 {
+		t.Fatalf("Stats = %+v; want 4 reads, 2 writes", st)
 	}
 }
 
@@ -197,5 +202,128 @@ func TestAllocDisjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlocksAcrossPageBoundary writes the block that ends one page and the
+// block that starts the next, and reads each back through every accessor:
+// the two pages' words must stay apart.
+func TestBlocksAcrossPageBoundary(t *testing.T) {
+	const bb = 128
+	m := New(1, bb, 60)
+	last := NodeBase(0) + pageBytes - bb // last block of page 0
+	first := NodeBase(0) + pageBytes     // first block of page 1
+	lo, hi := make([]uint64, bb/WordBytes), make([]uint64, bb/WordBytes)
+	for i := range lo {
+		lo[i], hi[i] = uint64(100+i), uint64(200+i)
+	}
+	m.WriteBlock(last, lo)
+	m.WriteBlock(first, hi)
+	if got := m.ReadWord(first - WordBytes); got != lo[len(lo)-1] {
+		t.Fatalf("last word of page 0 = %d, want %d", got, lo[len(lo)-1])
+	}
+	if got := m.ReadWord(first); got != hi[0] {
+		t.Fatalf("first word of page 1 = %d, want %d", got, hi[0])
+	}
+	m.WriteWord(first-WordBytes, 7)
+	out := make([]uint64, bb/WordBytes)
+	m.ReadBlockInto(first, out)
+	for i := range out {
+		if out[i] != hi[i] {
+			t.Fatalf("page 1 word %d = %d after a write to page 0, want %d", i, out[i], hi[i])
+		}
+	}
+	m.ReadBlockInto(last, out)
+	if out[len(out)-1] != 7 || out[0] != lo[0] {
+		t.Fatalf("page 0's last block = %v, want the written block with 7 last", out)
+	}
+
+	// A block of MaxBlockBytes is exactly one page.
+	big := New(1, MaxBlockBytes, 60)
+	page1 := make([]uint64, pageWords)
+	for i := range page1 {
+		page1[i] = uint64(i + 1)
+	}
+	big.WriteBlock(NodeBase(0)+pageBytes+WordBytes, page1) // any address in the block
+	if got := big.ReadWord(NodeBase(0) + pageBytes - WordBytes); got != 0 {
+		t.Fatalf("page 0 read %d after a page-1 block write, want 0", got)
+	}
+	if got := big.ReadBlock(NodeBase(0) + 2*pageBytes - WordBytes); got[0] != 1 || got[pageWords-1] != pageWords {
+		t.Fatalf("ReadBlock of a page-sized block = %v", got)
+	}
+}
+
+// TestReadUnwrittenPageZeroFills pins zeroed-DRAM semantics for a block
+// whose page was never written: the caller's (pooled, dirty) buffer must be
+// overwritten with zeros, not left as it was.
+func TestReadUnwrittenPageZeroFills(t *testing.T) {
+	m := New(2, 128, 60)
+	m.WriteWord(NodeBase(1)+5*pageBytes, 5) // the index covers pages 0-5
+	out := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	m.ReadBlockInto(NodeBase(1)+3*pageBytes, out)
+	for i, w := range out {
+		if w != 0 {
+			t.Fatalf("word %d = %d, want 0 from an unwritten page", i, w)
+		}
+	}
+	if pages := m.banks[1].pages; len(pages) != 6 || pages[3] != nil {
+		t.Fatalf("page index has %d entries, want 6 with page 3 unwritten", len(pages))
+	}
+}
+
+// TestFarUnwrittenReadAllocatesNothing reads far past the page index: the
+// answer is zero, and reading must not allocate pages or grow the index.
+func TestFarUnwrittenReadAllocatesNothing(t *testing.T) {
+	m := New(1, 128, 60)
+	far := NodeBase(0) + 1<<31
+	out := make([]uint64, 16)
+	allocs := testing.AllocsPerRun(10, func() {
+		if m.ReadWord(far) != 0 {
+			t.Fatal("far unwritten word is not zero")
+		}
+		m.ReadBlockInto(far, out)
+	})
+	if allocs != 0 {
+		t.Fatalf("far unwritten reads allocate %.1f/op, want 0", allocs)
+	}
+	if n := len(m.banks[0].pages); n != 0 {
+		t.Fatalf("reads grew the page index to %d entries", n)
+	}
+}
+
+func TestNewRejectsBadBlockSize(t *testing.T) {
+	for _, bb := range []int{0, 4, 24, MaxBlockBytes * 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with block size %d did not panic", bb)
+				}
+			}()
+			New(1, bb, 60)
+		}()
+	}
+}
+
+// TestMemorySteadyStateZeroAlloc pins the home-node store at zero
+// allocations once its pages exist: word and block reads and writes, on
+// several pages of two banks.
+func TestMemorySteadyStateZeroAlloc(t *testing.T) {
+	m := New(2, 128, 60)
+	var addrs []uint64
+	for i := 0; i < 8; i++ {
+		addrs = append(addrs, m.AllocWord(i%2))
+	}
+	block := make([]uint64, 16)
+	burst := func() {
+		for i, a := range addrs {
+			m.WriteWord(a, uint64(i))
+			m.ReadBlockInto(a, block)
+			block[1] = m.ReadWord(a) + 1
+			m.WriteBlock(a, block)
+		}
+	}
+	burst() // allocate the pages
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("memory steady state allocates %.1f/burst, want 0", allocs)
 	}
 }

@@ -103,9 +103,10 @@ type CPU struct {
 	registerWake func(wake func())
 	wakeOnAmsg   bool
 
-	// replyQ/amsgQ are head-indexed FIFOs: popping advances the head and
-	// the backing array is reused once drained, so steady-state message
-	// traffic never grows them.
+	// replyQ is a head-indexed FIFO: popping advances the head and the
+	// backing array is reused once drained, so steady-state message
+	// traffic never grows it. It is a slice rather than a sim.FIFO because
+	// takeReply also removes replies by kind from the middle.
 	replyQ    []network.Msg
 	replyHead int
 
@@ -121,8 +122,7 @@ type CPU struct {
 	// predicate on every wake.
 	lineEvents *sim.Cond
 
-	amsgQ    []network.Msg
-	amsgHead int
+	amsgQ    sim.FIFO[network.Msg]
 	handlers map[int]Handler
 
 	stats metrics.CPUStats
@@ -486,7 +486,7 @@ func (c *CPU) popReply() network.Msg {
 
 func (c *CPU) replyPending() int { return len(c.replyQ) - c.replyHead }
 
-func (c *CPU) amsgPending() int { return len(c.amsgQ) - c.amsgHead }
+func (c *CPU) amsgPending() int { return c.amsgQ.Len() }
 
 func (c *CPU) acceptActiveMessage(m network.Msg) {
 	if c.amsgPending() >= c.p.ActMsgQueueDepth {
@@ -497,7 +497,7 @@ func (c *CPU) acceptActiveMessage(m network.Msg) {
 		})
 		return
 	}
-	c.amsgQ = append(c.amsgQ, m)
+	c.amsgQ.Push(m)
 	c.net.Send(network.Msg{
 		Kind: network.KindActiveMessageAck,
 		Src:  c.endpoint(), Dst: m.Src,
@@ -966,13 +966,7 @@ func (c *CPU) ActiveMessageCall(handler int, addr, arg uint64) uint64 {
 // serveOneActiveMessage runs the oldest queued handler. Called from process
 // context.
 func (c *CPU) serveOneActiveMessage() {
-	m := c.amsgQ[c.amsgHead]
-	c.amsgQ[c.amsgHead] = network.Msg{}
-	c.amsgHead++
-	if c.amsgHead == len(c.amsgQ) {
-		c.amsgQ = c.amsgQ[:0]
-		c.amsgHead = 0
-	}
+	m := c.amsgQ.Pop()
 	c.stats.AmsgServed++
 	c.sleep(&c.cyc.Compute, c.p.ActMsgInvokeCycles)
 	result := c.runHandler(m.Op, m.Addr, m.Value)
