@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"amosim/internal/memsys"
@@ -52,12 +53,15 @@ type Victim struct {
 	Words []uint64
 }
 
-// Cache is a sets x ways block cache.
+// Cache is a sets x ways block cache. A set's ways are allocated on its
+// first Insert and never move afterwards, so a cache costs what its program
+// touches: a CPU spinning on one word holds one set, not the whole array.
 type Cache struct {
-	sets       int
 	ways       int
 	blockBytes int
-	lines      []Line // flat [set*ways+way] backing, one allocation
+	blockShift int      // log2(blockBytes)
+	setMask    uint64   // len(sets)-1
+	sets       [][]Line // sets[i] holds set i's ways, nil until first Insert
 	tick       uint64
 
 	// recycle, when set, receives word buffers the cache drops silently
@@ -70,17 +74,31 @@ type Cache struct {
 	evictions uint64
 }
 
-// New builds a cache with the given geometry. sets must be a power of two.
+// MaxLines bounds a cache's line count, sets x ways: 8 MiB of 128-byte
+// blocks, 128 times the default 64 KiB cache. New allocates an index entry
+// per set up front, so the bound also bounds an untouched cache.
+const MaxLines = 1 << 16
+
+// New builds a cache with the given geometry. sets and blockBytes must be
+// powers of two, and sets x ways at most MaxLines. No line storage is
+// allocated until a set's first Insert.
 func New(sets, ways, blockBytes int) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets must be a positive power of two, got %d", sets))
 	}
-	if ways <= 0 {
-		panic(fmt.Sprintf("cache: ways must be positive, got %d", ways))
+	if ways <= 0 || ways > MaxLines/sets {
+		panic(fmt.Sprintf("cache: ways must be in [1, %d] for %d sets, got %d", MaxLines/sets, sets, ways))
 	}
-	c := &Cache{sets: sets, ways: ways, blockBytes: blockBytes}
-	c.lines = make([]Line, sets*ways)
-	return c
+	if blockBytes <= 0 || blockBytes&(blockBytes-1) != 0 {
+		panic(fmt.Sprintf("cache: block size must be a positive power of two, got %d", blockBytes))
+	}
+	return &Cache{
+		ways:       ways,
+		blockBytes: blockBytes,
+		blockShift: bits.TrailingZeros(uint(blockBytes)),
+		setMask:    uint64(sets - 1),
+		sets:       make([][]Line, sets),
+	}
 }
 
 // SetRecycler installs fn, called with every word buffer the cache discards
@@ -89,23 +107,20 @@ func New(sets, ways, blockBytes int) *Cache {
 // buffers cycle instead of garbage-collecting.
 func (c *Cache) SetRecycler(fn func([]uint64)) { c.recycle = fn }
 
+// setOf returns the index of the set that block maps to.
 func (c *Cache) setOf(block uint64) int {
-	return int((block / uint64(c.blockBytes)) % uint64(c.sets))
-}
-
-// set returns the ways of one set as a slice of the flat backing array.
-func (c *Cache) set(i int) []Line {
-	return c.lines[i*c.ways : (i+1)*c.ways]
+	return int(block >> c.blockShift & c.setMask)
 }
 
 // BlockBytes returns the line size.
 func (c *Cache) BlockBytes() int { return c.blockBytes }
 
 // Lookup returns the resident line containing addr, or nil. It does not
-// update LRU state; use Touch for accesses.
+// update LRU state; use Touch for accesses. An untouched set has no ways to
+// search, so Lookup and every operation built on it report not-found there.
 func (c *Cache) Lookup(addr uint64) *Line {
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.set(c.setOf(block))
+	set := c.sets[c.setOf(block)]
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
 			return &set[i]
@@ -136,7 +151,12 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 		panic(fmt.Sprintf("cache: Insert with %d words, want %d", len(words), c.blockBytes/memsys.WordBytes))
 	}
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.set(c.setOf(block))
+	idx := c.setOf(block)
+	set := c.sets[idx]
+	if set == nil {
+		set = make([]Line, c.ways)
+		c.sets[idx] = set
+	}
 	c.tick++
 	c.misses++
 	// Replace in place if resident.
@@ -184,7 +204,7 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 // state and words (for intervention replies). Returns Invalid if absent.
 func (c *Cache) Invalidate(addr uint64) (State, []uint64) {
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.set(c.setOf(block))
+	set := c.sets[c.setOf(block)]
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
 			st, w := set[i].State, set[i].Words
@@ -261,9 +281,11 @@ func lineState(ln *Line) State {
 // ascending order (for coherence checking and introspection).
 func (c *Cache) ResidentBlocks() []uint64 {
 	var out []uint64
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			out = append(out, c.lines[i].Addr)
+	for _, set := range c.sets {
+		for i := range set {
+			if set[i].State != Invalid {
+				out = append(out, set[i].Addr)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

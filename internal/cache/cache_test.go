@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 const bb = 128 // block bytes
@@ -20,6 +22,9 @@ func TestNewPanics(t *testing.T) {
 		func() { New(0, 4, bb) },
 		func() { New(3, 4, bb) }, // not power of two
 		func() { New(4, 0, bb) },
+		func() { New(4, 4, 96) }, // block size not a power of two
+		func() { New(MaxLines, 2, bb) },
+		func() { New(2*MaxLines, 1, bb) },
 	} {
 		func() {
 			defer func() {
@@ -257,5 +262,93 @@ func TestResidentBlocksSorted(t *testing.T) {
 	}
 	if len(New(1, 1, bb).ResidentBlocks()) != 0 {
 		t.Fatal("empty cache has residents")
+	}
+}
+
+var sink *Cache
+
+// TestNewAllocatesNoLines pins first-touch allocation. New allocates only
+// the set index, less than one line per set whatever the way count, and an
+// operation on an untouched set reports not-found without allocating it.
+func TestNewAllocatesNoLines(t *testing.T) {
+	const sets, runs = 128, 50
+	lineBytes := uint64(unsafe.Sizeof(Line{}))
+	for _, ways := range []int{1, 4, 64} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sink = New(sets, ways, bb)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= sets*lineBytes {
+			t.Errorf("New(%d, %d) allocates %d bytes, want under %d (one line per set)", sets, ways, got, sets*lineBytes)
+		}
+		c := New(sets, ways, bb)
+		untouched := func() {
+			const addr = 0x4008
+			c.Lookup(addr)
+			c.Touch(addr)
+			c.Invalidate(addr)
+			c.Downgrade(addr)
+			c.Promote(addr)
+			c.PatchWord(addr, 1)
+			c.ReadWord(addr)
+		}
+		if allocs := testing.AllocsPerRun(10, untouched); allocs != 0 {
+			t.Errorf("%d ways: operations on an untouched set allocate %.1f/op, want 0", ways, allocs)
+		}
+		for i, set := range c.sets {
+			if set != nil {
+				t.Fatalf("%d ways: set %d allocated without an Insert", ways, i)
+			}
+		}
+		if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+			t.Errorf("%d ways: untouched operations counted %+v", ways, st)
+		}
+	}
+}
+
+// TestCacheSteadyStateZeroAlloc pins the touched-set paths at zero
+// allocations: Lookup, Touch, PatchWord, Insert in place, Insert with a
+// dirty and a clean eviction, and Invalidate. Word buffers cycle through a
+// recycler-backed free list, as the CPU's network pool does.
+func TestCacheSteadyStateZeroAlloc(t *testing.T) {
+	c := New(4, 2, bb)
+	free := make([][]uint64, 0, 8)
+	for i := 0; i < cap(free); i++ {
+		free = append(free, words(0))
+	}
+	take := func() []uint64 {
+		b := free[len(free)-1]
+		free = free[:len(free)-1]
+		return b
+	}
+	c.SetRecycler(func(b []uint64) { free = append(free, b) })
+	// Blocks a, b and d all map to set 0 (block/128 mod 4).
+	const a, b, d = 0x0000, 0x0200, 0x0400
+	op := func() {
+		c.Insert(a, Shared, take())
+		c.Insert(a, Modified, take()) // in place: the Shared buffer is recycled
+		c.Touch(a)
+		c.PatchWord(a+8, 9)
+		if c.Lookup(a) == nil {
+			t.Fatal("lookup missed a resident block")
+		}
+		c.Insert(b, Shared, take())
+		v, dirty := c.Insert(d, Shared, take()) // evicts a, the LRU way
+		if !dirty || v.Addr != a {
+			t.Fatalf("eviction = %+v, %v; want dirty victim %#x", v, dirty, a)
+		}
+		free = append(free, v.Words)
+		c.Insert(a, Shared, take()) // evicts b, clean: recycled
+		for _, blk := range []uint64{a, d} {
+			if _, w := c.Invalidate(blk); w != nil {
+				free = append(free, w)
+			}
+		}
+	}
+	op() // first touch allocates set 0's ways
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		t.Fatalf("touched-set cache operations allocate %.1f/op, want 0", allocs)
 	}
 }

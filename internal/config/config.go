@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"strings"
 
+	"amosim/internal/cache"
 	"amosim/internal/memsys"
+	"amosim/internal/topology"
 )
 
 // Backend selects the memory-system model the machine is built around.
@@ -252,6 +254,8 @@ func (c Config) Validate() error {
 		return fail("ProcsPerNode", "must be positive, got %d", c.ProcsPerNode)
 	case c.Processors%c.ProcsPerNode != 0:
 		return fail("Processors", "(%d) must be a multiple of ProcsPerNode (%d)", c.Processors, c.ProcsPerNode)
+	case c.Nodes() > topology.MaxNodes:
+		return fail("Processors", "(%d) at %d per node makes %d nodes, more than the %d a hop table holds", c.Processors, c.ProcsPerNode, c.Nodes(), topology.MaxNodes)
 	case c.BlockBytes <= 0 || c.BlockBytes%8 != 0:
 		return fail("BlockBytes", "must be a positive multiple of 8, got %d", c.BlockBytes)
 	case !isPow2(c.BlockBytes):
@@ -262,6 +266,8 @@ func (c Config) Validate() error {
 		return fail("CacheWays/CacheSets", "cache geometry must be positive, got %d ways x %d sets", c.CacheWays, c.CacheSets)
 	case !isPow2(c.CacheSets):
 		return fail("CacheSets", "must be a power of two, got %d", c.CacheSets)
+	case c.CacheWays > cache.MaxLines/c.CacheSets:
+		return fail("CacheWays/CacheSets", "line count must be at most %d, got %d ways x %d sets", cache.MaxLines, c.CacheWays, c.CacheSets)
 	case c.RouterRadix < 2:
 		return fail("RouterRadix", "must be >= 2, got %d", c.RouterRadix)
 	case !isPow2(c.RouterRadix):

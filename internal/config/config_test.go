@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"amosim/internal/cache"
+	"amosim/internal/topology"
 )
 
 func TestDefaultIsValid(t *testing.T) {
@@ -68,6 +71,11 @@ func TestValidateRejections(t *testing.T) {
 		{"oversized block", func(c *Config) { c.BlockBytes = 1024 }, "must be at most 512"},
 		{"zero ways", func(c *Config) { c.CacheWays = 0 }, "cache geometry"},
 		{"non pow2 sets", func(c *Config) { c.CacheSets = 100 }, "CacheSets"},
+		{"huge sets", func(c *Config) { c.CacheSets = 1 << 40 }, "line count must be at most 65536"},
+		{"huge ways", func(c *Config) { c.CacheWays = 1 << 40 }, "line count must be at most 65536"},
+		{"lines over bound", func(c *Config) { c.CacheSets = 1 << 15; c.CacheWays = 3 }, "line count must be at most 65536"},
+		{"too many nodes", func(c *Config) { c.Processors = 2 * 4097 }, "more than the 4096 a hop table holds"},
+		{"too many nodes at one per node", func(c *Config) { c.Processors = 1 << 22; c.ProcsPerNode = 1 }, "4194304 nodes"},
 		{"radix 1", func(c *Config) { c.RouterRadix = 1 }, "RouterRadix"},
 		{"non pow2 radix", func(c *Config) { c.RouterRadix = 6 }, "RouterRadix"},
 		{"bad interconnect", func(c *Config) { c.Interconnect = "hypercube" }, "Interconnect"},
@@ -111,6 +119,29 @@ func TestValidateReturnsFieldError(t *testing.T) {
 	}
 	if fe.Reason == "" || !strings.Contains(fe.Error(), "config:") {
 		t.Fatalf("unhelpful FieldError: %+v", fe)
+	}
+}
+
+// TestValidateAdmitsSizeBounds is the positive counterpart of the size
+// bounds: the largest scale the repository runs (4096 CPUs, also at one per
+// node), and caches and node counts exactly at the bounds, all validate.
+func TestValidateAdmitsSizeBounds(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"4096 cpus", func(c *Config) { c.Processors = 4096 }},
+		{"4096 cpus one per node", func(c *Config) { c.Processors = 4096; c.ProcsPerNode = 1 }},
+		{"max nodes", func(c *Config) { c.Processors = 2 * topology.MaxNodes }},
+		{"max lines in sets", func(c *Config) { c.CacheSets = cache.MaxLines; c.CacheWays = 1 }},
+		{"max lines in ways", func(c *Config) { c.CacheSets = 1; c.CacheWays = cache.MaxLines }},
+	}
+	for _, tc := range cases {
+		c := Default(8)
+		tc.mutate(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+		}
 	}
 }
 

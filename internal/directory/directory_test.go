@@ -74,7 +74,7 @@ func newRig(t *testing.T, ncpus int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := network.New(eng, topo, network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	net := network.New(eng, topo.HopTable(), network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	mem := memsys.New(4, 128, 60)
 	ctrl := New(eng, net, mem, Params{Node: 0, ProcsPerNode: 2, BlockBytes: 128, DirCycles: 8, DRAMCycles: 60, InjectCycles: 4})
 	net.RegisterHub(0, ctrl.Handle)

@@ -98,11 +98,12 @@ func New(cfg config.Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(cfg, topo)
+	hops := topo.HopTable()
+	eng, err := newEngine(cfg, hops)
 	if err != nil {
 		return nil, err
 	}
-	net := network.New(eng, topo, network.Params{
+	net := network.New(eng, hops, network.Params{
 		HopCycles:  cfg.HopCycles,
 		BusCycles:  cfg.BusCycles,
 		MinPacket:  cfg.MinPacketBytes,
@@ -154,9 +155,10 @@ func New(cfg config.Config) (*Machine, error) {
 // kernel's lookahead window is the minimum latency of any cross-shard
 // message: cross-node traffic pays at least Hops(a,b)*HopCycles hub-to-hub,
 // so the window is the minimum hop distance between nodes in different
-// shards times the per-hop charge. Chaos perturbation only adds latency,
-// so the bound stays conservative under fault injection.
-func newEngine(cfg config.Config, topo topology.Topology) (sim.Engine, error) {
+// shards times the per-hop charge, read from the machine's hop table.
+// Chaos perturbation only adds latency, so the bound stays conservative
+// under fault injection.
+func newEngine(cfg config.Config, hops topology.HopTable) (sim.Engine, error) {
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = 1
@@ -175,7 +177,7 @@ func newEngine(cfg config.Config, topo topology.Topology) (sim.Engine, error) {
 			if nodeShard[a] == nodeShard[b] {
 				continue
 			}
-			if h := topo.Hops(a, b); minHops == 0 || h < minHops {
+			if h := hops.Hops(a, b); minHops == 0 || h < minHops {
 				minHops = h
 			}
 		}

@@ -17,13 +17,12 @@ type Handler func(Msg)
 // traffic statistics as it goes.
 //
 // The delivery path is allocation-free in steady state: in-flight messages
-// live in a pooled arena recycled after delivery, hop distances come from a
-// table precomputed at construction (no topology interface call per Send),
-// and handler lookup indexes dense slices. Block payloads can ride the
+// live in a pooled arena recycled after delivery, hop distances come from
+// the machine's hop table (no topology interface call per Send), and
+// handler lookup indexes dense slices. Block payloads can ride the
 // network's word-buffer pool via AcquireData/Msg.DataOwned.
 type Network struct {
-	eng  sim.Engine
-	topo topology.Topology
+	eng sim.Engine
 	// engs[n] is the node-affine engine view for node n; every schedule,
 	// clock read and trace emission on behalf of a node goes through its
 	// view so the parallel kernel can attribute it to the right shard.
@@ -39,10 +38,9 @@ type Network struct {
 	minPacket  int
 	headerSize int
 
-	// hopTable[a*nodes+b] is topo.Hops(a, b), precomputed so Send never
-	// crosses the topology interface.
-	hopTable []int32
-	nodes    int
+	// hops is the machine's precomputed hop table, so Send never crosses
+	// the topology interface.
+	hops topology.HopTable
 
 	hubs []Handler
 	cpus []Handler // indexed by global CPU id
@@ -120,27 +118,20 @@ type Params struct {
 	HeaderSize int
 }
 
-// New creates a network over the given topology.
-func New(eng sim.Engine, topo topology.Topology, p Params) *Network {
-	nodes := topo.Nodes()
+// New creates a network over the nodes of a topology's hop table.
+func New(eng sim.Engine, hops topology.HopTable, p Params) *Network {
+	nodes := hops.Nodes()
 	n := &Network{
 		eng:        eng,
-		topo:       topo,
 		hopCycles:  p.HopCycles,
 		busCycles:  p.BusCycles,
 		minPacket:  p.MinPacket,
 		headerSize: p.HeaderSize,
-		hopTable:   make([]int32, nodes*nodes),
-		nodes:      nodes,
+		hops:       hops,
 		hubs:       make([]Handler, nodes),
 		engs:       make([]sim.Engine, nodes),
 		nodePool:   make([]int32, nodes),
 		shards:     eng.NumShards(),
-	}
-	for a := 0; a < nodes; a++ {
-		for b := 0; b < nodes; b++ {
-			n.hopTable[a*nodes+b] = int32(topo.Hops(a, b))
-		}
 	}
 	for node := 0; node < nodes; node++ {
 		n.engs[node] = eng.ForNode(node)
@@ -249,11 +240,6 @@ func (n *Network) PacketBytes(m Msg) int {
 	return b
 }
 
-// hops returns the precomputed hop distance between two nodes.
-func (n *Network) hops(src, dst int) int {
-	return int(n.hopTable[src*n.nodes+dst])
-}
-
 // Latency returns the delivery latency for a message from src to dst,
 // without sending anything.
 func (n *Network) Latency(src, dst Endpoint) sim.Time {
@@ -262,7 +248,7 @@ func (n *Network) Latency(src, dst Endpoint) sim.Time {
 		lat += n.busCycles // CPU -> local hub
 	}
 	if src.Node != dst.Node {
-		lat += sim.Time(n.hops(src.Node, dst.Node)) * n.hopCycles
+		lat += sim.Time(n.hops.Hops(src.Node, dst.Node)) * n.hopCycles
 	}
 	if !dst.IsHub() {
 		lat += n.busCycles // hub -> CPU
@@ -336,7 +322,7 @@ func (n *Network) Send(m Msg) {
 		lat += n.busCycles
 	}
 	if m.Src.Node != m.Dst.Node {
-		hops = n.hops(m.Src.Node, m.Dst.Node)
+		hops = n.hops.Hops(m.Src.Node, m.Dst.Node)
 		lat += sim.Time(hops) * n.hopCycles
 	}
 	if !m.Dst.IsHub() {

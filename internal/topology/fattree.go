@@ -17,8 +17,8 @@ type FatTree struct {
 // NewFatTree builds a fat tree connecting nodes leaves with routers of the
 // given radix. A single-node "tree" has no routers.
 func NewFatTree(nodes, radix int) (*FatTree, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("topology: nodes must be positive, got %d", nodes)
+	if nodes <= 0 || nodes > MaxNodes {
+		return nil, fmt.Errorf("topology: nodes must be in [1, %d], got %d", MaxNodes, nodes)
 	}
 	if radix < 2 {
 		return nil, fmt.Errorf("topology: radix must be >= 2, got %d", radix)
@@ -42,7 +42,8 @@ func (t *FatTree) Levels() int { return t.levels }
 // Hops returns the number of router-to-router/router-to-leaf link traversals
 // on the path between nodes a and b. Two leaves under the same first-level
 // router are 2 hops apart (up, down); the distance grows by 2 per extra
-// level to the lowest common ancestor. Hops(a, a) is 0.
+// level to the lowest common ancestor. Hops(a, a) is 0. It is the reference
+// definition HopTable is tested against; the simulation reads the table.
 func (t *FatTree) Hops(a, b int) int {
 	if a < 0 || a >= t.nodes || b < 0 || b >= t.nodes {
 		panic(fmt.Sprintf("topology: node out of range: Hops(%d, %d) with %d nodes", a, b, t.nodes))

@@ -2,7 +2,7 @@ package topology
 
 import "fmt"
 
-// Topology is the interface the network needs from an interconnect model.
+// Topology is the interface the machine needs from an interconnect model.
 // FatTree and Torus2D both satisfy it.
 type Topology interface {
 	// Nodes returns the leaf/router-attached node count.
@@ -11,6 +11,8 @@ type Topology interface {
 	Hops(a, b int) int
 	// Diameter returns the maximum hop count between any two nodes.
 	Diameter() int
+	// HopTable returns every pairwise Hops distance as a dense matrix.
+	HopTable() HopTable
 }
 
 var (
@@ -30,8 +32,8 @@ type Torus2D struct {
 // width is the smallest power-of-two-friendly factor pair; extra grid slots
 // (when nodes is not a perfect rectangle) are simply unused.
 func NewTorus2D(nodes int) (*Torus2D, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("topology: nodes must be positive, got %d", nodes)
+	if nodes <= 0 || nodes > MaxNodes {
+		return nil, fmt.Errorf("topology: nodes must be in [1, %d], got %d", MaxNodes, nodes)
 	}
 	// Choose the factor pair closest to square.
 	w := 1
