@@ -29,16 +29,15 @@
 //     concurrently, so an engine that could see a *machine.Machine could
 //     share one between workers; machine-blindness makes that race
 //     structurally impossible.
-//   - lifecycle: pooled hot-path values (event-arena slots, *Msg records,
-//     AcquireData word buffers, dirReq/fineJob/finePut records) must be
-//     released or have their ownership transferred exactly once on every
-//     path out of the function that acquired them — the dataflow pass
-//     reports use-after-release, double-release, release-after-transfer
-//     and leaks, with //lint:owns-transfer blessing true interprocedural
-//     handoffs (see LifecycleRule).
+//   - lifecycle: pooled hot-path values (event-arena slots, in-flight
+//     message records, dirReq/fineJob/finePut records) must be released or
+//     have their ownership transferred exactly once on every path out of
+//     the function that acquired them — the dataflow pass reports
+//     use-after-release, double-release, release-after-transfer and leaks
+//     (see LifecycleRule).
 //   - escapes: the compiler's escape-analysis report for the hot-path
 //     packages must match the checked-in ESCAPES.baseline, so a zero-alloc
-//     regression fails the build naming the exact new heap site (see
+//     regression fails the build naming the new heap site (see
 //     EscapeRule).
 //
 // Diagnostics carry the rule name and a position; Run returns them in

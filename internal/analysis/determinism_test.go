@@ -4,8 +4,8 @@ import "testing"
 
 // TestScopedPackagesExist guards the package lists the rules scope by: a
 // renamed or deleted package would silently drop out of every ban, so each
-// path named in simPackages or determinismScopes must be a package of the
-// module.
+// path named in simPackages, determinismScopes or the escape gate's
+// escapePackages must be a package of the module.
 func TestScopedPackagesExist(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -27,5 +27,8 @@ func TestScopedPackagesExist(t *testing.T) {
 		for rel := range s.pkgs {
 			check(rel)
 		}
+	}
+	for _, rel := range escapePackages {
+		check(rel)
 	}
 }

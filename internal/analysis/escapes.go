@@ -2,7 +2,10 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,9 +20,12 @@ import (
 // path. This rule runs `go build -gcflags='-m -m'` over the hot-path
 // packages, collects the per-site heap diagnostics ("escapes to heap",
 // "moved to heap"), and diffs them against the checked-in ESCAPES.baseline:
-// a new allocation site fails the gate naming the exact file, line and
-// compiler message, and a site that disappeared flags the baseline entry as
-// stale so the file stays an exact inventory.
+// a new allocation site fails the gate naming its file, line and compiler
+// message, and a site that disappeared flags the baseline entry as stale
+// so the file stays an exact inventory. An entry names the file, the
+// function enclosing the site and the message, with a ×N count when the
+// message repeats within one function, but no line or column, so code that
+// only moves changes no entry.
 //
 // The gate is active only when the baseline file exists at the module root
 // (so fixture modules without one are unaffected). Regenerate the baseline
@@ -41,13 +47,18 @@ type EscapeRule struct {
 // Name implements Rule.
 func (EscapeRule) Name() string { return "escapes" }
 
-// escapePackages is the default gated set: the allocation-free hot path.
+// escapePackages is the default gated set: the allocation-free hot path,
+// from the event kernel through the CPU model to home memory and the dsm
+// agent.
 var escapePackages = []string{
 	"internal/sim",
 	"internal/network",
 	"internal/directory",
 	"internal/core",
 	"internal/cache",
+	"internal/proc",
+	"internal/memsys",
+	"internal/dsm",
 }
 
 // EscapesBaselineName is the baseline file checked at the module root.
@@ -69,13 +80,12 @@ func EscapeGatePackages(mod *Module) []string {
 type escSite struct {
 	rel       string // file path relative to the module root
 	line, col int
+	decl      string // enclosing function or method (see nameDecls)
 	msg       string
 }
 
-// key is the canonical baseline-entry form of the site.
-func (s escSite) key() string {
-	return fmt.Sprintf("%s:%d:%d: %s", s.rel, s.line, s.col, s.msg)
-}
+// entry is the site's baseline entry, without its count.
+func (s escSite) entry() string { return s.rel + ": " + s.decl + ": " + s.msg }
 
 // escapeLine matches one compiler diagnostic line. -m -m prints most sites
 // twice (once with a trailing colon introducing flow lines); the trailing
@@ -84,8 +94,8 @@ var escapeLine = regexp.MustCompile(`^([^\s:]+\.go):(\d+):(\d+): (.*?):?$`)
 
 // CollectEscapes builds the given module-relative packages of root with
 // escape-analysis diagnostics enabled and returns the deduplicated, sorted
-// heap sites. The build cache replays compiler diagnostics, so warm runs
-// are cheap.
+// heap sites, each named by its enclosing declaration. The build cache
+// replays compiler diagnostics, so warm runs are cheap.
 func CollectEscapes(root string, packages []string) ([]escSite, error) {
 	if len(packages) == 0 {
 		return nil, nil
@@ -100,7 +110,38 @@ func CollectEscapes(root string, packages []string) ([]escSite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
-	return parseEscapes(string(out)), nil
+	sites := parseEscapes(string(out))
+	return sites, nameDecls(root, sites)
+}
+
+// nameDecls sets each site's decl to the function or method of its file
+// that contains it, as in (*Cache).Insert, or "-" outside any. A function
+// literal counts toward the declaration it appears in.
+func nameDecls(root string, sites []escSite) error {
+	fset := token.NewFileSet()
+	files := make(map[string]*ast.File)
+	for i := range sites {
+		s := &sites[i]
+		f := files[s.rel]
+		if f == nil {
+			var err error
+			if f, err = parser.ParseFile(fset, filepath.Join(root, filepath.FromSlash(s.rel)), nil, parser.SkipObjectResolution); err != nil {
+				return err
+			}
+			files[s.rel] = f
+		}
+		at := fset.File(f.Pos()).LineStart(s.line) + token.Pos(s.col-1)
+		s.decl = "-"
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= at && at < fd.End() {
+				s.decl = fd.Name.Name
+				if fd.Recv != nil {
+					s.decl = "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + s.decl
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // parseEscapes extracts the heap sites from `go build -gcflags='-m -m'`
@@ -132,13 +173,35 @@ func parseEscapes(out string) []escSite {
 		s := escSite{rel: rel, msg: msg}
 		fmt.Sscanf(m[2], "%d", &s.line)
 		fmt.Sscanf(m[3], "%d", &s.col)
-		if k := s.key(); !seen[k] {
+		if k := fmt.Sprintf("%s:%d:%d: %s", s.rel, s.line, s.col, s.msg); !seen[k] {
 			seen[k] = true
 			sites = append(sites, s)
 		}
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].key() < sites[j].key() })
+	sort.Slice(sites, func(i, j int) bool {
+		a, b := sites[i], sites[j]
+		return a.rel < b.rel || a.rel == b.rel && (a.line < b.line || a.line == b.line && a.col < b.col)
+	})
 	return sites
+}
+
+// groupEscapes groups sites by baseline entry.
+func groupEscapes(sites []escSite) map[string][]escSite {
+	groups := make(map[string][]escSite)
+	for _, s := range sites {
+		groups[s.entry()] = append(groups[s.entry()], s)
+	}
+	return groups
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m { //lint:order-independent (sorted below)
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // FormatEscapesBaseline renders sites in the checked-in baseline format.
@@ -150,8 +213,13 @@ func FormatEscapesBaseline(sites []escSite) string {
 	b.WriteString("# listed here (a zero-alloc regression) or stops reporting a listed one\n")
 	b.WriteString("# (a stale entry). After auditing an intentional change, regenerate\n")
 	b.WriteString("# with: go run ./cmd/amolint -write-escapes\n")
-	for _, s := range sites {
-		b.WriteString(s.key())
+	b.WriteString("# Entry: file: enclosing function: compiler message [×count]\n")
+	groups := groupEscapes(sites)
+	for _, entry := range sortedKeys(groups) {
+		b.WriteString(entry)
+		if n := len(groups[entry]); n > 1 {
+			fmt.Fprintf(&b, " ×%d", n)
+		}
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -170,19 +238,27 @@ func WriteEscapesBaseline(mod *Module, path string) (string, error) {
 	return path, os.WriteFile(path, []byte(FormatEscapesBaseline(sites)), 0o644)
 }
 
-// readEscapesBaseline parses a baseline file into entry -> file line number.
-func readEscapesBaseline(path string) (map[string]int, error) {
+// listed is one baseline entry's site count and its line in the file.
+type listed struct{ count, line int }
+
+// readEscapesBaseline parses a baseline file into entry -> listed.
+func readEscapesBaseline(path string) (map[string]listed, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	entries := make(map[string]int)
+	entries := make(map[string]listed)
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		entries[line] = i + 1
+		count := 1
+		if entry, n, ok := strings.Cut(line, " ×"); ok {
+			line, count = entry, 0
+			fmt.Sscanf(n, "%d", &count)
+		}
+		entries[line] = listed{count: count, line: i + 1}
 	}
 	return entries, nil
 }
@@ -220,33 +296,27 @@ func (r EscapeRule) Check(mod *Module, pkg *Package) []Diagnostic {
 		return fail(fmt.Sprintf("reading baseline: %v", err))
 	}
 	var diags []Diagnostic
-	current := make(map[string]bool, len(sites))
-	for _, s := range sites {
-		current[s.key()] = true
-		if _, ok := want[s.key()]; ok {
-			continue
-		}
-		diags = append(diags, Diagnostic{
-			Pos:  token.Position{Filename: filepath.Join(mod.Root, filepath.FromSlash(s.rel)), Line: s.line, Column: s.col},
-			Rule: "escapes",
-			Msg: fmt.Sprintf("new heap site not in %s: %s (audit it, then regenerate with 'go run ./cmd/amolint -write-escapes')",
-				EscapesBaselineName, s.msg),
-		})
-	}
-	stale := make([]string, 0)
-	for entry := range want { //lint:order-independent (sorted below)
-		if !current[entry] {
-			stale = append(stale, entry)
+	groups := groupEscapes(sites)
+	for _, entry := range sortedKeys(groups) {
+		got, n := groups[entry], want[entry].count
+		for _, s := range got[min(n, len(got)):] {
+			diags = append(diags, Diagnostic{
+				Pos:  token.Position{Filename: filepath.Join(mod.Root, filepath.FromSlash(s.rel)), Line: s.line, Column: s.col},
+				Rule: "escapes",
+				Msg: fmt.Sprintf("new heap site not in %s: %s in %s, reported %d times, listed %d (audit it, then regenerate with 'go run ./cmd/amolint -write-escapes')",
+					EscapesBaselineName, s.msg, s.decl, len(got), n),
+			})
 		}
 	}
-	sort.Strings(stale)
-	for _, entry := range stale {
-		diags = append(diags, Diagnostic{
-			Pos:  token.Position{Filename: baseline, Line: want[entry], Column: 1},
-			Rule: "escapes",
-			Msg: fmt.Sprintf("stale baseline entry: the compiler no longer reports %q (regenerate with 'go run ./cmd/amolint -write-escapes')",
-				entry),
-		})
+	for _, entry := range sortedKeys(want) {
+		if w, n := want[entry], len(groups[entry]); n < w.count {
+			diags = append(diags, Diagnostic{
+				Pos:  token.Position{Filename: baseline, Line: w.line, Column: 1},
+				Rule: "escapes",
+				Msg: fmt.Sprintf("stale baseline entry: the compiler reports %q %d times, listed %d (regenerate with 'go run ./cmd/amolint -write-escapes')",
+					entry, n, w.count),
+			})
+		}
 	}
 	return diags
 }

@@ -8,13 +8,13 @@ import (
 	"strings"
 )
 
-// LifecycleRule is the pool-lifecycle dataflow pass. PR 5 made the event
-// kernel allocation-free by threading every hot-path object through manually
-// managed pools — the event arena's int32 free list, the network's *Msg free
-// list and AcquireData/ReleaseData word buffers, and the pooled
-// dirReq/fineJob/finePut records — which reintroduces exactly the
-// use-after-release / double-release / leak bug class Go's garbage collector
-// normally makes impossible. This rule carries that contract statically.
+// LifecycleRule is the pool-lifecycle dataflow pass. The event kernel is
+// allocation-free because every hot-path object is threaded through a
+// manually managed pool — the event arena's int32 free list, the network's
+// in-flight message records, and the pooled dirReq/fineJob/finePut records
+// — which reintroduces exactly the use-after-release / double-release /
+// leak bug class Go's garbage collector normally makes impossible. This
+// rule carries that contract statically.
 //
 // Within each function of the lifecycle packages (the simulation packages
 // plus internal/proc) it tracks pooled values from their acquire sites
@@ -34,26 +34,22 @@ import (
 //   - a live pooled value overwritten by reassignment (the only reference
 //     is lost), and an acquire whose result is discarded outright.
 //
-// Acquire sites are calls to the pool accessors (the AcquireData /
-// acquire* naming convention) and direct free-list pops (indexing one of
-// the known free-list fields). Releases are ReleaseData / release* calls
-// and the self-append recycling idiom `x.f = append(x.f, v)` on a free-list
-// field. Ownership transfers — after which the value must NOT be released
-// by this function — are:
+// Acquire sites are calls to the pool accessors (the acquire* naming
+// convention) and direct free-list pops (indexing one of the known
+// free-list fields). Releases are release* calls and the self-append
+// recycling idiom `x.f = append(x.f, v)` on a free-list field. Ownership
+// transfers — after which the value must NOT be released by this function
+// — are:
 //
 //   - returning the value (pool accessors hand ownership to their caller);
 //   - passing it to Engine.ScheduleCall (the prebound-call arg rides the
 //     event arena until dispatch);
 //   - storing it into a field, composite literal, slice, map or channel
-//     (e.g. Msg.Data with DataOwned, or the event arena's order heap);
+//     (e.g. the event arena's order heap);
 //   - handing out a func-typed field of a pooled record (r.run, j.start,
 //     p.done — the prebound callbacks through which pooled records release
 //     themselves);
-//   - capture by a function literal;
-//   - any call argument on a line annotated //lint:owns-transfer — the
-//     explicit escape hatch for true interprocedural handoffs the analysis
-//     cannot see (e.g. cache.Insert taking a line buffer that later returns
-//     via the SetRecycler hook).
+//   - capture by a function literal.
 //
 // Passing a tracked value to any other call is a borrow (helpers may read
 // or fill a buffer without taking it), so the value must still be released
@@ -66,17 +62,9 @@ type LifecycleRule struct{}
 // Name implements Rule.
 func (LifecycleRule) Name() string { return "lifecycle" }
 
-// OwnsTransferAnnotation marks a call that takes ownership of a pooled
-// value across a function boundary the lifecycle pass cannot see through.
-// It asserts the callee (or a hook it installs) eventually releases the
-// value back to its pool. The annotation covers calls on the same line or
-// the line directly below it.
-const OwnsTransferAnnotation = "//lint:owns-transfer"
-
 // lifecyclePackage reports whether the module-relative package path rel
 // holds pooled hot-path objects the rule tracks: the simulation packages
-// plus internal/proc (the CPU model uses the network's word-buffer pool for
-// cache lines).
+// plus internal/proc (the CPU model).
 func lifecyclePackage(rel string) bool {
 	return simPackages[rel] || rel == "internal/proc"
 }
@@ -86,21 +74,16 @@ func lifecyclePackage(rel string) bool {
 var freeListFields = map[string]bool{
 	"free":     true, // sim.Engine event arena slots
 	"msgFree":  true, // network.Network in-flight message records
-	"dataFree": true, // network.Network word payload buffers
 	"reqFree":  true, // directory.Controller dirReq records
 	"fineFree": true, // directory.Controller fineJob records
 	"putFree":  true, // core.AMU finePut records
 }
 
 // acquireFuncName reports whether a method name is a pool acquire accessor.
-func acquireFuncName(name string) bool {
-	return name == "AcquireData" || strings.HasPrefix(name, "acquire")
-}
+func acquireFuncName(name string) bool { return strings.HasPrefix(name, "acquire") }
 
 // releaseFuncName reports whether a method name is a pool release accessor.
-func releaseFuncName(name string) bool {
-	return name == "ReleaseData" || strings.HasPrefix(name, "release")
-}
+func releaseFuncName(name string) bool { return strings.HasPrefix(name, "release") }
 
 // lcState is the per-value lattice, tracked as a bit set so path merges
 // union possibilities: a diagnostic fires when a bad state is reachable.
@@ -180,7 +163,6 @@ func (LifecycleRule) Check(mod *Module, pkg *Package) []Diagnostic {
 	}
 	a := &lifecycleAnalyzer{mod: mod, pkg: pkg, emitted: make(map[string]bool)}
 	for _, file := range pkg.Files {
-		a.ann = annotationLines(mod.Fset, file, OwnsTransferAnnotation)
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -212,7 +194,6 @@ type lcExit struct {
 type lifecycleAnalyzer struct {
 	mod     *Module
 	pkg     *Package
-	ann     map[int]bool // owns-transfer annotation lines of the current file
 	diags   []Diagnostic
 	emitted map[string]bool
 	quiet   int // >0 while iterating loops to fixpoint: suppress diagnostics
@@ -382,14 +363,9 @@ func (a *lifecycleAnalyzer) lifecycleMember(obj types.Object) bool {
 }
 
 // acquireExpr recognizes an acquire site used as an assignment source: a
-// call to a pool accessor, or a free-list pop (optionally resliced, as in
-// the AcquireData fast path). It returns the site label.
+// call to a pool accessor, or a free-list pop. It returns the site label.
 func (a *lifecycleAnalyzer) acquireExpr(e ast.Expr) (string, bool) {
-	e = unparen(e)
-	if sl, ok := e.(*ast.SliceExpr); ok {
-		e = unparen(sl.X)
-	}
-	switch e := e.(type) {
+	switch e := unparen(e).(type) {
 	case *ast.CallExpr:
 		sel, ok := e.Fun.(*ast.SelectorExpr)
 		if !ok {
@@ -413,14 +389,7 @@ func (a *lifecycleAnalyzer) acquireExpr(e ast.Expr) (string, bool) {
 // evalAcquireOperands walks the non-result parts of an acquire expression
 // (receiver, arguments, indices) for ordinary uses.
 func (a *lifecycleAnalyzer) evalAcquireOperands(env lcEnv, e ast.Expr) {
-	e = unparen(e)
-	if sl, ok := e.(*ast.SliceExpr); ok {
-		a.evalExpr(env, sl.Low)
-		a.evalExpr(env, sl.High)
-		a.evalExpr(env, sl.Max)
-		e = unparen(sl.X)
-	}
-	switch e := e.(type) {
+	switch e := unparen(e).(type) {
 	case *ast.CallExpr:
 		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 			a.evalExpr(env, sel.X)
@@ -456,12 +425,6 @@ func (a *lifecycleAnalyzer) funcFieldOf(env lcEnv, arg ast.Expr) *types.Var {
 		return nil
 	}
 	return v
-}
-
-// annotatedTransfer reports whether the call at pos carries an
-// owns-transfer annotation (same line, or the line directly above).
-func (a *lifecycleAnalyzer) annotatedTransfer(pos token.Pos) bool {
-	return annotationCovers(a.ann, a.mod.Fset.Position(pos).Line)
 }
 
 // ---- expression evaluation ----
@@ -600,20 +563,14 @@ func (a *lifecycleAnalyzer) evalCall(env lcEnv, call *ast.CallExpr) {
 		a.evalExpr(env, call.Fun)
 	}
 
-	annotated := a.annotatedTransfer(call.Pos())
 	for _, arg := range call.Args {
-		switch {
-		case annotated:
-			a.argTransfer(env, arg)
-		default:
-			if v := a.funcFieldOf(env, arg); v != nil {
-				a.transferOp(env, v, arg.Pos())
-				continue
-			}
-			// Plain pass of a tracked value is a borrow: the callee may
-			// read or fill it, but ownership stays here.
-			a.evalExpr(env, arg)
+		if v := a.funcFieldOf(env, arg); v != nil {
+			a.transferOp(env, v, arg.Pos())
+			continue
 		}
+		// Plain pass of a tracked value is a borrow: the callee may read
+		// or fill it, but ownership stays here.
+		a.evalExpr(env, arg)
 	}
 }
 

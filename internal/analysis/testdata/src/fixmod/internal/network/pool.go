@@ -1,23 +1,22 @@
 package network
 
-// This file is the lifecycle-rule fixture for the word-buffer pool: Pool
-// mirrors the production Network's AcquireData/ReleaseData payload pool and
-// msgFree record pool, and the fixture functions below re-create the bug
-// shapes the rule exists to catch — including the two historical ones (a
-// pooled value orphaned on a retry path, and a buffer released while a
-// scheduled call still holds it).
+// This file is the lifecycle-rule fixture for pooled buffers and message
+// records: Pool has a word-buffer pool behind acquireBuf/releaseBuf and the
+// production Network's msgFree record pool, and the fixture functions below
+// re-create the bug shapes the rule exists to catch — including the two
+// historical ones (a pooled value orphaned on a retry path, and a buffer
+// released while a scheduled call still holds it).
 
-// Pool mirrors the production Network pools.
+// Pool holds a buffer pool and a record pool.
 type Pool struct {
-	dataFree [][]uint64
-	msgFree  []*Packet
-	eng      Eng
+	bufFree [][]uint64
+	msgFree []*Packet
+	eng     Eng
 }
 
-// Packet mirrors Msg's owned-payload fields.
+// Packet is a record that can carry a buffer.
 type Packet struct {
-	Data      []uint64
-	DataOwned bool
+	Data []uint64
 }
 
 // Eng mirrors the event engine's prebound-call scheduler.
@@ -27,27 +26,25 @@ type Eng struct{}
 // the scheduled call.
 func (Eng) ScheduleCall(delay uint64, call func(any), arg any) {}
 
-// AcquireData pops a pooled buffer, or allocates a fresh one.
-func (p *Pool) AcquireData(words int) []uint64 {
-	if k := len(p.dataFree) - 1; k >= 0 && cap(p.dataFree[k]) >= words {
-		b := p.dataFree[k][:words]
-		p.dataFree = p.dataFree[:k]
+// acquireBuf pops a pooled buffer, or allocates a fresh one.
+func (p *Pool) acquireBuf(words int) []uint64 {
+	if k := len(p.bufFree) - 1; k >= 0 && cap(p.bufFree[k]) >= words {
+		b := p.bufFree[k][:words]
+		p.bufFree = p.bufFree[:k]
 		return b
 	}
 	return make([]uint64, words)
 }
 
-// ReleaseData recycles a buffer into the pool.
-func (p *Pool) ReleaseData(b []uint64) {
-	p.dataFree = append(p.dataFree, b)
+// releaseBuf recycles a buffer into the pool.
+func (p *Pool) releaseBuf(b []uint64) {
+	p.bufFree = append(p.bufFree, b)
 }
 
-// Deliver consumes a packet (and its owned payload, if any).
+// Deliver consumes a packet and the buffer it carries.
 func (p *Pool) Deliver(pkt Packet) {}
 
 func busy(b []uint64) bool { return len(b) == 0 }
-
-func install(b []uint64) {}
 
 func checksum(b []uint64) uint64 {
 	var s uint64
@@ -59,68 +56,67 @@ func checksum(b []uint64) uint64 {
 
 // UseAfterRelease reads a buffer after returning it to the pool.
 func UseAfterRelease(p *Pool) uint64 {
-	b := p.AcquireData(4)
+	b := p.acquireBuf(4)
 	b[0] = 7
-	p.ReleaseData(b)
+	p.releaseBuf(b)
 	return b[0] // want `use of released pooled value "b"`
 }
 
 // DoubleRelease returns the same buffer twice.
 func DoubleRelease(p *Pool) {
-	b := p.AcquireData(4)
-	p.ReleaseData(b)
-	p.ReleaseData(b) // want `double release of pooled value "b"`
+	b := p.acquireBuf(4)
+	p.releaseBuf(b)
+	p.releaseBuf(b) // want `double release of pooled value "b"`
 }
 
 // ReleaseAfterHandoff is historical shape 2: the payload buffer is stored
 // into a packet whose owner will recycle it after delivery, but the sender
 // releases it locally too — the pool hands the same buffer out twice.
 func ReleaseAfterHandoff(p *Pool, pkt *Packet) {
-	b := p.AcquireData(8)
+	b := p.acquireBuf(8)
 	pkt.Data = b
-	pkt.DataOwned = true
-	p.ReleaseData(b) // want `release of pooled value "b" \(AcquireData, line \d+\) whose ownership was already transferred`
+	p.releaseBuf(b) // want `release of pooled value "b" \(acquireBuf, line \d+\) whose ownership was already transferred`
 }
 
 // LeakOnRetry is historical shape 1: the busy/retry path skips the release,
 // orphaning one pooled buffer per retry.
 func LeakOnRetry(p *Pool, retries int) {
 	for i := 0; i < retries; i++ {
-		b := p.AcquireData(8)
+		b := p.acquireBuf(8)
 		if busy(b) {
-			continue // want `pooled value "b" \(AcquireData, line \d+\) may leak`
+			continue // want `pooled value "b" \(acquireBuf, line \d+\) may leak`
 		}
-		p.ReleaseData(b)
+		p.releaseBuf(b)
 	}
 }
 
 // DiscardedAcquire drops the acquired buffer on the floor at the call site.
 func DiscardedAcquire(p *Pool) {
-	p.AcquireData(4) // want `result of AcquireData discarded`
+	p.acquireBuf(4) // want `result of acquireBuf discarded`
 }
 
 // OverwriteLive loses the only reference to a live buffer by reassignment.
 func OverwriteLive(p *Pool) {
-	b := p.AcquireData(4)
-	b = p.AcquireData(8) // want `pooled value "b" \(AcquireData, line \d+\) overwritten while still live`
-	p.ReleaseData(b)
+	b := p.acquireBuf(4)
+	b = p.acquireBuf(8) // want `pooled value "b" \(acquireBuf, line \d+\) overwritten while still live`
+	p.releaseBuf(b)
 }
 
 // LeakStraight never releases at all; the leak reports where the value
 // goes out of scope.
 func LeakStraight(p *Pool) {
-	b := p.AcquireData(4)
+	b := p.acquireBuf(4)
 	b[0] = 1
-} // want `pooled value "b" \(AcquireData, line \d+\) may leak`
+} // want `pooled value "b" \(acquireBuf, line \d+\) may leak`
 
 // KindLeak releases only inside the switch arm: the no-match path leaks.
 func KindLeak(p *Pool, kind int) {
-	b := p.AcquireData(4)
+	b := p.acquireBuf(4)
 	switch kind {
 	case 0:
-		p.ReleaseData(b)
+		p.releaseBuf(b)
 	}
-} // want `pooled value "b" \(AcquireData, line \d+\) may leak`
+} // want `pooled value "b" \(acquireBuf, line \d+\) may leak`
 
 // ReleaseThenSchedule recycles a message record and then schedules it
 // anyway: the scheduled call will touch a slot the pool may have reissued.
@@ -133,37 +129,30 @@ func ReleaseThenSchedule(p *Pool, deliver func(any)) {
 
 // CleanRoundTrip releases on every path out: no findings.
 func CleanRoundTrip(p *Pool, n int) uint64 {
-	b := p.AcquireData(n)
+	b := p.acquireBuf(n)
 	sum := checksum(b)
 	if n > 4 {
-		p.ReleaseData(b)
+		p.releaseBuf(b)
 		return sum
 	}
-	p.ReleaseData(b)
+	p.releaseBuf(b)
 	return 0
 }
 
-// CleanOwnedHandoff stores the buffer into an owned packet: the receiver's
-// pool gets it back after delivery, so this frame must not release it.
+// CleanOwnedHandoff stores the buffer into a packet: the receiver's pool
+// gets it back after delivery, so this frame must not release it.
 func CleanOwnedHandoff(p *Pool) {
-	b := p.AcquireData(8)
+	b := p.acquireBuf(8)
 	b[0] = 1
-	p.Deliver(Packet{Data: b, DataOwned: true})
-}
-
-// AnnotatedHandoff hands the buffer to a helper the analysis cannot see
-// through; the annotation asserts the helper owns it from here on.
-func AnnotatedHandoff(p *Pool) {
-	b := p.AcquireData(8)
-	install(b) //lint:owns-transfer
+	p.Deliver(Packet{Data: b})
 }
 
 // BorrowedInspect passes the buffer to a reader and keeps ownership: plain
 // call arguments are borrows, not transfers.
 func BorrowedInspect(p *Pool) uint64 {
-	b := p.AcquireData(8)
+	b := p.acquireBuf(8)
 	s := checksum(b)
-	p.ReleaseData(b)
+	p.releaseBuf(b)
 	return s
 }
 
@@ -177,13 +166,13 @@ func ScheduledHandoff(p *Pool, deliver func(any)) {
 
 // KindDispatch releases or transfers on every switch arm: no findings.
 func KindDispatch(p *Pool, kind int) {
-	b := p.AcquireData(4)
+	b := p.acquireBuf(4)
 	switch kind {
 	case 0:
-		p.ReleaseData(b)
+		p.releaseBuf(b)
 	case 1:
-		p.Deliver(Packet{Data: b, DataOwned: true})
+		p.Deliver(Packet{Data: b})
 	default:
-		p.ReleaseData(b)
+		p.releaseBuf(b)
 	}
 }

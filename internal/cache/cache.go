@@ -38,7 +38,8 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// Line is one resident cache block.
+// Line is one cache way. Words is the way's own buffer, allocated on its
+// first fill and reused by every later one.
 type Line struct {
 	Addr  uint64 // block-aligned address
 	State State
@@ -46,7 +47,8 @@ type Line struct {
 	lru   uint64
 }
 
-// Victim describes a block displaced by Insert.
+// Victim describes a dirty block displaced by Insert. Words is the cache's
+// spare buffer: it holds the evicted contents until the next Insert.
 type Victim struct {
 	Addr  uint64
 	State State
@@ -63,11 +65,9 @@ type Cache struct {
 	setMask    uint64   // len(sets)-1
 	sets       [][]Line // sets[i] holds set i's ways, nil until first Insert
 	tick       uint64
-
-	// recycle, when set, receives word buffers the cache drops silently
-	// (replaced-in-place contents, clean victims), so callers running a
-	// buffer pool can reclaim them.
-	recycle func([]uint64)
+	// spare swaps with a dirty victim's buffer, so the victim's words
+	// survive the fill that displaced them.
+	spare []uint64
 
 	hits      uint64
 	misses    uint64
@@ -100,12 +100,6 @@ func New(sets, ways, blockBytes int) *Cache {
 		sets:       make([][]Line, sets),
 	}
 }
-
-// SetRecycler installs fn, called with every word buffer the cache discards
-// without returning it to the caller (a line replaced in place, a clean
-// victim). The owning CPU wires this to its network's payload pool so block
-// buffers cycle instead of garbage-collecting.
-func (c *Cache) SetRecycler(fn func([]uint64)) { c.recycle = fn }
 
 // setOf returns the index of the set that block maps to.
 func (c *Cache) setOf(block uint64) int {
@@ -142,7 +136,8 @@ func (c *Cache) Touch(addr uint64) {
 // displaced dirty victim if the chosen way held a Modified block (Shared
 // victims are dropped silently; the directory's sharer list stays a
 // conservative superset). Inserting over the same block replaces it in
-// place. words is retained by the cache; callers must not alias it.
+// place. Insert copies words into the way's buffer, so the caller keeps
+// its slice.
 func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
@@ -162,11 +157,8 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 	// Replace in place if resident.
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
-			if c.recycle != nil && set[i].Words != nil {
-				c.recycle(set[i].Words)
-			}
 			set[i].State = st
-			set[i].Words = words
+			copy(set[i].Words, words)
 			set[i].lru = c.tick
 			return Victim{}, false
 		}
@@ -183,32 +175,35 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 			victimIdx = i
 		}
 	}
+	ln := &set[victimIdx]
 	var v Victim
 	dirty := false
-	if set[victimIdx].State != Invalid {
+	if ln.State != Invalid {
 		c.evictions++
-		if set[victimIdx].State == Modified {
-			v = Victim{Addr: set[victimIdx].Addr, State: Modified, Words: set[victimIdx].Words}
+		if ln.State == Modified {
+			ln.Words, c.spare = c.spare, ln.Words
+			v = Victim{Addr: ln.Addr, State: Modified, Words: c.spare}
 			dirty = true
-		} else if c.recycle != nil && set[victimIdx].Words != nil {
-			// Clean victim: the directory's sharer list stays a conservative
-			// superset, and the buffer goes back to the pool.
-			c.recycle(set[victimIdx].Words)
 		}
 	}
-	set[victimIdx] = Line{Addr: block, State: st, Words: words, lru: c.tick}
+	if ln.Words == nil {
+		ln.Words = make([]uint64, len(words))
+	}
+	copy(ln.Words, words)
+	ln.Addr, ln.State, ln.lru = block, st, c.tick
 	return v, dirty
 }
 
 // Invalidate drops the line containing addr if resident, returning its prior
-// state and words (for intervention replies). Returns Invalid if absent.
+// state and words (for intervention replies). The words stay valid until
+// the next Insert into the line's set. Returns Invalid if absent.
 func (c *Cache) Invalidate(addr uint64) (State, []uint64) {
 	block := memsys.BlockAddr(addr, c.blockBytes)
 	set := c.sets[c.setOf(block)]
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
 			st, w := set[i].State, set[i].Words
-			set[i] = Line{}
+			set[i] = Line{Words: w}
 			return st, w
 		}
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -310,45 +311,78 @@ func TestNewAllocatesNoLines(t *testing.T) {
 
 // TestCacheSteadyStateZeroAlloc pins the touched-set paths at zero
 // allocations: Lookup, Touch, PatchWord, Insert in place, Insert with a
-// dirty and a clean eviction, and Invalidate. Word buffers cycle through a
-// recycler-backed free list, as the CPU's network pool does.
+// dirty and a clean eviction, and Invalidate. Each way allocates its buffer
+// on its first fill and the dirty victim swaps into the cache's spare, so
+// one caller buffer serves every Insert.
 func TestCacheSteadyStateZeroAlloc(t *testing.T) {
 	c := New(4, 2, bb)
-	free := make([][]uint64, 0, 8)
-	for i := 0; i < cap(free); i++ {
-		free = append(free, words(0))
-	}
-	take := func() []uint64 {
-		b := free[len(free)-1]
-		free = free[:len(free)-1]
-		return b
-	}
-	c.SetRecycler(func(b []uint64) { free = append(free, b) })
+	buf := words(0)
 	// Blocks a, b and d all map to set 0 (block/128 mod 4).
 	const a, b, d = 0x0000, 0x0200, 0x0400
 	op := func() {
-		c.Insert(a, Shared, take())
-		c.Insert(a, Modified, take()) // in place: the Shared buffer is recycled
+		buf[0]++
+		c.Insert(a, Shared, buf)
+		c.Insert(a, Modified, buf) // in place
 		c.Touch(a)
 		c.PatchWord(a+8, 9)
 		if c.Lookup(a) == nil {
 			t.Fatal("lookup missed a resident block")
 		}
-		c.Insert(b, Shared, take())
-		v, dirty := c.Insert(d, Shared, take()) // evicts a, the LRU way
-		if !dirty || v.Addr != a {
+		c.Insert(b, Shared, buf)
+		v, dirty := c.Insert(d, Shared, buf) // evicts a, the LRU way
+		if !dirty || v.Addr != a || v.Words[1] != 9 {
 			t.Fatalf("eviction = %+v, %v; want dirty victim %#x", v, dirty, a)
 		}
-		free = append(free, v.Words)
-		c.Insert(a, Shared, take()) // evicts b, clean: recycled
+		c.Insert(a, Shared, buf) // evicts b, clean
 		for _, blk := range []uint64{a, d} {
-			if _, w := c.Invalidate(blk); w != nil {
-				free = append(free, w)
-			}
+			c.Invalidate(blk)
 		}
 	}
-	op() // first touch allocates set 0's ways
+	op() // first touch allocates set 0's ways, their buffers and the spare
 	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
 		t.Fatalf("touched-set cache operations allocate %.1f/op, want 0", allocs)
+	}
+}
+
+// TestInsertCopiesWords: the cache keeps its own copy of an inserted
+// block, so mutating the caller's buffer after Insert, on a fresh fill and
+// on an in-place replace, leaves the line unchanged.
+func TestInsertCopiesWords(t *testing.T) {
+	c := New(4, 2, bb)
+	w := words(1)
+	c.Insert(0x1000, Shared, w)
+	w[0], w[3] = 50, 50
+	if got, _ := c.ReadWord(0x1000); got != 1 {
+		t.Fatalf("word 0 = %d after the caller mutated its buffer, want 1", got)
+	}
+	w = words(2)
+	c.Insert(0x1000, Modified, w)
+	w[3] = 60
+	if got, _ := c.ReadWord(0x1018); got != 2 {
+		t.Fatalf("word 3 = %d after an in-place Insert and a caller mutation, want 2", got)
+	}
+}
+
+// TestDirtyVictimWordsSurviveFill: a dirty victim's Words hold every
+// evicted word after the Insert that displaced it, until the next Insert,
+// even though the incoming block filled the victim's way.
+func TestDirtyVictimWordsSurviveFill(t *testing.T) {
+	c := New(1, 1, bb)
+	c.Insert(0x0000, Modified, words(9))
+	c.WriteWord(0x0008, 10)
+	v, dirty := c.Insert(0x1000, Modified, words(1))
+	if !dirty || v.Addr != 0 {
+		t.Fatalf("victim = %+v, %v; want dirty block 0", v, dirty)
+	}
+	want := words(9)
+	want[1] = 10
+	if !slices.Equal(v.Words, want) {
+		t.Fatalf("victim words = %v, want %v (evicted contents overwritten)", v.Words, want)
+	}
+	// Invalidate does not touch the spare: the victim stays readable until
+	// the next Insert.
+	c.Invalidate(0x1000)
+	if v.Words[1] != 10 {
+		t.Fatalf("victim word 1 = %d after Invalidate, want 10", v.Words[1])
 	}
 }

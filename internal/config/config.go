@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"amosim/internal/cache"
+	"amosim/internal/core"
 	"amosim/internal/memsys"
 	"amosim/internal/topology"
 )
@@ -227,6 +228,10 @@ func (c Config) Nodes() int { return c.Processors / c.ProcsPerNode }
 // WordsPerBlock returns the number of 8-byte words per coherence block.
 func (c Config) WordsPerBlock() int { return c.BlockBytes / 8 }
 
+// MaxCycles bounds every latency field, so that the sums of latencies a
+// run schedules stay far below the 2^64 wrap of the simulated clock.
+const MaxCycles = 1 << 32
+
 // FieldError is the typed validation error: it names the Config field (or
 // field group) that failed and why, so callers can report or branch on the
 // offending knob instead of parsing a message. NewMachine surfaces these
@@ -286,6 +291,8 @@ func (c Config) Validate() error {
 		return fail("Shards", "(%d) must not exceed the node count (%d)", c.Shards, c.Nodes())
 	case c.AMUCacheWords < 0:
 		return fail("AMUCacheWords", "must be >= 0, got %d", c.AMUCacheWords)
+	case c.AMUCacheWords > core.MaxCacheWords:
+		return fail("AMUCacheWords", "must be at most %d (the operand cache is scanned on every operation), got %d", core.MaxCacheWords, c.AMUCacheWords)
 	case c.ActMsgQueueDepth <= 0:
 		return fail("ActMsgQueueDepth", "must be positive, got %d", c.ActMsgQueueDepth)
 	case c.MinPacketBytes <= 0:
@@ -301,31 +308,49 @@ func (c Config) Validate() error {
 			return fail("SyncPartitions", "must be a power of two, got %d", c.SyncPartitions)
 		case !isPow2(c.SyncTableEntries):
 			return fail("SyncTableEntries", "must be a power of two, got %d", c.SyncTableEntries)
+		case c.SyncTableEntries > core.MaxCacheWords/c.SyncPartitions:
+			return fail("SyncPartitions/SyncTableEntries", "table entries per node must be at most %d, got %d partitions x %d entries", core.MaxCacheWords, c.SyncPartitions, c.SyncTableEntries)
 		}
 	}
-	if c.Backend == BackendDSM && c.DSMRemoteCycles == 0 {
-		return fail("DSMRemoteCycles", "latency must be positive")
-	}
-	// Every modeled latency must be positive: a zero charge would let the
-	// corresponding pipeline stage complete in the same simulated instant,
-	// collapsing event orderings the protocols rely on. (InjectCycles and
-	// SpinCheckCycles are deliberate exceptions: zero disables the charge.)
+	// Every modeled latency is at most MaxCycles, and most must be positive:
+	// a zero charge would let the corresponding pipeline stage complete in
+	// the same simulated instant, collapsing event orderings the protocols
+	// rely on. The others may be zero, which disables the charge.
 	latencies := []struct {
-		field string
-		v     uint64
+		field    string
+		v        uint64
+		positive bool
 	}{
-		{"L1HitCycles", c.L1HitCycles},
-		{"BusCycles", c.BusCycles},
-		{"DirCycles", c.DirCycles},
-		{"DRAMCycles", c.DRAMCycles},
-		{"HopCycles", c.HopCycles},
-		{"IssueCycles", c.IssueCycles},
-		{"AMUOpCycles", c.AMUOpCycles},
+		{"L1HitCycles", c.L1HitCycles, true},
+		{"L2HitCycles", c.L2HitCycles, false},
+		{"BusCycles", c.BusCycles, true},
+		{"DirCycles", c.DirCycles, true},
+		{"DRAMCycles", c.DRAMCycles, true},
+		{"HopCycles", c.HopCycles, true},
+		{"InjectCycles", c.InjectCycles, false},
+		{"AMUOpCycles", c.AMUOpCycles, true},
+		{"AMUQueueCycles", c.AMUQueueCycles, false},
+		{"ActMsgInvokeCycles", c.ActMsgInvokeCycles, false},
+		{"ActMsgHandlerCycles", c.ActMsgHandlerCycles, false},
+		{"ActMsgTimeoutCycles", c.ActMsgTimeoutCycles, false},
+		{"IssueCycles", c.IssueCycles, true},
+		{"SpinCheckCycles", c.SpinCheckCycles, false},
+		{"SyncInspectCycles", c.SyncInspectCycles, false},
+		{"DSMRemoteCycles", c.DSMRemoteCycles, c.Backend == BackendDSM},
 	}
 	for _, l := range latencies {
-		if l.v == 0 {
+		switch {
+		case l.positive && l.v == 0:
 			return fail(l.field, "latency must be positive")
+		case l.v > MaxCycles:
+			return fail(l.field, "must be at most %d cycles, got %d", uint64(MaxCycles), l.v)
 		}
+	}
+	// A queued GETX's intervention leaves the home DirCycles after the data
+	// reply, and an SC commits IssueCycles + L1HitCycles after the data
+	// lands: the SC must win, or LL/SC never commits (dsm's is a remote CAS).
+	if c.Backend != BackendDSM && c.DirCycles <= c.IssueCycles+c.L1HitCycles {
+		return fail("DirCycles", "(%d) must exceed IssueCycles + L1HitCycles (%d) on the %s backend, or an LL/SC pair can never commit", c.DirCycles, c.IssueCycles+c.L1HitCycles, c.Backend)
 	}
 	return nil
 }

@@ -2,10 +2,13 @@ package config
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"amosim/internal/cache"
+	"amosim/internal/core"
 	"amosim/internal/topology"
 )
 
@@ -87,6 +90,31 @@ func TestValidateRejections(t *testing.T) {
 		{"zero hop latency", func(c *Config) { c.HopCycles = 0 }, "HopCycles"},
 		{"zero dram latency", func(c *Config) { c.DRAMCycles = 0 }, "DRAMCycles"},
 		{"zero amu op latency", func(c *Config) { c.AMUOpCycles = 0 }, "AMUOpCycles"},
+		// Latencies that passed Validate and then wrapped the simulated
+		// clock ("sim: time went backwards").
+		{"hop latency wraps the clock", func(c *Config) { c.HopCycles = 1 << 62 }, "HopCycles must be at most 4294967296"},
+		{"dram latency wraps the clock", func(c *Config) { c.DRAMCycles = 1 << 63 }, "DRAMCycles must be at most"},
+		{"inject latency wraps the clock", func(c *Config) { c.InjectCycles = 1 << 62 }, "InjectCycles must be at most"},
+		{"dsm latency wraps the clock", func(c *Config) { c.Backend = BackendDSM; c.DSMRemoteCycles = 1 << 63 }, "DSMRemoteCycles must be at most"},
+		// Operand caches and sync tables that ran out of memory in
+		// core.New, or built a table scanned end to end on every AMO.
+		{"amu cache out of memory", func(c *Config) { c.AMUCacheWords = 1 << 36 }, "AMUCacheWords must be at most 256"},
+		{"amu cache of 16M words", func(c *Config) { c.AMUCacheWords = 1 << 24 }, "AMUCacheWords must be at most"},
+		{"amu cache over bound", func(c *Config) { c.AMUCacheWords = core.MaxCacheWords + 1 }, "AMUCacheWords must be at most"},
+		{"million sync partitions", func(c *Config) { c.Backend = BackendSynCron; c.SyncPartitions = 1 << 20 }, "1048576 partitions"},
+		{"sync tables over bound", func(c *Config) {
+			c.Backend = BackendSynCron
+			c.SyncPartitions = 4
+			c.SyncTableEntries = core.MaxCacheWords / 2
+		}, "table entries per node must be at most 256"},
+		// Latencies on which the LL/SC barrier and ticket lock never
+		// finish: the intervention beats the store conditional.
+		{"llsc dir 2", func(c *Config) { c.DirCycles = 2 }, "DirCycles (2) must exceed IssueCycles + L1HitCycles (3)"},
+		{"llsc dir 3", func(c *Config) { c.DirCycles = 3 }, "DirCycles (3) must exceed"},
+		{"llsc issue 8", func(c *Config) { c.IssueCycles = 8 }, "DirCycles (8) must exceed IssueCycles + L1HitCycles (10)"},
+		{"llsc l1 hit 8", func(c *Config) { c.L1HitCycles = 8 }, "DirCycles (8) must exceed"},
+		{"llsc l1 hit 16", func(c *Config) { c.L1HitCycles = 16 }, "DirCycles (8) must exceed"},
+		{"llsc dir 3 syncron", func(c *Config) { c.Backend = BackendSynCron; c.DirCycles = 3 }, "on the syncron backend"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,7 +127,56 @@ func TestValidateRejections(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.substr) {
 				t.Fatalf("error %q does not mention %q", err, tc.substr)
 			}
+			var fe *FieldError
+			if !errors.As(err, &fe) {
+				t.Fatalf("Validate() = %T (%v), want *FieldError", err, err)
+			}
 		})
+	}
+}
+
+// cyclesFields lists the Config fields named ...Cycles, by reflection, so a
+// latency added later is covered by the bound checks below.
+func cyclesFields(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); strings.HasSuffix(f.Name, "Cycles") {
+			if f.Type.Kind() != reflect.Uint64 {
+				t.Fatalf("%s is %s, want uint64", f.Name, f.Type)
+			}
+			names = append(names, f.Name)
+		}
+	}
+	if len(names) < 16 {
+		t.Fatalf("found %d ...Cycles fields, want at least 16", len(names))
+	}
+	return names
+}
+
+// setCycles sets every ...Cycles field of c, except those in skip, to v.
+func setCycles(t *testing.T, c *Config, v uint64, skip ...string) {
+	t.Helper()
+	rv := reflect.ValueOf(c).Elem()
+	for _, name := range cyclesFields(t) {
+		if !slices.Contains(skip, name) {
+			rv.FieldByName(name).SetUint(v)
+		}
+	}
+}
+
+// TestValidateBoundsEveryCyclesField: each latency field one past
+// MaxCycles is rejected with a FieldError naming that field.
+func TestValidateBoundsEveryCyclesField(t *testing.T) {
+	for _, name := range cyclesFields(t) {
+		c := Default(8)
+		c.Backend = BackendDSM
+		reflect.ValueOf(&c).Elem().FieldByName(name).SetUint(MaxCycles + 1)
+		var fe *FieldError
+		if err := c.Validate(); !errors.As(err, &fe) || fe.Field != name {
+			t.Errorf("%s = MaxCycles+1: Validate() = %v, want a FieldError on %s", name, err, name)
+		}
 	}
 }
 
@@ -124,7 +201,9 @@ func TestValidateReturnsFieldError(t *testing.T) {
 
 // TestValidateAdmitsSizeBounds is the positive counterpart of the size
 // bounds: the largest scale the repository runs (4096 CPUs, also at one per
-// node), and caches and node counts exactly at the bounds, all validate.
+// node), caches, node counts, latencies and sync tables exactly at the
+// bounds, and every operand-cache and sync-table size the repository runs,
+// all validate.
 func TestValidateAdmitsSizeBounds(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -135,12 +214,45 @@ func TestValidateAdmitsSizeBounds(t *testing.T) {
 		{"max nodes", func(c *Config) { c.Processors = 2 * topology.MaxNodes }},
 		{"max lines in sets", func(c *Config) { c.CacheSets = cache.MaxLines; c.CacheWays = 1 }},
 		{"max lines in ways", func(c *Config) { c.CacheSets = 1; c.CacheWays = cache.MaxLines }},
+		{"every latency at MaxCycles on dsm", func(c *Config) {
+			c.Backend = BackendDSM
+			setCycles(t, c, MaxCycles)
+		}},
+		{"every latency but the LL/SC pair at MaxCycles", func(c *Config) {
+			setCycles(t, c, MaxCycles, "IssueCycles", "L1HitCycles")
+		}},
+		{"amu cache at bound", func(c *Config) { c.AMUCacheWords = core.MaxCacheWords }},
+		{"sync tables at bound", func(c *Config) {
+			c.Backend = BackendSynCron
+			c.SyncPartitions = 4
+			c.SyncTableEntries = core.MaxCacheWords / 4
+		}},
+		{"dir just above the LL/SC boundary", func(c *Config) {
+			c.IssueCycles, c.L1HitCycles, c.DirCycles = 8, 16, 25
+		}},
 	}
 	for _, tc := range cases {
 		c := Default(8)
 		tc.mutate(&c)
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+		}
+	}
+	// The operand-cache and sync-table sizes the repository runs.
+	for _, words := range []int{0, 1, 2, 8} {
+		c := Default(8)
+		c.AMUCacheWords = words
+		if err := c.Validate(); err != nil {
+			t.Errorf("amu cache %d words: Validate() = %v, want nil", words, err)
+		}
+	}
+	for _, parts := range []int{1, 2, 4} {
+		for _, entries := range []int{2, 8} {
+			c := Default(8)
+			c.Backend, c.SyncPartitions, c.SyncTableEntries = BackendSynCron, parts, entries
+			if err := c.Validate(); err != nil {
+				t.Errorf("syncron %d x %d: Validate() = %v, want nil", parts, entries, err)
+			}
 		}
 	}
 }

@@ -431,6 +431,11 @@ func (a *AMU) reply(m network.Msg, old uint64) {
 	})
 }
 
+// MaxCacheWords bounds an AMU's operand cache: 32 times the paper's 8
+// words. The cache is fully associative, so lookup and fill scan every
+// entry on each operation, and New allocates all of them up front.
+const MaxCacheWords = 256
+
 // lookup finds a valid AMU cache entry for addr.
 func (a *AMU) lookup(addr uint64) *amuEntry {
 	for i := range a.cache {

@@ -106,12 +106,14 @@ type Params struct {
 
 // Controller is one node's directory controller.
 type Controller struct {
-	eng  sim.Engine
-	net  *network.Network
-	pool *network.DataPool
-	mem  *memsys.Memory
-	amu  AMUPort
-	p    Params
+	eng sim.Engine
+	net *network.Network
+	mem *memsys.Memory
+	amu AMUPort
+	p   Params
+	// scratch is the buffer replyData reads a block into; Send copies it,
+	// so one buffer serves every reply.
+	scratch []uint64
 
 	// chunks is the slab of directory entries, indexed by the block's
 	// offset within the node (see entryOf). A chunk is allocated on first
@@ -260,9 +262,9 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, p Params) *Co
 	return &Controller{
 		eng:        eng,
 		net:        net,
-		pool:       net.DataPool(p.Node),
 		mem:        mem,
 		p:          p,
+		scratch:    make([]uint64, p.BlockBytes/memsys.WordBytes),
 		base:       memsys.NodeBase(p.Node),
 		blockShift: uint(bits.TrailingZeros(uint(p.BlockBytes))),
 	}
@@ -523,19 +525,16 @@ func (c *Controller) grantExclusive(block uint64, e *entry, req network.Endpoint
 }
 
 // replyData reads the block from memory (charging directory + DRAM latency)
-// and sends it to dst, then runs done. The payload rides a pooled buffer
-// that the network recycles after delivery.
+// and sends it to dst, then runs done.
 func (c *Controller) replyData(block uint64, dst network.Endpoint, kind network.Kind, done func()) {
 	c.occupy(c.p.DirCycles+c.p.DRAMCycles, func() {
-		words := c.pool.AcquireData(c.p.BlockBytes / memsys.WordBytes)
-		c.mem.ReadBlockInto(block, words)
+		c.mem.ReadBlockInto(block, c.scratch)
 		c.send(network.Msg{
 			Kind: kind,
 			Src:  network.Hub(c.p.Node), Dst: dst,
 			Addr:      block,
 			DataBytes: c.p.BlockBytes,
-			Data:      words,
-			DataOwned: true,
+			Data:      c.scratch,
 		})
 		done()
 	})

@@ -20,10 +20,9 @@ type fakeCPU struct {
 }
 
 func (f *fakeCPU) handle(m network.Msg) {
-	if m.DataOwned {
-		// Pool-owned payloads are recycled after delivery; copy to retain.
+	if m.Data != nil {
+		// Data is valid only until the handler returns; copy to retain.
 		m.Data = append([]uint64(nil), m.Data...)
-		m.DataOwned = false
 	}
 	f.seen = append(f.seen, m)
 	switch m.Kind {

@@ -7,9 +7,9 @@ import (
 	"amosim/internal/topology"
 )
 
-// The pooled-message contract: once the Msg free list and the engine's
+// The pooled-message contract: once the record free list and the engine's
 // event arena have warmed up, sending and delivering messages — local and
-// network-crossing, immediate and deferred, with or without a pooled data
+// network-crossing, immediate and deferred, with or without a block
 // payload — allocates nothing. Pinned at exactly zero so hot-path
 // regressions fail CI.
 
@@ -48,20 +48,21 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 
 func TestDataPayloadSteadyStateZeroAlloc(t *testing.T) {
 	eng, net := allocNet(t)
+	b := make([]uint64, 8)
 	send := func() {
-		b := net.AcquireData(8)
 		for w := range b {
-			b[w] = uint64(w)
+			b[w]++
 		}
-		// DataOwned transfers the buffer to the network, which releases it
-		// back to the pool after delivery.
-		net.Send(Msg{Kind: KindDataShared, Src: Hub(1), Dst: CPUAt(0, 0), Data: b, DataOwned: true})
+		// Send copies b into the record's buffer, which the record keeps
+		// when it returns to the pool after delivery.
+		net.Send(Msg{Kind: KindDataShared, Src: Hub(1), Dst: CPUAt(0, 0), Data: b})
+		net.SendAfter(3, Msg{Kind: KindWriteback, Src: CPUAt(0, 0), Dst: Hub(1), Data: b})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	send()
 	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
-		t.Fatalf("pooled data payload path allocates %.1f/op, want 0", allocs)
+		t.Fatalf("data payload path allocates %.1f/op, want 0", allocs)
 	}
 }

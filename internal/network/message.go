@@ -1,6 +1,9 @@
 // Package network models the interconnect of the simulated machine: typed
 // messages between endpoints (CPUs and hubs), fat-tree hop latency, local
-// bus latency, and traffic accounting (messages, bytes, byte-hops).
+// bus latency, and traffic accounting (messages, bytes, byte-hops). Send
+// copies a block payload into the in-flight record, so no buffer changes
+// owner: the sender keeps its slice, and a handler's copy is valid until
+// the handler returns.
 package network
 
 import "fmt"
@@ -141,14 +144,10 @@ type Msg struct {
 	// DataBytes is the payload size used for traffic accounting: 0 for
 	// pure control, 8 for word-grained data, BlockBytes for block data.
 	DataBytes int
-	// Data carries block contents for data-bearing kinds. Senders must not
-	// retain or mutate the slice after Send.
+	// Data carries block contents for data-bearing kinds. Send copies it,
+	// so the sender keeps its slice. A handler's Data is valid until the
+	// handler returns; a receiver that retains the words copies them.
 	Data []uint64
-	// DataOwned transfers ownership of Data to the network: after the
-	// message is delivered the network zeroes the slice and recycles it into
-	// its payload pool (see Network.AcquireData). Receivers must copy Data
-	// they wish to retain past the delivery handler.
-	DataOwned bool
 	// Txn threads a reply back to the transaction that caused it.
 	Txn uint64
 }

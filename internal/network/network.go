@@ -17,19 +17,19 @@ type Handler func(Msg)
 // traffic statistics as it goes.
 //
 // The delivery path is allocation-free in steady state: in-flight messages
-// live in a pooled arena recycled after delivery, hop distances come from
+// live in pooled records recycled after delivery, hop distances come from
 // the machine's hop table (no topology interface call per Send), and
-// handler lookup indexes dense slices. Block payloads can ride the
-// network's word-buffer pool via AcquireData/Msg.DataOwned.
+// handler lookup indexes dense slices. Send copies a block payload into the
+// record's own buffer, which the record keeps across reuse.
 type Network struct {
 	eng sim.Engine
 	// engs[n] is the node-affine engine view for node n; every schedule,
 	// clock read and trace emission on behalf of a node goes through its
 	// view so the parallel kernel can attribute it to the right shard.
 	engs []sim.Engine
-	// nodePool[n] / nodeStats[n] index the owning shard's message pool,
-	// payload pool and traffic counters: all mutable network state is
-	// per-shard, touched only from that shard's event context.
+	// nodePool[n] indexes the owning shard's message pool and traffic
+	// counters: all mutable network state is per-shard, touched only from
+	// that shard's event context.
 	nodePool []int32
 	shards   int
 
@@ -45,13 +45,11 @@ type Network struct {
 	hubs []Handler
 	cpus []Handler // indexed by global CPU id
 
-	// msgs recycle in-flight message slots per shard; deliverCall is the
+	// msgs recycle in-flight message records per shard; deliverCall is the
 	// prebound dispatch adapter so scheduling a delivery never allocates.
 	msgs        []*msgPool
 	deliverCall func(any)
 	sendCall    func(any)
-	// pools recycle block-payload word buffers per shard (see DataPool).
-	pools []*DataPool
 
 	stats   []Stats
 	tracing bool
@@ -139,17 +137,13 @@ func New(eng sim.Engine, hops topology.HopTable, p Params) *Network {
 	}
 	n.stats = make([]Stats, n.shards)
 	for i := 0; i < n.shards; i++ {
-		n.pools = append(n.pools, &DataPool{})
 		n.msgs = append(n.msgs, &msgPool{})
 	}
-	n.deliverCall = func(a any) { n.deliver(a.(*Msg)) }
+	n.deliverCall = func(a any) { n.deliver(a.(*flight)) }
 	n.sendCall = func(a any) {
-		pm := a.(*Msg)
-		m := *pm
-		*pm = Msg{}
-		mp := n.msgs[n.nodePool[m.Src.Node]]
-		mp.msgFree = append(mp.msgFree, pm)
-		n.Send(m)
+		f := a.(*flight)
+		n.Send(f.m)
+		n.releaseFlight(f, f.m.Src.Node)
 	}
 	return n
 }
@@ -256,65 +250,58 @@ func (n *Network) Latency(src, dst Endpoint) sim.Time {
 	return lat
 }
 
-// DataPool is one shard's block-payload buffer pool. Components acquire
-// their node's pool once (Network.DataPool) and use it from their own event
-// context only; buffers travel with messages and are released into the
-// receiving shard's pool, so buffers migrate but pools are never shared.
-type DataPool struct {
-	dataFree [][]uint64
+// flight is one pooled in-flight message record. buf is the record's own
+// copy of a block payload: allocated on the record's first block message
+// and kept when the record is reused, so steady-state block traffic
+// allocates nothing.
+type flight struct {
+	m   Msg
+	buf []uint64
 }
 
-// msgPool is one shard's in-flight message-slot pool, recycled by deliver
-// and Send on the owning shard's event context only.
+// msgPool is one shard's in-flight record pool, recycled by deliver and
+// SendAfter on the owning shard's event context only.
 type msgPool struct {
-	msgFree []*Msg
+	msgFree []*flight
 }
 
-// DataPool returns the payload pool for node's shard.
-func (n *Network) DataPool(node int) *DataPool { return n.pools[n.nodePool[node]] }
-
-// AcquireData returns a zeroed word buffer of the given length from the
-// pool. Pair it with Msg.DataOwned so the buffer returns to a pool after
-// delivery, or hand it back directly with ReleaseData.
-func (p *DataPool) AcquireData(words int) []uint64 {
-	if k := len(p.dataFree) - 1; k >= 0 && cap(p.dataFree[k]) >= words {
-		b := p.dataFree[k][:words]
-		p.dataFree = p.dataFree[:k]
-		return b
+// acquireFlight pops a record from shard sh's pool (or builds one) and
+// loads *m into it, copying m.Data into the record's buffer. The stored
+// payload has cap == len, so a shorter block never exposes a longer one's
+// stale words; nil or empty Data is stored as nil.
+func (n *Network) acquireFlight(sh int32, m *Msg) *flight {
+	var f *flight
+	mp := n.msgs[sh]
+	if k := len(mp.msgFree) - 1; k >= 0 {
+		f = mp.msgFree[k]
+		mp.msgFree = mp.msgFree[:k]
+	} else {
+		f = new(flight)
 	}
-	return make([]uint64, words)
-}
-
-// ReleaseData recycles a buffer obtained from AcquireData (or an equivalent
-// buffer whose ownership the caller holds). The full capacity is zeroed so
-// stale words can never leak into a later payload, even when the caller
-// releases a shortened reslice. Zero-capacity buffers (including nil) are
-// dropped rather than pooled: AcquireData pops only the top entry, so a
-// cap-0 entry on top would shadow the pool from every nonzero-size request.
-func (p *DataPool) ReleaseData(b []uint64) {
-	if cap(b) == 0 {
-		return
+	f.m = *m
+	f.m.Data = nil
+	if w := len(m.Data); w > 0 {
+		if cap(f.buf) < w {
+			f.buf = make([]uint64, w)
+		}
+		copy(f.buf, m.Data)
+		f.m.Data = f.buf[:w:w]
 	}
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = 0
-	}
-	p.dataFree = append(p.dataFree, b)
+	return f
 }
 
-// AcquireData acquires from shard 0's pool; sequential-engine convenience
-// (and tests). Components on a parallel machine must use DataPool(node).
-func (n *Network) AcquireData(words int) []uint64 {
-	b := n.pools[0].AcquireData(words)
-	return b
+// releaseFlight clears f's message and returns f, with its buffer, to the
+// pool of node's shard.
+func (n *Network) releaseFlight(f *flight, node int) {
+	f.m = Msg{}
+	mp := n.msgs[n.nodePool[node]]
+	mp.msgFree = append(mp.msgFree, f)
 }
-
-// ReleaseData releases into shard 0's pool (see AcquireData).
-func (n *Network) ReleaseData(b []uint64) { n.pools[0].ReleaseData(b) }
 
 // Send schedules delivery of m after the appropriate latency and records
 // traffic. Messages between distinct endpoints on the same node pay bus
-// latency only and are counted as local.
+// latency only and are counted as local. Send copies m.Data, so the caller
+// may reuse its slice as soon as Send returns.
 func (n *Network) Send(m Msg) {
 	hops := 0
 	var lat sim.Time
@@ -349,60 +336,41 @@ func (n *Network) Send(m Msg) {
 		eng.Emit(uint64(eng.Now()), "msg", fmt.Sprintf("%-9s %-10s -> %-10s addr=%#x val=%d (%dB, %d hops)",
 			m.Kind, m.Src, m.Dst, m.Addr, m.Value, bytes, hops))
 	}
-	var pm *Msg
-	mp := n.msgs[sh]
-	if k := len(mp.msgFree) - 1; k >= 0 {
-		pm = mp.msgFree[k]
-		mp.msgFree = mp.msgFree[:k]
-	} else {
-		pm = new(Msg)
-	}
-	*pm = m
-	eng.ScheduleCallNode(m.Dst.Node, lat, n.deliverCall, pm)
+	f := n.acquireFlight(sh, &m)
+	eng.ScheduleCallNode(m.Dst.Node, lat, n.deliverCall, f)
 }
 
 // SendAfter injects m into the network delay cycles from now: traffic is
 // recorded and delivery latency paid at injection time, exactly as if Send
 // were called then. Fan-out bursts use it to model a single hub port
 // injecting one packet at a time, without allocating per deferred message.
+// Like Send, it copies m.Data at the call.
 func (n *Network) SendAfter(delay sim.Time, m Msg) {
 	if delay == 0 {
 		n.Send(m)
 		return
 	}
-	var pm *Msg
-	mp := n.msgs[n.nodePool[m.Src.Node]]
-	if k := len(mp.msgFree) - 1; k >= 0 {
-		pm = mp.msgFree[k]
-		mp.msgFree = mp.msgFree[:k]
-	} else {
-		pm = new(Msg)
-	}
-	*pm = m
-	n.engs[m.Src.Node].ScheduleCall(delay, n.sendCall, pm)
+	f := n.acquireFlight(n.nodePool[m.Src.Node], &m)
+	n.engs[m.Src.Node].ScheduleCall(delay, n.sendCall, f)
 }
 
-func (n *Network) deliver(pm *Msg) {
-	m := *pm
-	// Recycle the slot before dispatching (the handler may Send); zero it
-	// defensively so a stale payload can never leak into a later message.
-	// The slot joins the delivering shard's pool: slots migrate freely.
-	*pm = Msg{}
-	mp := n.msgs[n.nodePool[m.Dst.Node]]
-	mp.msgFree = append(mp.msgFree, pm)
+// deliver runs the destination's handler on f's message, then recycles f
+// into the delivering shard's pool: records migrate freely between shards.
+// The handler's Data aliases f's buffer, so the record stays out of the
+// pool (and out of the handler's own Sends) until the handler returns.
+func (n *Network) deliver(f *flight) {
+	dst := f.m.Dst
 	var h Handler
-	if m.Dst.IsHub() {
-		if m.Dst.Node >= 0 && m.Dst.Node < len(n.hubs) {
-			h = n.hubs[m.Dst.Node]
+	if dst.IsHub() {
+		if dst.Node >= 0 && dst.Node < len(n.hubs) {
+			h = n.hubs[dst.Node]
 		}
-	} else if m.Dst.CPU >= 0 && m.Dst.CPU < len(n.cpus) {
-		h = n.cpus[m.Dst.CPU]
+	} else if dst.CPU >= 0 && dst.CPU < len(n.cpus) {
+		h = n.cpus[dst.CPU]
 	}
 	if h == nil {
-		panic(fmt.Sprintf("network: no handler for %s (msg %s)", m.Dst, m))
+		panic(fmt.Sprintf("network: no handler for %s (msg %s)", dst, f.m))
 	}
-	h(m)
-	if m.DataOwned {
-		n.pools[n.nodePool[m.Dst.Node]].ReleaseData(m.Data)
-	}
+	h(f.m)
+	n.releaseFlight(f, dst.Node)
 }

@@ -1,14 +1,17 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"amosim/internal/sim"
 	"amosim/internal/topology"
 )
 
-// Edge paths of the payload and message pools, found while writing the
-// amolint lifecycle pass.
+// Edge paths of the in-flight record pool and the payload copy each record
+// carries. The first two tests keep the names of the retired payload
+// pool's regressions (a cap-0 buffer shadowing the pool, stale words behind
+// a shortened reslice), now asked of the record buffer.
 
 func poolNet(t *testing.T) (sim.Engine, *Network) {
 	t.Helper()
@@ -24,51 +27,124 @@ func poolNet(t *testing.T) (sim.Engine, *Network) {
 	return eng, net
 }
 
-// TestReleaseDataZeroCapacity pins the pool-top invariant: releasing a
-// zero-capacity buffer (nil or empty) must not poison the pool. AcquireData
-// pops only the top entry, so a cap-0 entry there would shadow the pool
-// from every nonzero-size request.
-func TestReleaseDataZeroCapacity(t *testing.T) {
-	_, net := poolNet(t)
-	net.ReleaseData(nil)
-	net.ReleaseData([]uint64{})
-	if got := len(net.pools[0].dataFree); got != 0 {
-		t.Fatalf("zero-capacity release pooled %d buffer(s), want 0", got)
+// recvNet is poolNet plus a handler for CPU 1 that records a copy of each
+// delivered payload and checks that its cap equals its len.
+func recvNet(t *testing.T) (sim.Engine, *Network, *[][]uint64) {
+	t.Helper()
+	eng, net := poolNet(t)
+	got := new([][]uint64)
+	net.RegisterCPU(1, func(m Msg) {
+		if cap(m.Data) != len(m.Data) {
+			t.Errorf("delivered Data has len %d, cap %d; want cap == len", len(m.Data), cap(m.Data))
+		}
+		var c []uint64
+		if m.Data != nil {
+			c = append([]uint64{}, m.Data...)
+		}
+		*got = append(*got, c)
+	})
+	return eng, net, got
+}
+
+func seq(base uint64, n int) []uint64 {
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = base + uint64(i)
 	}
-	// A useful buffer released after the zero-cap ones must still be
-	// reusable from the top of the pool.
-	b := net.AcquireData(8)
-	net.ReleaseData(b)
-	net.ReleaseData(nil)
-	if got := net.AcquireData(8); cap(got) != cap(b) {
-		t.Fatalf("AcquireData(8) after nil release got cap %d, want pooled cap %d", cap(got), cap(b))
+	return w
+}
+
+// TestReleaseDataZeroCapacity: a nil or empty payload arrives as nil, and a
+// block message sent after it, on the same reused record, arrives intact.
+func TestReleaseDataZeroCapacity(t *testing.T) {
+	eng, net, got := recvNet(t)
+	for _, data := range [][]uint64{nil, {}, seq(7, 8), nil, seq(40, 8)} {
+		net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: data})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(net.msgs[0].msgFree); n != 1 {
+			t.Fatalf("record pool holds %d records, want 1 (the reused record)", n)
+		}
+	}
+	want := [][]uint64{nil, nil, seq(7, 8), nil, seq(40, 8)}
+	for i := range want {
+		if (want[i] == nil) != ((*got)[i] == nil) || !slices.Equal((*got)[i], want[i]) {
+			t.Fatalf("delivery %d: Data = %v, want %v", i, (*got)[i], want[i])
+		}
 	}
 }
 
-// TestReleaseDataZeroLengthReslice releases a shortened reslice of an
-// acquired buffer: the pool must zero the full capacity, so the next
-// acquire of the original size sees no stale words.
+// TestReleaseDataZeroLengthReslice: a shorter payload sent on a record that
+// carried a longer one delivers exactly its own words, with cap == len, so
+// the longer payload's tail is unreachable. A zero-length reslice of a used
+// buffer arrives as nil.
 func TestReleaseDataZeroLengthReslice(t *testing.T) {
-	_, net := poolNet(t)
-	b := net.AcquireData(8)
-	for i := range b {
-		b[i] = 0xdeadbeef + uint64(i)
-	}
-	net.ReleaseData(b[:0])
-	if got := len(net.pools[0].dataFree); got != 1 {
-		t.Fatalf("zero-length release with capacity pooled %d buffer(s), want 1", got)
-	}
-	got := net.AcquireData(8)
-	if len(got) != 8 {
-		t.Fatalf("AcquireData(8) returned len %d", len(got))
-	}
-	for i, w := range got {
-		if w != 0 {
-			t.Fatalf("reacquired buffer word %d = %#x, want 0 (stale payload leaked through the pool)", i, w)
+	eng, net, got := recvNet(t)
+	long := seq(0xdeadbeef, 8)
+	for _, data := range [][]uint64{long, seq(1, 4), long[:0]} {
+		net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: data})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(net.pools[0].dataFree) != 0 {
-		t.Fatalf("reacquire did not pop the pooled buffer (pool poisoned?)")
+	if n := len(net.msgs[0].msgFree); n != 1 {
+		t.Fatalf("record pool holds %d records, want 1 (the reused record)", n)
+	}
+	if !slices.Equal((*got)[1], seq(1, 4)) {
+		t.Fatalf("short payload arrived as %v, want %v", (*got)[1], seq(1, 4))
+	}
+	if (*got)[2] != nil {
+		t.Fatalf("zero-length reslice arrived as %v, want nil", (*got)[2])
+	}
+}
+
+// TestSendCopiesPayload: the sender overwrites its buffer right after Send,
+// and again after SendAfter, and the receiver still sees the words as sent.
+func TestSendCopiesPayload(t *testing.T) {
+	eng, net, got := recvNet(t)
+	b := seq(100, 8)
+	net.Send(Msg{Kind: KindDataShared, Src: Hub(8), Dst: CPUAt(0, 1), Data: b})
+	copy(b, seq(200, 8))
+	net.SendAfter(50, Msg{Kind: KindDataShared, Src: Hub(8), Dst: CPUAt(0, 1), Data: b})
+	copy(b, seq(300, 8))
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 2 || !slices.Equal((*got)[0], seq(100, 8)) || !slices.Equal((*got)[1], seq(200, 8)) {
+		t.Fatalf("delivered %v, want the words as sent: %v then %v", *got, seq(100, 8), seq(200, 8))
+	}
+}
+
+// TestHandlerSendKeepsReceivedData: a handler that sends a block message of
+// its own still reads the Data it received intact, since its record stays
+// out of the pool until the handler returns.
+func TestHandlerSendKeepsReceivedData(t *testing.T) {
+	eng, net, got := recvNet(t)
+	var seen []uint64
+	net.RegisterCPU(0, func(m Msg) {
+		for i := 0; i < 3; i++ {
+			net.Send(Msg{Kind: KindWriteback, Src: CPUAt(0, 0), Dst: CPUAt(0, 1), Data: seq(uint64(500+100*i), 8)})
+		}
+		seen = append([]uint64{}, m.Data...)
+	})
+	// Warm the pool with delivered records, so a Send inside the handler
+	// has recycled records to pop.
+	for i := 0; i < 4; i++ {
+		net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: seq(9, 8)})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 0), Data: seq(1, 8)})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seen, seq(1, 8)) {
+		t.Fatalf("handler read %v after its own Sends, want %v", seen, seq(1, 8))
+	}
+	if len(*got) != 7 || !slices.Equal((*got)[6], seq(700, 8)) {
+		t.Fatalf("handler's Sends delivered %v; want 7 messages, the last %v", *got, seq(700, 8))
 	}
 }
 
@@ -89,8 +165,8 @@ func TestMsgFreeReuseAfterShutdown(t *testing.T) {
 		t.Fatalf("msgFree has %d slot(s) at shutdown, want 1 (the delivered message)", got)
 	}
 	slot := net.msgs[0].msgFree[0]
-	if slot.Kind != 0 || slot.Data != nil || slot.DataOwned {
-		t.Fatalf("recycled slot not zeroed: %+v", *slot)
+	if slot.m.Kind != 0 || slot.m.Data != nil {
+		t.Fatalf("recycled slot not zeroed: %+v", slot.m)
 	}
 	eng.Shutdown()
 	net.Send(Msg{Kind: KindInvalidate, Src: Hub(0), Dst: Hub(0)})

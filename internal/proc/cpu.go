@@ -84,11 +84,10 @@ type pendingOp struct {
 
 // CPU is one simulated processor.
 type CPU struct {
-	p    Params
-	eng  sim.Engine
-	net  *network.Network
-	pool *network.DataPool
-	c    *cache.Cache
+	p   Params
+	eng sim.Engine
+	net *network.Network
+	c   *cache.Cache
 
 	proc     *sim.Process
 	attached bool
@@ -154,8 +153,6 @@ func New(eng sim.Engine, net *network.Network, cch *cache.Cache, p Params) *CPU 
 		handlers:   make(map[int]Handler),
 	}
 	c.registerWake = func(wake func()) { c.pendingWake = wake }
-	c.pool = net.DataPool(p.Node)
-	cch.SetRecycler(c.pool.ReleaseData)
 	net.RegisterCPU(p.ID, c.deliver)
 	return c
 }
@@ -385,20 +382,12 @@ func (c *CPU) applyCacheReply(m network.Msg) {
 }
 
 func (c *CPU) installLine(block uint64, st cache.State, data []uint64) {
-	words := c.pool.AcquireData(len(data))
-	copy(words, data)
-	// The cache takes ownership of the line buffer: it is released back to
-	// the network pool by the recycler hook (SetRecycler(pool.ReleaseData))
-	// when the line is evicted or replaced.
-	victim, dirty := c.c.Insert(block, st, words) //lint:owns-transfer
-	if dirty {
+	if victim, dirty := c.c.Insert(block, st, data); dirty {
 		c.writeback(victim)
 	}
 }
 
 func (c *CPU) writeback(v cache.Victim) {
-	// The victim's buffer leaves the cache for good: hand it to the network,
-	// which recycles it into the payload pool after the home copies it.
 	c.net.Send(network.Msg{
 		Kind:      network.KindWriteback,
 		Src:       c.endpoint(),
@@ -406,13 +395,11 @@ func (c *CPU) writeback(v cache.Victim) {
 		Addr:      v.Addr,
 		DataBytes: c.p.BlockBytes,
 		Data:      v.Words,
-		DataOwned: true,
 	})
 }
 
 func (c *CPU) applyInvalidate(m network.Msg) {
-	_, dropped := c.c.Invalidate(m.Addr)
-	c.pool.ReleaseData(dropped)
+	c.c.Invalidate(m.Addr)
 	if c.linkValid && c.linkAddr == c.block(m.Addr) {
 		c.linkValid = false
 	}
@@ -426,42 +413,31 @@ func (c *CPU) applyInvalidate(m network.Msg) {
 }
 
 func (c *CPU) applyIntervention(m network.Msg) {
+	var words []uint64
+	if m.Flags&directory.IvnInvalidate != 0 {
+		if st, w := c.c.Invalidate(m.Addr); st == cache.Modified {
+			words = w
+		}
+		if c.linkValid && c.linkAddr == c.block(m.Addr) {
+			c.linkValid = false
+		}
+		c.lineEvents.Broadcast()
+	} else {
+		words, _ = c.c.Downgrade(m.Addr)
+	}
 	reply := network.Msg{
 		Kind: network.KindInterventionAck,
 		Src:  c.endpoint(),
 		Dst:  m.Src,
 		Addr: m.Addr,
+		Data: words,
 	}
-	if m.Flags&directory.IvnInvalidate != 0 {
-		st, words := c.c.Invalidate(m.Addr)
-		if c.linkValid && c.linkAddr == c.block(m.Addr) {
-			c.linkValid = false
-		}
-		if st == cache.Modified {
-			// The line is gone from the cache; its buffer rides the reply
-			// and returns to the pool after the home copies it.
-			reply.Data = words
-			reply.DataBytes = c.p.BlockBytes
-			reply.DataOwned = true
-		} else {
-			// Already written back or only shared: the home's out-of-band
-			// writeback processing has (or will have) current data.
-			c.pool.ReleaseData(words)
-			reply.Flags = directory.IvnAckStale
-		}
-		c.lineEvents.Broadcast()
+	if words != nil {
+		reply.DataBytes = c.p.BlockBytes
 	} else {
-		if words, ok := c.c.Downgrade(m.Addr); ok {
-			// The line keeps its buffer (now Shared); the reply needs its
-			// own copy.
-			buf := c.pool.AcquireData(len(words))
-			copy(buf, words)
-			reply.Data = buf
-			reply.DataBytes = c.p.BlockBytes
-			reply.DataOwned = true
-		} else {
-			reply.Flags = directory.IvnAckStale
-		}
+		// Already written back or only shared: the home's out-of-band
+		// writeback processing has (or will have) current data.
+		reply.Flags = directory.IvnAckStale
 	}
 	c.net.Send(reply)
 }

@@ -57,3 +57,51 @@ func TestLockHangRepro(t *testing.T) {
 		}
 	}
 }
+
+// TestLLSCProgressAboveDirCyclesBoundary pins the boundary Config.Validate
+// enforces on the coherent backends. At DirCycles <= IssueCycles +
+// L1HitCycles a queued GETX's intervention reaches the new owner before its
+// store conditional commits, and the LL/SC barrier and ticket lock never
+// finish. One cycle above it, DirCycles = IssueCycles + L1HitCycles + 1,
+// both finish well inside the RunUntil bound.
+func TestLLSCProgressAboveDirCyclesBoundary(t *testing.T) {
+	for _, be := range []Backend{BackendAMO, BackendSynCron} {
+		for _, procs := range []int{4, 16} {
+			for _, lat := range []struct{ issue, l1 uint64 }{{1, 2}, {8, 2}, {1, 16}, {4, 4}} {
+				cfg := DefaultConfig(procs)
+				cfg.Backend = be
+				cfg.IssueCycles, cfg.L1HitCycles = lat.issue, lat.l1
+				cfg.DirCycles = lat.issue + lat.l1 + 1
+				for _, lock := range []bool{false, true} {
+					m, err := machine.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if lock {
+						l := syncprim.NewTicketLock(m, syncprim.LLSC, 0)
+						m.OnAllCPUs(func(c *proc.CPU) {
+							for i := 0; i < 3; i++ {
+								c.Think(uint64((c.ID()*29 + i*17) % 64))
+								tk := l.Acquire(c)
+								c.Think(25)
+								l.Release(c, tk)
+							}
+						})
+					} else {
+						b := syncprim.NewBarrier(m, syncprim.LLSC, procs, 0)
+						m.OnAllCPUs(func(c *proc.CPU) {
+							for e := 0; e < 3; e++ {
+								c.Think(uint64((c.ID()*37 + e*13) % 100))
+								b.Wait(c)
+							}
+						})
+					}
+					if _, err := m.RunUntil(5_000_000); err != nil {
+						t.Errorf("%v p=%d issue=%d l1hit=%d dir=%d lock=%v: %v", be, procs, lat.issue, lat.l1, cfg.DirCycles, lock, err)
+					}
+					m.Shutdown()
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package amosim
 import (
 	"testing"
 
+	"amosim/internal/config"
 	"amosim/internal/syncprim"
 )
 
@@ -52,5 +53,26 @@ func TestRobustnessOrdering(t *testing.T) {
 	}
 	if hi, lo := max(conv[0], conv[1]), min(conv[0], conv[1]); hi > 2*lo {
 		t.Errorf("Atomic (%.1f) and LL/SC (%.1f) should be within 2x (paper's ≈)", conv[0], conv[1])
+	}
+}
+
+// TestLatencyBoundRunsBarrier: the latencies that once passed Validate and
+// then wrapped the simulated clock ("sim: time went backwards") run the AMO
+// barrier to completion when set to the bound itself, config.MaxCycles.
+func TestLatencyBoundRunsBarrier(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"HopCycles", func(c *Config) { c.HopCycles = config.MaxCycles }},
+		{"DRAMCycles", func(c *Config) { c.DRAMCycles = config.MaxCycles }},
+		{"InjectCycles", func(c *Config) { c.InjectCycles = config.MaxCycles }},
+		{"DSMRemoteCycles", func(c *Config) { c.Backend = BackendDSM; c.DSMRemoteCycles = config.MaxCycles }},
+	} {
+		cfg := DefaultConfig(4)
+		tc.mutate(&cfg)
+		if _, err := RunBarrier(cfg, AMO, BarrierOptions{Episodes: 2, Warmup: 1}); err != nil {
+			t.Errorf("%s = MaxCycles: %v", tc.name, err)
+		}
 	}
 }
