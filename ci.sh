@@ -144,8 +144,8 @@ for b in metrics hotpath pdes crossover traffic; do
 done
 
 echo "== hot path: zero-alloc regression tests"
-# The pooled event, message, AMU, home-memory, dsm-agent and touched-set
-# cache paths are pinned at exactly 0 allocs/op.
-go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/memsys ./internal/dsm ./internal/cache
+# The pooled event, message, AMU, directory-transaction, home-memory,
+# dsm-agent and touched-set cache paths are pinned at exactly 0 allocs/op.
+go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/directory ./internal/memsys ./internal/dsm ./internal/cache
 
 echo "CI PASS"

@@ -30,7 +30,8 @@
 //     share one between workers; machine-blindness makes that race
 //     structurally impossible.
 //   - lifecycle: pooled hot-path values (event-arena slots, in-flight
-//     message records, dirReq/fineJob/finePut records) must be released or
+//     message records, the directory's delayed-request records, the AMU's
+//     fine-put and uncached-access records) must be released or
 //     have their ownership transferred exactly once on every path out of
 //     the function that acquired them — the dataflow pass reports
 //     use-after-release, double-release, release-after-transfer and leaks

@@ -11,8 +11,8 @@ import (
 // LifecycleRule is the pool-lifecycle dataflow pass. The event kernel is
 // allocation-free because every hot-path object is threaded through a
 // manually managed pool — the event arena's int32 free list, the network's
-// in-flight message records, and the pooled dirReq/fineJob/finePut records
-// — which reintroduces exactly the use-after-release / double-release /
+// in-flight message records, the directory's delayed-request records and
+// the AMU's fine-put and uncached-access records — which reintroduces exactly the use-after-release / double-release /
 // leak bug class Go's garbage collector normally makes impossible. This
 // rule carries that contract statically.
 //
@@ -46,8 +46,8 @@ import (
 //     event arena until dispatch);
 //   - storing it into a field, composite literal, slice, map or channel
 //     (e.g. the event arena's order heap);
-//   - handing out a func-typed field of a pooled record (r.run, j.start,
-//     p.done — the prebound callbacks through which pooled records release
+//   - handing out a func-typed field of a pooled record (p.read, p.done —
+//     the prebound callbacks through which pooled records release
 //     themselves);
 //   - capture by a function literal.
 //
@@ -72,11 +72,11 @@ func lifecyclePackage(rel string) bool {
 // freeListFields are the struct fields holding pool free lists. Indexing
 // one is an acquire; self-appending (`x.f = append(x.f, v)`) is a release.
 var freeListFields = map[string]bool{
-	"free":     true, // sim.Engine event arena slots
-	"msgFree":  true, // network.Network in-flight message records
-	"reqFree":  true, // directory.Controller dirReq records
-	"fineFree": true, // directory.Controller fineJob records
-	"putFree":  true, // core.AMU finePut records
+	"free":    true, // sim.Engine event arena slots
+	"msgFree": true, // network.Network in-flight message records
+	"reqFree": true, // directory.Controller records of perturber-delayed requests
+	"putFree": true, // core.AMU finePut records
+	"ucFree":  true, // core.AMU uncached-access records
 }
 
 // acquireFuncName reports whether a method name is a pool acquire accessor.

@@ -1,9 +1,11 @@
 package directory
 
-// This file is the lifecycle-rule fixture for pooled request records:
-// Controller mirrors the production directory's dirReq pool, where each
-// record carries prebound closures that recycle the record when the work
-// they represent completes — so handing out r.run transfers ownership.
+// This file is the lifecycle-rule fixture for pooled records that carry a
+// prebound closure recycling the record when the work it represents
+// completes, the shape of the AMU's finePut records: handing out r.run
+// transfers ownership. The production directory's own record pool holds
+// only perturber-delayed requests, recycled by a controller-level
+// prebound call.
 
 // Controller mirrors the production record pool.
 type Controller struct {

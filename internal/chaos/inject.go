@@ -126,7 +126,7 @@ func (inj *Injector) Stats() Stats {
 // invalidation overtaking the data it chases creates a phantom shared line
 // no hardware network would produce. Runs in the source node's event
 // context; now is that shard's clock.
-func (inj *Injector) DeliveryDelay(m network.Msg, lat sim.Time, now sim.Time) sim.Time {
+func (inj *Injector) DeliveryDelay(m *network.Msg, lat sim.Time, now sim.Time) sim.Time {
 	ns := &inj.nodes[m.Src.Node]
 	var jitter sim.Time
 	if inj.k.maxJitter > 0 && ns.netRNG.Below(inj.k.jitterPermille) {
@@ -151,7 +151,7 @@ func (inj *Injector) DeliveryDelay(m network.Msg, lat sim.Time, now sim.Time) si
 // retryPermille a CPU request is held once for a bounded random time, the
 // timing signature of a NACKed request retrying. Runs in the home
 // directory's event context.
-func (inj *Injector) RequestDelay(m network.Msg) sim.Time {
+func (inj *Injector) RequestDelay(m *network.Msg) sim.Time {
 	ns := &inj.nodes[m.Dst.Node]
 	if inj.k.retryPermille == 0 || !ns.dirRNG.Below(inj.k.retryPermille) {
 		return 0

@@ -163,12 +163,22 @@ type finePut struct {
 	done func()
 }
 
+// uncached is a pooled uncached-access record: what the reply needs of the
+// delivered request, kept past the handler's return. The AMU's prebound
+// loadReplyCall and storeAckCall finish the access and recycle the record.
+type uncached struct {
+	src  network.Endpoint
+	addr uint64
+	val  uint64
+	txn  uint64
+}
+
 // AMU is one node's active memory unit.
 //
 // The FU pipeline (dispatch -> start -> execute) is allocation-free in
 // steady state: the single in-flight request lives in cur, the pipeline
 // stages are prebound func values, the request queue is a ring FIFO, and
-// fine puts ride pooled finePut records.
+// fine puts and uncached accesses ride pooled records.
 type AMU struct {
 	eng sim.Engine
 	net *network.Network
@@ -196,6 +206,10 @@ type AMU struct {
 	fillMAOFn   func()
 	fineGetDone func(val uint64)
 	putFree     []*finePut
+
+	loadReplyCall func(any)
+	storeAckCall  func(any)
+	ucFree        []*uncached
 
 	perturb func(addr uint64)
 
@@ -227,6 +241,8 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, dir *director
 	a.executeFn = a.execute
 	a.fillMAOFn = func() { a.fillAndExecute(a.mem.ReadWord(a.cur.Addr), false) }
 	a.fineGetDone = func(val uint64) { a.fillAndExecute(val, true) }
+	a.loadReplyCall = func(x any) { a.uncachedLoadReply(x.(*uncached)) }
+	a.storeAckCall = func(x any) { a.uncachedStoreAck(x.(*uncached)) }
 	return a
 }
 
@@ -326,10 +342,10 @@ func (a *AMU) Peek(addr uint64) (uint64, bool) {
 
 // Handle accepts an AMO or MAO request message (and uncached accesses to
 // this node's memory). Runs in event context.
-func (a *AMU) Handle(m network.Msg) {
+func (a *AMU) Handle(m *network.Msg) {
 	switch m.Kind {
 	case network.KindAMORequest, network.KindMAORequest:
-		a.queue.Push(m)
+		a.queue.Push(*m)
 		a.dispatch()
 	case network.KindUncachedLoad:
 		a.handleUncachedLoad(m)
@@ -380,7 +396,7 @@ func (a *AMU) execute() {
 	a.stats.Ops++
 	old := e.val
 	e.val = Op(m.Op).Apply(old, m.Value, m.Aux)
-	a.reply(*m, old)
+	a.reply(m, old)
 
 	wantPut := e.coherent &&
 		(m.Flags&FlagUpdateAlways != 0 ||
@@ -415,12 +431,12 @@ func (a *AMU) evictAddr(addr uint64) {
 	}
 }
 
-func (a *AMU) reply(m network.Msg, old uint64) {
+func (a *AMU) reply(m *network.Msg, old uint64) {
 	kind := network.KindAMOReply
 	if m.Kind == network.KindMAORequest {
 		kind = network.KindMAOReply
 	}
-	a.net.Send(network.Msg{
+	a.net.Send(&network.Msg{
 		Kind:      kind,
 		Src:       network.Hub(a.p.Node),
 		Dst:       m.Src,
@@ -517,44 +533,70 @@ func (a *AMU) FlushBlock(block uint64) {
 	}
 }
 
+// acquireUncached pops a pooled uncached-access record (or builds one) and
+// loads what the reply needs of m into it.
+func (a *AMU) acquireUncached(m *network.Msg) *uncached {
+	var u *uncached
+	if k := len(a.ucFree) - 1; k >= 0 {
+		u = a.ucFree[k]
+		a.ucFree = a.ucFree[:k]
+	} else {
+		u = new(uncached)
+	}
+	*u = uncached{src: m.Src, addr: m.Addr, val: m.Value, txn: m.Txn}
+	return u
+}
+
 // handleUncachedLoad serves a cache-bypassing load: the AMU cache is checked
 // first (it is the authoritative copy for MAO variables), then memory.
-func (a *AMU) handleUncachedLoad(m network.Msg) {
+func (a *AMU) handleUncachedLoad(m *network.Msg) {
+	u := a.acquireUncached(m)
 	lat := a.p.OpCycles
-	var val uint64
 	if e := a.lookup(m.Addr); e != nil {
-		val = e.val
+		u.val = e.val
 	} else {
 		lat = a.p.DRAMCycles
-		val = a.mem.ReadWord(m.Addr)
+		u.val = a.mem.ReadWord(m.Addr)
 	}
-	a.occupy(lat, func() {
-		a.net.Send(network.Msg{
-			Kind:      network.KindUncachedLoadReply,
-			Src:       network.Hub(a.p.Node),
-			Dst:       m.Src,
-			Addr:      m.Addr,
-			Value:     val,
-			DataBytes: memsys.WordBytes,
-			Txn:       m.Txn,
-		})
+	a.stats.OccupancyCycles += lat
+	a.eng.ScheduleCall(sim.Time(lat), a.loadReplyCall, u)
+}
+
+// uncachedLoadReply sends the value an uncached load read and recycles u.
+func (a *AMU) uncachedLoadReply(u *uncached) {
+	a.net.Send(&network.Msg{
+		Kind:      network.KindUncachedLoadReply,
+		Src:       network.Hub(a.p.Node),
+		Dst:       u.src,
+		Addr:      u.addr,
+		Value:     u.val,
+		DataBytes: memsys.WordBytes,
+		Txn:       u.txn,
 	})
+	a.ucFree = append(a.ucFree, u)
 }
 
 // handleUncachedStore serves a cache-bypassing store (used to initialize
 // MAO variables). It updates the AMU cache copy if present.
-func (a *AMU) handleUncachedStore(m network.Msg) {
+func (a *AMU) handleUncachedStore(m *network.Msg) {
 	if e := a.lookup(m.Addr); e != nil {
 		e.val = m.Value
 	}
-	a.occupy(a.p.DRAMCycles, func() {
-		a.mem.WriteWord(m.Addr, m.Value)
-		a.net.Send(network.Msg{
-			Kind: network.KindUncachedStoreAck,
-			Src:  network.Hub(a.p.Node),
-			Dst:  m.Src,
-			Addr: m.Addr,
-			Txn:  m.Txn,
-		})
+	u := a.acquireUncached(m)
+	a.stats.OccupancyCycles += a.p.DRAMCycles
+	a.eng.ScheduleCall(sim.Time(a.p.DRAMCycles), a.storeAckCall, u)
+}
+
+// uncachedStoreAck writes an uncached store to memory, acknowledges it and
+// recycles u.
+func (a *AMU) uncachedStoreAck(u *uncached) {
+	a.mem.WriteWord(u.addr, u.val)
+	a.net.Send(&network.Msg{
+		Kind: network.KindUncachedStoreAck,
+		Src:  network.Hub(a.p.Node),
+		Dst:  u.src,
+		Addr: u.addr,
+		Txn:  u.txn,
 	})
+	a.ucFree = append(a.ucFree, u)
 }

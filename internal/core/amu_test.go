@@ -81,7 +81,7 @@ func newRig(t *testing.T, cacheWords int, spillCycles uint64) *rig {
 	amu := New(eng, net, mem, dir, Params{Node: 0, CacheWords: cacheWords, OpCycles: 2, QueueCycles: 8, DRAMCycles: 60, SpillCycles: spillCycles, BlockBytes: 128})
 	dir.SetAMU(amu)
 	r := &rig{eng: eng, net: net, mem: mem, dir: dir, amu: amu}
-	net.RegisterHub(0, func(m network.Msg) {
+	net.RegisterHub(0, func(m *network.Msg) {
 		switch m.Kind {
 		case network.KindAMORequest, network.KindMAORequest,
 			network.KindUncachedLoad, network.KindUncachedStore:
@@ -90,15 +90,15 @@ func newRig(t *testing.T, cacheWords int, spillCycles uint64) *rig {
 			dir.Handle(m)
 		}
 	})
-	net.RegisterCPU(2, func(m network.Msg) {
-		r.replies = append(r.replies, m)
+	net.RegisterCPU(2, func(m *network.Msg) {
+		r.replies = append(r.replies, *m)
 		r.at = append(r.at, eng.Now())
 	})
 	return r
 }
 
 func (r *rig) amo(op Op, addr, operand, test uint64, flags uint32) {
-	r.net.Send(network.Msg{
+	r.net.Send(&network.Msg{
 		Kind:  network.KindAMORequest,
 		Src:   network.Endpoint{Node: 1, CPU: 2},
 		Dst:   network.Hub(0),
@@ -111,7 +111,7 @@ func (r *rig) amo(op Op, addr, operand, test uint64, flags uint32) {
 }
 
 func (r *rig) mao(addr, delta uint64) {
-	r.net.Send(network.Msg{
+	r.net.Send(&network.Msg{
 		Kind:  network.KindMAORequest,
 		Src:   network.Endpoint{Node: 1, CPU: 2},
 		Dst:   network.Hub(0),
@@ -209,7 +209,7 @@ func TestUncachedLoadSeesAMUValue(t *testing.T) {
 	addr := r.mem.AllocWord(0)
 	r.mao(addr, 5) // AMU now holds 5, memory still 0
 	r.run(t)
-	r.net.Send(network.Msg{
+	r.net.Send(&network.Msg{
 		Kind: network.KindUncachedLoad,
 		Src:  network.Endpoint{Node: 1, CPU: 2},
 		Dst:  network.Hub(0),
@@ -227,7 +227,7 @@ func TestUncachedStoreUpdatesAMUAndMemory(t *testing.T) {
 	addr := r.mem.AllocWord(0)
 	r.mao(addr, 1) // AMU caches the word
 	r.run(t)
-	r.net.Send(network.Msg{
+	r.net.Send(&network.Msg{
 		Kind:  network.KindUncachedStore,
 		Src:   network.Endpoint{Node: 1, CPU: 2},
 		Dst:   network.Hub(0),
@@ -342,7 +342,7 @@ func TestNewPanicsOnNonPositiveBlockBytes(t *testing.T) {
 func TestQuiescedReportsQueuedWork(t *testing.T) {
 	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)
-	r.amu.Handle(network.Msg{Kind: network.KindAMORequest, Src: network.Endpoint{Node: 1, CPU: 2}, Dst: network.Hub(0), Addr: addr, Op: int(OpInc)})
+	r.amu.Handle(&network.Msg{Kind: network.KindAMORequest, Src: network.Endpoint{Node: 1, CPU: 2}, Dst: network.Hub(0), Addr: addr, Op: int(OpInc)})
 	if r.amu.Quiesced() == nil {
 		t.Fatal("AMU with a request in flight reported quiesced")
 	}

@@ -51,18 +51,67 @@ type entry struct {
 	sharers  sharerSet // sharer vector, valid when state == shared
 	amuWords uint64    // bit i set: the local AMU holds word i of the block
 	busy     bool
-	waitq    sim.FIFO[func()] // queued transactions
-	// txn is live (txnLive) while busy; interventions and inv-acks continue
-	// it. The record is inlined in the entry so starting a transaction never
-	// allocates.
-	txn     txn
-	txnLive bool
+	waitq    sim.FIFO[request] // requests queued behind the busy block
+	// txn is the block's transaction while busy; acks and occupancy
+	// charges continue it. It is inlined in the entry, so running a
+	// transaction never allocates.
+	txn txn
 }
 
+// op is a transaction's kind: a CPU request or an AMU fine op.
+type op uint8
+
+const (
+	opGetShared op = iota
+	opGetExclusive
+	opUpgrade
+	opFineGet
+	opFinePut
+	opFineEvict
+)
+
+// request is one transaction as it waits for its block: the CPU request's
+// requester, or the fine op's word address, value and callbacks.
+type request struct {
+	op   op
+	src  network.Endpoint      // the requesting CPU
+	addr uint64                // the block (CPU requests) or the word (fine ops)
+	val  uint64                // fine put/evict: the word's value
+	got  func(val uint64)      // fine get: receives the value
+	read func() (uint64, bool) // fine put: the AMU's value, read at start
+	done func()                // fine put: completion
+}
+
+// grant is the record update a data reply installs once its charge ends.
+type grant uint8
+
+const (
+	grantNone      grant = iota // the record is already up to date
+	grantShared                 // the requester joins the sharers
+	grantExclusive              // the requester becomes the owner
+)
+
+// step is what a transaction's pending occupancy charge resumes.
+type step uint8
+
+const (
+	stepStart       step = iota // start the next queued request
+	stepReply                   // send the block and install the grant
+	stepInvalidated             // continue a GETX or upgrade with no sharers left
+	stepFineGet                 // hand the word to the AMU
+	stepFlush                   // write the fine-put word and push updates
+)
+
+// txn is a block's in-flight transaction: its request, what it waits for
+// (invalidation acks or an intervention ack) and the step its pending
+// occupancy charge resumes.
 type txn struct {
-	waitingAcks int
-	onAcks      func()
-	onIvnAck    func(m network.Msg)
+	request
+	block uint64 // the block addr falls in
+	acks  int    // invalidation acks outstanding
+	ivn   bool   // an intervention ack is outstanding
+	grant grant
+	step  step
 }
 
 // addSharer inserts cpu into the sharer vector (no-op if present).
@@ -111,21 +160,24 @@ type Controller struct {
 	mem *memsys.Memory
 	amu AMUPort
 	p   Params
-	// scratch is the buffer replyData reads a block into; Send copies it,
-	// so one buffer serves every reply.
+	// scratch is the buffer reply reads a block into; Send copies it, so
+	// one buffer serves every reply.
 	scratch []uint64
 
 	// chunks is the slab of directory entries, indexed by the block's
 	// offset within the node (see entryOf). A chunk is allocated on first
-	// touch and never moves, since transaction closures hold *entry.
+	// touch and never moves, since scheduled steps hold *entry.
 	chunks     []*chunk
 	base       uint64 // NodeBase(Node)
 	blockShift uint   // log2(BlockBytes)
 
-	// reqFree/fineFree recycle the request and fine-put/evict records below,
-	// so accepting a CPU request or flushing an AMU word never allocates.
-	reqFree  []*dirReq
-	fineFree []*fineJob
+	// stepCall resumes an entry's transaction when its occupancy charge
+	// ends; delayCall submits a request the perturber held. Both are bound
+	// once, so neither charge nor delay allocates.
+	stepCall  func(any)
+	delayCall func(any)
+	// reqFree recycles the records of perturber-delayed requests.
+	reqFree []*dirReq
 
 	perturb  Perturber
 	observer func(block uint64)
@@ -133,103 +185,16 @@ type Controller struct {
 	stats metrics.DirectoryStats
 }
 
-// dirReq is a pooled CPU-request record. Its run/deferred funcs are bound
-// once at construction; the record returns to the controller's free list the
-// moment its transaction starts (processRequest copies the message).
-type dirReq struct {
-	c       *Controller
-	block   uint64
-	m       network.Msg
-	run     func() // start the transaction, releasing the record first
-	delayed func() // submit after a perturber delay
-}
+// dirReq holds a CPU request while the perturber delays it.
+type dirReq struct{ r request }
 
 func (c *Controller) acquireReq() *dirReq {
 	if k := len(c.reqFree) - 1; k >= 0 {
-		r := c.reqFree[k]
+		q := c.reqFree[k]
 		c.reqFree = c.reqFree[:k]
-		return r
+		return q
 	}
-	r := &dirReq{c: c}
-	r.run = func() {
-		block, m := r.block, r.m
-		r.block, r.m = 0, network.Msg{}
-		r.c.reqFree = append(r.c.reqFree, r)
-		r.c.processRequest(block, m)
-	}
-	r.delayed = func() { r.c.submit(r.block, r.run) }
-	return r
-}
-
-// fineJob is a pooled fine-put (read != nil) or fine-evict (read == nil)
-// record: the two-stage submit/occupy chain runs through prebound funcs, so
-// flushing an AMU word to sharers never allocates.
-type fineJob struct {
-	c     *Controller
-	block uint64
-	addr  uint64
-	val   uint64
-	read  func() (uint64, bool) // fine put: AMU value read at execution time
-	done  func()                // fine put: completion callback
-	start func()
-	flush func()
-}
-
-func (c *Controller) acquireFine() *fineJob {
-	if k := len(c.fineFree) - 1; k >= 0 {
-		j := c.fineFree[k]
-		c.fineFree = c.fineFree[:k]
-		return j
-	}
-	j := &fineJob{c: c}
-	j.start = func() {
-		ctl := j.c
-		e := ctl.entryOf(j.block)
-		if j.read != nil {
-			val, ok := j.read()
-			if !ok || e.amuWords&ctl.wordBit(j.addr) == 0 {
-				block, done := j.block, j.done
-				ctl.releaseFine(j)
-				ctl.complete(block)
-				done()
-				return
-			}
-			j.val = val
-		}
-		ctl.occupy(ctl.p.DirCycles, j.flush)
-	}
-	j.flush = func() {
-		ctl := j.c
-		e := ctl.entryOf(j.block)
-		ctl.mem.WriteWord(j.addr, j.val)
-		for it := e.sharers.iter(); ; {
-			i, cpu, ok := it.next()
-			if !ok {
-				break
-			}
-			ctl.stats.WordUpdates++
-			ctl.sendStaggered(i, network.Msg{
-				Kind:      network.KindWordUpdate,
-				Src:       network.Hub(ctl.p.Node),
-				Dst:       ctl.cpuEndpoint(cpu),
-				Addr:      j.addr,
-				Value:     j.val,
-				DataBytes: memsys.WordBytes,
-			})
-		}
-		block, done := j.block, j.done
-		ctl.releaseFine(j)
-		ctl.complete(block)
-		if done != nil {
-			done()
-		}
-	}
-	return j
-}
-
-func (c *Controller) releaseFine(j *fineJob) {
-	j.block, j.addr, j.val, j.read, j.done = 0, 0, 0, nil, nil
-	c.fineFree = append(c.fineFree, j)
+	return new(dirReq)
 }
 
 // Perturber injects protocol-legal pressure into the controller — the
@@ -240,7 +205,7 @@ func (c *Controller) releaseFine(j *fineJob) {
 // request (no unbounded re-delay) and only for GETS/GETX/UPGRADE —
 // writebacks and acks resolve races and must never be held.
 type Perturber interface {
-	RequestDelay(m network.Msg) sim.Time
+	RequestDelay(m *network.Msg) sim.Time
 }
 
 // chunkEntries is the number of directory entries per slab chunk.
@@ -259,7 +224,7 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, p Params) *Co
 	if !memsys.ValidBlockBytes(p.BlockBytes) {
 		panic(fmt.Sprintf("directory: bad block size %d (want a power of two in [%d, %d])", p.BlockBytes, memsys.WordBytes, memsys.MaxBlockBytes))
 	}
-	return &Controller{
+	c := &Controller{
 		eng:        eng,
 		net:        net,
 		mem:        mem,
@@ -268,6 +233,15 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, p Params) *Co
 		base:       memsys.NodeBase(p.Node),
 		blockShift: uint(bits.TrailingZeros(uint(p.BlockBytes))),
 	}
+	c.stepCall = func(a any) { c.step(a.(*entry)) }
+	c.delayCall = func(a any) {
+		q := a.(*dirReq)
+		r := q.r
+		q.r = request{}
+		c.reqFree = append(c.reqFree, q)
+		c.submit(r)
+	}
+	return c
 }
 
 // SetAMU installs the AMU recall port.
@@ -291,12 +265,13 @@ func (c *Controller) Node() int { return c.p.Node }
 // pipeline/DRAM occupancy gauge.
 func (c *Controller) Stats() metrics.DirectoryStats { return c.stats }
 
-// occupy charges cycles of directory pipeline (and DRAM) occupancy before
-// running job: the utilization gauge counterpart of every Schedule-based
-// latency charge.
-func (c *Controller) occupy(cycles uint64, job func()) {
+// occupy charges cycles of directory pipeline (and DRAM) occupancy, then
+// resumes e's transaction at next: the utilization gauge counterpart of
+// every scheduled latency charge.
+func (c *Controller) occupy(cycles uint64, e *entry, next step) {
 	c.stats.OccupancyCycles += cycles
-	c.eng.Schedule(sim.Time(cycles), job)
+	e.txn.step = next
+	c.eng.ScheduleCall(sim.Time(cycles), c.stepCall, e)
 }
 
 // entryOf returns the record of block, which must be homed on this node.
@@ -345,9 +320,8 @@ func (c *Controller) cpuEndpoint(cpu int) network.Endpoint {
 }
 
 // Handle processes one directory-protocol message. It runs in event context.
-func (c *Controller) Handle(m network.Msg) {
-	block := c.block(m.Addr)
-	e := c.entryOf(block)
+func (c *Controller) Handle(m *network.Msg) {
+	e := c.entryOf(c.block(m.Addr))
 	switch m.Kind {
 	case network.KindWriteback:
 		// Never blocked: resolves eviction/intervention races.
@@ -356,45 +330,55 @@ func (c *Controller) Handle(m network.Msg) {
 		c.applyInvAck(e)
 	case network.KindInterventionAck:
 		c.applyIvnAck(e, m)
-	case network.KindGetShared, network.KindGetExclusive, network.KindUpgrade:
-		r := c.acquireReq()
-		r.block, r.m = block, m
-		if c.perturb != nil {
-			if d := c.perturb.RequestDelay(m); d > 0 {
-				c.eng.Schedule(d, r.delayed)
-				return
-			}
-		}
-		c.submit(block, r.run)
+	case network.KindGetShared:
+		c.accept(m, opGetShared)
+	case network.KindGetExclusive:
+		c.accept(m, opGetExclusive)
+	case network.KindUpgrade:
+		c.accept(m, opUpgrade)
 	default:
 		panic(fmt.Sprintf("directory: unexpected message %v", m))
 	}
 }
 
-// submit runs job now if the block is idle, otherwise queues it.
-func (c *Controller) submit(block uint64, job func()) {
-	e := c.entryOf(block)
+// accept submits CPU request m, unless the perturber holds it first.
+func (c *Controller) accept(m *network.Msg, o op) {
+	r := request{op: o, src: m.Src, addr: m.Addr}
+	if c.perturb != nil {
+		if d := c.perturb.RequestDelay(m); d > 0 {
+			q := c.acquireReq()
+			q.r = r
+			c.eng.ScheduleCall(d, c.delayCall, q)
+			return
+		}
+	}
+	c.submit(r)
+}
+
+// submit starts r now if its block is idle, otherwise queues it.
+func (c *Controller) submit(r request) {
+	e := c.entryOf(c.block(r.addr))
 	if e.busy {
-		e.waitq.Push(job)
+		e.waitq.Push(r)
 		return
 	}
 	e.busy = true
-	job()
+	c.start(e, r)
 }
 
-// complete ends the current transaction on block and starts the next queued
-// one, if any, after the directory's per-transaction occupancy charge.
-// The charge matters beyond fidelity: it gives each exclusive grantee a few
-// cycles of guaranteed residence before the next queued request's
-// intervention can be dispatched, which is what lets an LL/SC pair commit
-// under a full request queue instead of livelocking.
-func (c *Controller) complete(block uint64) {
-	e := c.entryOf(block)
+// complete ends e's transaction and, if a request is queued, starts it
+// after the directory's per-transaction occupancy charge. The charge
+// matters beyond fidelity: it gives each exclusive grantee a few cycles of
+// guaranteed residence before the next queued request's intervention can
+// be dispatched, which is what lets an LL/SC pair commit under a full
+// request queue instead of livelocking. The queue head cannot change while
+// the block is busy, so the request is popped when the charge ends.
+func (c *Controller) complete(e *entry) {
 	if !e.busy {
 		panic("directory: complete on idle block")
 	}
+	block := e.txn.block
 	e.txn = txn{}
-	e.txnLive = false
 	if c.observer != nil {
 		c.observer(block)
 	}
@@ -402,7 +386,7 @@ func (c *Controller) complete(block uint64) {
 		e.busy = false
 		return
 	}
-	c.occupy(c.p.DirCycles, e.waitq.Pop())
+	c.occupy(c.p.DirCycles, e, stepStart)
 }
 
 // recallAMU flushes AMU-held words of block into memory so that memory is
@@ -418,12 +402,29 @@ func (c *Controller) recallAMU(e *entry, block uint64) {
 	e.amuWords = 0
 }
 
-// processRequest starts a CPU-originated transaction. The block is busy.
-func (c *Controller) processRequest(block uint64, m network.Msg) {
-	e := c.entryOf(block)
-	req := m.Src
-	switch m.Kind {
-	case network.KindGetShared:
+// step resumes e's transaction when its occupancy charge ends.
+func (c *Controller) step(e *entry) {
+	t := &e.txn
+	switch t.step {
+	case stepStart:
+		c.start(e, e.waitq.Pop())
+	case stepReply:
+		c.reply(e)
+	case stepInvalidated:
+		c.invalidated(e)
+	case stepFineGet:
+		c.fineGet(e)
+	case stepFlush:
+		c.flush(e)
+	}
+}
+
+// start begins request r on e's block, which is busy.
+func (c *Controller) start(e *entry, r request) {
+	e.txn = txn{request: r, block: c.block(r.addr)}
+	t := &e.txn
+	switch r.op {
+	case opGetShared:
 		switch e.state {
 		case unowned, shared:
 			// No AMU recall here: shared readers may observe the last
@@ -431,146 +432,147 @@ func (c *Controller) processRequest(block uint64, m network.Msg) {
 			// the paper's release-consistency semantics for AMO variables
 			// (§3.2). Recalling on reads would also cancel queued fine-puts
 			// without invalidating sharers, losing their wake-up.
-			c.replyData(block, req, network.KindDataShared, func() {
-				e.state = shared
-				e.addSharer(req.CPU)
-				c.complete(block)
-			})
+			t.grant = grantShared
+			c.occupy(c.p.DirCycles+c.p.DRAMCycles, e, stepReply)
 		case exclusive:
-			c.intervene(block, e, false /*downgrade*/, func(stale bool) {
-				// A stale ack means the owner's writeback raced ahead: its
-				// copy is gone (and e.owner was cleared when the writeback
-				// was applied), so only the requester becomes a sharer.
-				// Recording the departed owner here would create a phantom
-				// sharer that could later be granted a data-less upgrade
-				// for a line it no longer holds.
-				e.clearSharers()
-				e.addSharer(req.CPU)
-				if !stale {
-					e.addSharer(e.owner)
-				}
-				e.state = shared
-				c.replyData(block, req, network.KindDataShared, func() { c.complete(block) })
-			})
+			c.intervene(e, false /*downgrade*/)
 		}
-	case network.KindGetExclusive:
-		c.grantExclusive(block, e, req)
-	case network.KindUpgrade:
-		if e.state == shared && e.amuWords == 0 {
-			// A data-less grant is only safe when no word of the block is
-			// AMU-held: sharers may be stale with respect to the AMU's value
-			// (release consistency), so a block with AMU words must be
-			// recalled and re-supplied as a full GETX.
-			if e.hasSharer(req.CPU) {
-				// True upgrade: invalidate other sharers, grant without data.
-				c.recallAMU(e, block)
-				e.removeSharer(req.CPU)
-				c.invalidateSharers(e, block, func() {
-					e.state = exclusive
-					e.owner = req.CPU
-					e.clearSharers()
-					c.send(network.Msg{
-						Kind: network.KindAckExclusive,
-						Src:  network.Hub(c.p.Node), Dst: req,
-						Addr: block,
-					})
-					c.complete(block)
-				})
-				return
-			}
+	case opGetExclusive:
+		c.grantExclusive(e)
+	case opUpgrade:
+		// A data-less grant is only safe when no word of the block is
+		// AMU-held: sharers may be stale with respect to the AMU's value
+		// (release consistency), so a block with AMU words must be
+		// recalled and re-supplied as a full GETX.
+		if e.state == shared && e.amuWords == 0 && e.hasSharer(r.src.CPU) {
+			// True upgrade: invalidate other sharers, grant without data.
+			e.removeSharer(r.src.CPU)
+			c.invalidateSharers(e)
+			return
 		}
 		// Requester lost its copy while the upgrade was in flight (or the
 		// block moved to exclusive): treat as a full GETX.
-		c.grantExclusive(block, e, req)
-	default:
-		panic(fmt.Sprintf("directory: processRequest on non-request %v", m))
+		t.op = opGetExclusive
+		c.grantExclusive(e)
+	case opFineGet:
+		switch e.state {
+		case unowned, shared:
+			c.occupy(c.p.DirCycles+c.p.DRAMCycles, e, stepFineGet)
+		case exclusive:
+			c.intervene(e, false)
+		}
+	case opFinePut:
+		val, ok := r.read()
+		if !ok || e.amuWords&c.wordBit(r.addr) == 0 {
+			c.complete(e)
+			r.done()
+			return
+		}
+		t.val = val
+		c.occupy(c.p.DirCycles, e, stepFlush)
+	case opFineEvict:
+		c.occupy(c.p.DirCycles, e, stepFlush)
 	}
 }
 
 // grantExclusive implements GETX (and upgrade-turned-GETX).
-func (c *Controller) grantExclusive(block uint64, e *entry, req network.Endpoint) {
+func (c *Controller) grantExclusive(e *entry) {
+	t := &e.txn
 	switch e.state {
 	case unowned:
-		c.recallAMU(e, block)
-		c.replyData(block, req, network.KindDataExclusive, func() {
-			e.state = exclusive
-			e.owner = req.CPU
-			c.complete(block)
-		})
+		c.recallAMU(e, t.block)
+		t.grant = grantExclusive
+		c.occupy(c.p.DirCycles+c.p.DRAMCycles, e, stepReply)
 	case shared:
-		c.recallAMU(e, block)
-		e.removeSharer(req.CPU)
-		c.invalidateSharers(e, block, func() {
-			c.replyData(block, req, network.KindDataExclusive, func() {
-				e.state = exclusive
-				e.owner = req.CPU
-				e.clearSharers()
-				c.complete(block)
-			})
-		})
+		c.recallAMU(e, t.block)
+		e.removeSharer(t.src.CPU)
+		c.invalidateSharers(e)
 	case exclusive:
-		if e.owner == req.CPU {
+		if e.owner == t.src.CPU {
 			// Owner re-requesting after its own writeback raced this GETX.
-			c.replyData(block, req, network.KindDataExclusive, func() { c.complete(block) })
+			c.occupy(c.p.DirCycles+c.p.DRAMCycles, e, stepReply)
 			return
 		}
-		c.intervene(block, e, true /*invalidate*/, func(bool) {
-			c.replyData(block, req, network.KindDataExclusive, func() {
-				e.state = exclusive
-				e.owner = req.CPU
-				c.complete(block)
-			})
-		})
+		c.intervene(e, true /*invalidate*/)
 	}
 }
 
-// replyData reads the block from memory (charging directory + DRAM latency)
-// and sends it to dst, then runs done.
-func (c *Controller) replyData(block uint64, dst network.Endpoint, kind network.Kind, done func()) {
-	c.occupy(c.p.DirCycles+c.p.DRAMCycles, func() {
-		c.mem.ReadBlockInto(block, c.scratch)
-		c.send(network.Msg{
-			Kind: kind,
-			Src:  network.Hub(c.p.Node), Dst: dst,
-			Addr:      block,
-			DataBytes: c.p.BlockBytes,
-			Data:      c.scratch,
-		})
-		done()
+// reply sends the block, read from memory once the directory and DRAM
+// charge has ended, and installs the transaction's grant.
+func (c *Controller) reply(e *entry) {
+	t := &e.txn
+	kind := network.KindDataExclusive
+	if t.op == opGetShared {
+		kind = network.KindDataShared
+	}
+	c.mem.ReadBlockInto(t.block, c.scratch)
+	c.send(&network.Msg{
+		Kind: kind,
+		Src:  network.Hub(c.p.Node), Dst: t.src,
+		Addr:      t.block,
+		DataBytes: c.p.BlockBytes,
+		Data:      c.scratch,
 	})
+	switch t.grant {
+	case grantNone:
+	case grantShared:
+		e.state = shared
+		e.addSharer(t.src.CPU)
+	case grantExclusive:
+		e.state = exclusive
+		e.owner = t.src.CPU
+	}
+	c.complete(e)
 }
 
-// invalidateSharers sends INV to every current sharer, then runs done once
-// all acks arrive. With no sharers it runs done immediately (after the
-// directory occupancy charge).
-func (c *Controller) invalidateSharers(e *entry, block uint64, done func()) {
+// invalidateSharers sends INV to every current sharer and waits for their
+// acks. With no sharers it continues after the directory occupancy charge.
+func (c *Controller) invalidateSharers(e *entry) {
 	n := e.sharers.count()
 	if n == 0 {
-		c.occupy(c.p.DirCycles, done)
+		c.occupy(c.p.DirCycles, e, stepInvalidated)
 		return
 	}
-	e.txn = txn{waitingAcks: n, onAcks: done}
-	e.txnLive = true
+	e.txn.acks = n
 	for it := e.sharers.iter(); ; {
 		i, cpu, ok := it.next()
 		if !ok {
 			break
 		}
 		c.stats.Invalidations++
-		m := network.Msg{
+		c.sendStaggered(i, &network.Msg{
 			Kind: network.KindInvalidate,
 			Src:  network.Hub(c.p.Node), Dst: c.cpuEndpoint(cpu),
-			Addr: block,
-		}
-		c.sendStaggered(i, m)
+			Addr: e.txn.block,
+		})
 	}
 	e.clearSharers()
+}
+
+// invalidated continues a GETX or a true upgrade once no other CPU holds
+// the block: the upgrade is granted without data, the GETX is sent the
+// block after the directory and DRAM charge.
+func (c *Controller) invalidated(e *entry) {
+	t := &e.txn
+	if t.op == opUpgrade {
+		e.state = exclusive
+		e.owner = t.src.CPU
+		c.send(&network.Msg{
+			Kind: network.KindAckExclusive,
+			Src:  network.Hub(c.p.Node), Dst: t.src,
+			Addr: t.block,
+		})
+		c.complete(e)
+		return
+	}
+	t.grant = grantExclusive
+	c.occupy(c.p.DirCycles+c.p.DRAMCycles, e, stepReply)
 }
 
 // sendStaggered injects the i-th message of a fan-out burst after
 // i*InjectCycles, modeling the hub's single network port. With
 // MulticastUpdates, word-update bursts leave as one injection.
-func (c *Controller) sendStaggered(i int, m network.Msg) {
+func (c *Controller) sendStaggered(i int, m *network.Msg) {
 	if c.p.MulticastUpdates && m.Kind == network.KindWordUpdate {
 		i = 0
 	}
@@ -588,47 +590,30 @@ func sortedWords(block uint64, e *entry) []uint64 {
 }
 
 func (c *Controller) applyInvAck(e *entry) {
-	if !e.txnLive || e.txn.waitingAcks == 0 {
+	if e.txn.acks == 0 {
 		panic("directory: unexpected invalidation ack")
 	}
-	e.txn.waitingAcks--
-	if e.txn.waitingAcks == 0 {
-		done := e.txn.onAcks
-		e.txn = txn{}
-		e.txnLive = false
-		done()
+	e.txn.acks--
+	if e.txn.acks == 0 {
+		c.invalidated(e)
 	}
 }
 
-// intervene sends an intervention to the exclusive owner. If invalidate is
-// true the owner drops the block, otherwise it downgrades to Shared. When
-// the ack arrives, memory is updated from the owner's data (unless the
-// owner had already written back, in which case the out-of-band writeback
-// made memory current) and done runs with stale reporting whether the
-// owner still held the block. On a stale ack the former owner retains no
-// copy — callers must not record it as a sharer (and e.owner has already
-// been cleared by the raced writeback).
-func (c *Controller) intervene(block uint64, e *entry, invalidate bool, done func(stale bool)) {
+// intervene sends an intervention to the exclusive owner and waits for its
+// ack. If invalidate is true the owner drops the block, otherwise it
+// downgrades to Shared.
+func (c *Controller) intervene(e *entry, invalidate bool) {
 	c.stats.Interventions++
-	e.txn = txn{onIvnAck: func(m network.Msg) {
-		e.txn = txn{}
-		e.txnLive = false
-		stale := m.Flags&IvnAckStale != 0
-		if !stale {
-			c.mem.WriteBlock(block, m.Data)
-		}
-		done(stale)
-	}}
-	e.txnLive = true
+	e.txn.ivn = true
 	flags := uint32(0)
 	if invalidate {
 		flags = IvnInvalidate
 	}
-	c.send(network.Msg{
+	c.send(&network.Msg{
 		Kind:  network.KindIntervention,
 		Src:   network.Hub(c.p.Node),
 		Dst:   c.cpuEndpoint(e.owner),
-		Addr:  block,
+		Addr:  e.txn.block,
 		Flags: flags,
 	})
 }
@@ -642,14 +627,46 @@ const (
 	IvnAckStale
 )
 
-func (c *Controller) applyIvnAck(e *entry, m network.Msg) {
-	if !e.txnLive || e.txn.onIvnAck == nil {
+// applyIvnAck continues a transaction with the owner's intervention ack:
+// memory is updated from the owner's data, unless the owner had already
+// written back, in which case the out-of-band writeback made memory
+// current. On such a stale ack the former owner retains no copy, and
+// e.owner was cleared when the writeback was applied, so it must not be
+// recorded as a sharer: a phantom sharer could later be granted a
+// data-less upgrade for a line it no longer holds.
+func (c *Controller) applyIvnAck(e *entry, m *network.Msg) {
+	t := &e.txn
+	if !t.ivn {
 		panic("directory: unexpected intervention ack")
 	}
-	e.txn.onIvnAck(m)
+	t.ivn = false
+	stale := m.Flags&IvnAckStale != 0
+	if !stale {
+		c.mem.WriteBlock(t.block, m.Data)
+	}
+	switch t.op {
+	case opGetShared:
+		e.clearSharers()
+		e.addSharer(t.src.CPU)
+		if !stale {
+			e.addSharer(e.owner)
+		}
+		e.state = shared
+		c.occupy(c.p.DirCycles+c.p.DRAMCycles, e, stepReply)
+	case opFineGet:
+		if !stale {
+			e.state = shared
+			e.clearSharers()
+			e.addSharer(e.owner)
+		}
+		c.fineGet(e)
+	default:
+		t.grant = grantExclusive
+		c.occupy(c.p.DirCycles+c.p.DRAMCycles, e, stepReply)
+	}
 }
 
-func (c *Controller) applyWriteback(e *entry, m network.Msg) {
+func (c *Controller) applyWriteback(e *entry, m *network.Msg) {
 	block := c.block(m.Addr)
 	if e.state == exclusive && e.owner == m.Src.CPU {
 		c.mem.WriteBlock(block, m.Data)
@@ -668,33 +685,17 @@ func (c *Controller) applyWriteback(e *entry, m network.Msg) {
 // local AMU. The AMU becomes a word-granularity sharer. done receives the
 // value. May queue behind an in-flight transaction.
 func (c *Controller) FineGet(addr uint64, done func(val uint64)) {
-	block := c.block(addr)
-	c.submit(block, func() {
-		e := c.entryOf(block)
-		finish := func() {
-			e.amuWords |= c.wordBit(addr)
-			val := c.mem.ReadWord(addr)
-			c.complete(block)
-			done(val)
-		}
-		switch e.state {
-		case unowned, shared:
-			c.occupy(c.p.DirCycles+c.p.DRAMCycles, finish)
-		case exclusive:
-			c.intervene(block, e, false, func(stale bool) {
-				// As with a GETS intervention, a stale ack means the owner
-				// already wrote back and keeps no copy: record no sharer.
-				if stale {
-					finish()
-					return
-				}
-				e.state = shared
-				e.clearSharers()
-				e.addSharer(e.owner)
-				finish()
-			})
-		}
-	})
+	c.submit(request{op: opFineGet, addr: addr, got: done})
+}
+
+// fineGet registers the AMU for the word and hands it the value.
+func (c *Controller) fineGet(e *entry) {
+	t := &e.txn
+	e.amuWords |= c.wordBit(t.addr)
+	val := c.mem.ReadWord(t.addr)
+	got := t.got
+	c.complete(e)
+	got(val)
 }
 
 // FinePut flushes the AMU's current value of the word at addr: memory is
@@ -704,9 +705,34 @@ func (c *Controller) FineGet(addr uint64, done func(val uint64)) {
 // recall already flushed, and the recalling transaction's invalidations
 // supersede the updates. done runs when the put has been processed.
 func (c *Controller) FinePut(addr uint64, read func() (uint64, bool), done func()) {
-	j := c.acquireFine()
-	j.block, j.addr, j.read, j.done = c.block(addr), addr, read, done
-	c.submit(j.block, j.start)
+	c.submit(request{op: opFinePut, addr: addr, read: read, done: done})
+}
+
+// flush writes a fine put's or fine evict's word to memory and pushes it
+// to every sharer.
+func (c *Controller) flush(e *entry) {
+	t := &e.txn
+	c.mem.WriteWord(t.addr, t.val)
+	for it := e.sharers.iter(); ; {
+		i, cpu, ok := it.next()
+		if !ok {
+			break
+		}
+		c.stats.WordUpdates++
+		c.sendStaggered(i, &network.Msg{
+			Kind:      network.KindWordUpdate,
+			Src:       network.Hub(c.p.Node),
+			Dst:       c.cpuEndpoint(cpu),
+			Addr:      t.addr,
+			Value:     t.val,
+			DataBytes: memsys.WordBytes,
+		})
+	}
+	done := t.done
+	c.complete(e)
+	if done != nil {
+		done()
+	}
 }
 
 // FineDrop records that the AMU evicted its copy of the word at addr after
@@ -721,11 +747,8 @@ func (c *Controller) FineDrop(addr uint64) {
 // no wake-up coming. The AMU has already dropped its entry; val is the
 // evicted value.
 func (c *Controller) FineEvict(addr, val uint64) {
-	block := c.block(addr)
-	c.entryOf(block).amuWords &^= c.wordBit(addr)
-	j := c.acquireFine()
-	j.block, j.addr, j.val = block, addr, val
-	c.submit(block, j.start)
+	c.FineDrop(addr)
+	c.submit(request{op: opFineEvict, addr: addr, val: val})
 }
 
 // AMUHolds reports whether the AMU is registered for the word at addr.
@@ -758,4 +781,4 @@ func (c *Controller) Sharers(addr uint64) []int {
 	return c.entryOf(c.block(addr)).sharers.slice()
 }
 
-func (c *Controller) send(m network.Msg) { c.net.Send(m) }
+func (c *Controller) send(m *network.Msg) { c.net.Send(m) }

@@ -17,17 +17,23 @@ type fakeCPU struct {
 	net   *network.Network
 	seen  []network.Msg
 	dirty []uint64 // data to hand over on intervention; nil => stale ack
+	// onRecv, when set, observes each delivered message.
+	onRecv func(m *network.Msg)
 }
 
-func (f *fakeCPU) handle(m network.Msg) {
+func (f *fakeCPU) handle(in *network.Msg) {
+	m := *in
 	if m.Data != nil {
 		// Data is valid only until the handler returns; copy to retain.
 		m.Data = append([]uint64(nil), m.Data...)
 	}
 	f.seen = append(f.seen, m)
+	if f.onRecv != nil {
+		f.onRecv(&m)
+	}
 	switch m.Kind {
 	case network.KindInvalidate:
-		f.net.Send(network.Msg{
+		f.net.Send(&network.Msg{
 			Kind: network.KindInvalidateAck,
 			Src:  network.Endpoint{Node: f.id / 2, CPU: f.id},
 			Dst:  m.Src, Addr: m.Addr,
@@ -44,7 +50,7 @@ func (f *fakeCPU) handle(m network.Msg) {
 		} else {
 			reply.Flags = IvnAckStale
 		}
-		f.net.Send(reply)
+		f.net.Send(&reply)
 	}
 }
 
@@ -68,6 +74,12 @@ type rig struct {
 
 func newRig(t *testing.T, ncpus int) *rig {
 	t.Helper()
+	return newRigWith(t, ncpus, func(*Params) {})
+}
+
+// newRigWith builds a rig whose controller parameters are adjusted by set.
+func newRigWith(t *testing.T, ncpus int, set func(*Params)) *rig {
+	t.Helper()
 	eng := sim.NewEngine()
 	topo, err := topology.NewFatTree(4, 8)
 	if err != nil {
@@ -75,7 +87,9 @@ func newRig(t *testing.T, ncpus int) *rig {
 	}
 	net := network.New(eng, topo.HopTable(), network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	mem := memsys.New(4, 128, 60)
-	ctrl := New(eng, net, mem, Params{Node: 0, ProcsPerNode: 2, BlockBytes: 128, DirCycles: 8, DRAMCycles: 60, InjectCycles: 4})
+	p := Params{Node: 0, ProcsPerNode: 2, BlockBytes: 128, DirCycles: 8, DRAMCycles: 60, InjectCycles: 4}
+	set(&p)
+	ctrl := New(eng, net, mem, p)
 	net.RegisterHub(0, ctrl.Handle)
 	r := &rig{eng: eng, net: net, mem: mem, ctrl: ctrl}
 	for i := 0; i < ncpus; i++ {
@@ -94,7 +108,7 @@ func (r *rig) run(t *testing.T) {
 }
 
 func (r *rig) request(cpu int, kind network.Kind, addr uint64) {
-	r.net.Send(network.Msg{
+	r.net.Send(&network.Msg{
 		Kind: kind,
 		Src:  network.Endpoint{Node: cpu / 2, CPU: cpu},
 		Dst:  network.Hub(0),
@@ -214,7 +228,7 @@ func TestWritebackRace(t *testing.T) {
 	r.run(t)
 	// CPU 0 writes back (eviction); its fake handler will answer any
 	// subsequent intervention with a stale ack.
-	r.net.Send(network.Msg{
+	r.net.Send(&network.Msg{
 		Kind: network.KindWriteback,
 		Src:  network.Endpoint{Node: 0, CPU: 0},
 		Dst:  network.Hub(0),
@@ -237,7 +251,7 @@ func TestStaleWritebackDropped(t *testing.T) {
 	addr := r.mem.AllocWord(0)
 	r.mem.WriteWord(addr, 5)
 	// A writeback from a CPU that is not the registered owner is stale.
-	r.net.Send(network.Msg{
+	r.net.Send(&network.Msg{
 		Kind: network.KindWriteback,
 		Src:  network.Endpoint{Node: 0, CPU: 1},
 		Dst:  network.Hub(0),

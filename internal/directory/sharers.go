@@ -1,40 +1,42 @@
 package directory
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // sharerListMax is the exact-list capacity of a sharerSet: the set holds up
-// to this many CPU ids as a sorted slice (cheap at small P, and what the
-// golden tables at P <= 32 exercise) and promotes to a coarse bitmap when
-// an insertion would exceed it — the SGI Origin-style limited-pointer /
-// coarse-vector split. Removals demote back to the exact list once the
-// population falls to half the threshold, so a set oscillating at the
-// boundary does not thrash between representations.
+// to this many CPU ids as a sorted list inside the set itself (cheap at
+// small P, and what the golden tables at P <= 32 exercise) and promotes to
+// a coarse bitmap when an insertion would exceed it — the SGI Origin-style
+// limited-pointer / coarse-vector split. Removals demote back to the exact
+// list once the population falls to half the threshold, so a set
+// oscillating at the boundary does not thrash between representations.
 const sharerListMax = 8
 
 // sharerSet is the directory's sharer vector: membership, ascending-order
-// iteration, and O(words) transitions in either representation. Both
-// backing stores are retained across clears and representation switches,
-// so steady-state transitions — including 4096-sharer barrier episodes —
-// never allocate.
+// iteration, and O(words) transitions in either representation. The exact
+// list is a fixed array, so a set allocates nothing until it first
+// promotes; the bitmap is retained across clears and representation
+// switches, so steady-state transitions — including 4096-sharer barrier
+// episodes — never allocate.
 type sharerSet struct {
-	procs  int      // machine CPU count: sizes the bitmap (0 = grow on demand)
-	exact  []int    // sorted CPU ids, the representation when !coarse
-	bits   []uint64 // bitmap, the representation when coarse
-	n      int      // population count while coarse
+	procs  int                  // machine CPU count: sizes the bitmap (0 = grow on demand)
+	exact  [sharerListMax]int32 // sorted CPU ids, exact[:n], the representation when !coarse
+	bits   []uint64             // bitmap, the representation when coarse
+	n      int                  // population count, in either representation
 	coarse bool
 
 	promotions, demotions uint64 // representation-switch counters (tests)
 }
 
 // count returns the number of sharers.
-func (s *sharerSet) count() int {
-	if s.coarse {
-		return s.n
+func (s *sharerSet) count() int { return s.n }
+
+// find returns the position of the first exact-list id not below cpu.
+func (s *sharerSet) find(cpu int) int {
+	i := 0
+	for i < s.n && int(s.exact[i]) < cpu {
+		i++
 	}
-	return len(s.exact)
+	return i
 }
 
 // has reports whether cpu is in the set.
@@ -43,8 +45,8 @@ func (s *sharerSet) has(cpu int) bool {
 		w := cpu >> 6
 		return w < len(s.bits) && s.bits[w]&(1<<uint(cpu&63)) != 0
 	}
-	i := sort.SearchInts(s.exact, cpu)
-	return i < len(s.exact) && s.exact[i] == cpu
+	i := s.find(cpu)
+	return i < s.n && int(s.exact[i]) == cpu
 }
 
 // add inserts cpu (no-op if present), promoting to the bitmap when the
@@ -60,18 +62,18 @@ func (s *sharerSet) add(cpu int) {
 		}
 		return
 	}
-	i := sort.SearchInts(s.exact, cpu)
-	if i < len(s.exact) && s.exact[i] == cpu {
+	i := s.find(cpu)
+	if i < s.n && int(s.exact[i]) == cpu {
 		return
 	}
-	if len(s.exact) >= sharerListMax {
+	if s.n >= sharerListMax {
 		s.promote()
 		s.add(cpu)
 		return
 	}
-	s.exact = append(s.exact, 0)
-	copy(s.exact[i+1:], s.exact[i:])
-	s.exact[i] = cpu
+	copy(s.exact[i+1:s.n+1], s.exact[i:s.n])
+	s.exact[i] = int32(cpu)
+	s.n++
 }
 
 // remove deletes cpu (no-op if absent), demoting to the exact list when
@@ -89,22 +91,22 @@ func (s *sharerSet) remove(cpu int) {
 		}
 		return
 	}
-	i := sort.SearchInts(s.exact, cpu)
-	if i < len(s.exact) && s.exact[i] == cpu {
-		s.exact = append(s.exact[:i], s.exact[i+1:]...)
+	i := s.find(cpu)
+	if i < s.n && int(s.exact[i]) == cpu {
+		copy(s.exact[i:s.n-1], s.exact[i+1:s.n])
+		s.n--
 	}
 }
 
-// clear empties the set, keeping both backing stores.
+// clear empties the set, keeping the bitmap's storage.
 func (s *sharerSet) clear() {
 	if s.coarse {
 		for i := range s.bits {
 			s.bits[i] = 0
 		}
-		s.n = 0
 		s.coarse = false
 	}
-	s.exact = s.exact[:0]
+	s.n = 0
 }
 
 // growBits ensures the bitmap spans at least words words.
@@ -124,29 +126,28 @@ func (s *sharerSet) promote() {
 	for i := range s.bits {
 		s.bits[i] = 0
 	}
-	for _, cpu := range s.exact {
-		s.growBits(cpu>>6 + 1)
+	for _, cpu := range s.exact[:s.n] {
+		s.growBits(int(cpu>>6) + 1)
 		s.bits[cpu>>6] |= 1 << uint(cpu&63)
 	}
-	s.n = len(s.exact)
-	s.exact = s.exact[:0]
 	s.coarse = true
 	s.promotions++
 }
 
-// demote switches back to the exact list representation.
+// demote switches back to the exact list representation. The population
+// is at the hysteresis floor, so it fits the list.
 func (s *sharerSet) demote() {
-	s.exact = s.exact[:0]
+	k := 0
 	for w, word := range s.bits {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
-			s.exact = append(s.exact, w<<6+b)
+			s.exact[k] = int32(w<<6 + b)
+			k++
 			word &^= 1 << uint(b)
 		}
 		s.bits[w] = 0
 	}
 	s.coarse = false
-	s.n = 0
 	s.demotions++
 }
 
@@ -186,10 +187,10 @@ func (s *sharerSet) iter() sharerIter {
 func (it *sharerIter) next() (i, cpu int, ok bool) {
 	s := it.set
 	if !s.coarse {
-		if it.pos >= len(s.exact) {
+		if it.pos >= s.n {
 			return 0, 0, false
 		}
-		i, cpu = it.idx, s.exact[it.pos]
+		i, cpu = it.idx, int(s.exact[it.pos])
 		it.pos++
 		it.idx++
 		return i, cpu, true

@@ -57,8 +57,8 @@ func checkAgainst(t *testing.T, s *sharerSet, ref refSet, procs int, step int) {
 	}
 	// Representation invariant: the exact list only while the population is
 	// small enough, the bitmap only while it is above the demotion floor.
-	if !s.coarse && len(s.exact) > sharerListMax {
-		t.Fatalf("step %d: exact list overfull (%d)", step, len(s.exact))
+	if !s.coarse && s.n > sharerListMax {
+		t.Fatalf("step %d: exact list overfull (%d)", step, s.n)
 	}
 	if s.coarse && s.n <= sharerListMax/2 {
 		t.Fatalf("step %d: bitmap population %d at or below demotion floor", step, s.n)
@@ -131,8 +131,8 @@ func TestSharerSetBoundary(t *testing.T) {
 }
 
 // TestSharerSetNoAllocSteadyState is the scale regression: once a set has
-// seen a full 4096-CPU episode (bitmap allocated, exact storage retained),
-// further episodes — add all, iterate, clear, repeat — allocate nothing.
+// seen a full 4096-CPU episode (bitmap allocated and retained), further
+// episodes — add all, iterate, clear, repeat — allocate nothing.
 func TestSharerSetNoAllocSteadyState(t *testing.T) {
 	const procs = 4096
 	s := &sharerSet{procs: procs}
@@ -159,5 +159,27 @@ func TestSharerSetNoAllocSteadyState(t *testing.T) {
 	episode() // warm both representations' storage
 	if allocs := testing.AllocsPerRun(3, episode); allocs != 0 {
 		t.Fatalf("4096-sharer episode allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestSharerSetExactListInline: up to sharerListMax ids live inside the
+// set itself, so filling a fresh set's exact list allocates nothing.
+func TestSharerSetExactListInline(t *testing.T) {
+	sets := make([]sharerSet, 101) // AllocsPerRun calls f once more than runs
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		s := &sets[next]
+		next++
+		for cpu := sharerListMax - 1; cpu >= 0; cpu-- {
+			s.add(3 * cpu)
+		}
+		s.remove(3)
+		if s.coarse || s.count() != sharerListMax-1 || !s.has(0) || s.has(3) {
+			t.Fatalf("set %d: coarse %v, %d members %v", next, s.coarse, s.count(), s.slice())
+		}
+		s.clear()
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a fresh exact list allocates %.1f times, want 0", allocs)
 	}
 }

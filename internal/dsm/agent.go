@@ -68,12 +68,12 @@ func (a *Agent) Quiesced() error {
 }
 
 // Handle accepts hub-routed remote accesses. Runs in event context.
-func (a *Agent) Handle(m network.Msg) {
+func (a *Agent) Handle(m *network.Msg) {
 	switch m.Kind {
 	case network.KindUncachedLoad:
 		a.stats.RemoteLoads++
 		a.stats.OccupancyCycles += a.p.RemoteCycles
-		a.net.SendAfter(sim.Time(a.p.RemoteCycles), network.Msg{
+		a.net.SendAfter(sim.Time(a.p.RemoteCycles), &network.Msg{
 			Kind:      network.KindUncachedLoadReply,
 			Src:       network.Hub(a.p.Node),
 			Dst:       m.Src,
@@ -86,7 +86,7 @@ func (a *Agent) Handle(m network.Msg) {
 		a.stats.RemoteStores++
 		a.stats.OccupancyCycles += a.p.RemoteCycles
 		a.mem.WriteWord(m.Addr, m.Value)
-		a.net.SendAfter(sim.Time(a.p.RemoteCycles), network.Msg{
+		a.net.SendAfter(sim.Time(a.p.RemoteCycles), &network.Msg{
 			Kind: network.KindUncachedStoreAck,
 			Src:  network.Hub(a.p.Node),
 			Dst:  m.Src,
@@ -94,7 +94,7 @@ func (a *Agent) Handle(m network.Msg) {
 			Txn:  m.Txn,
 		})
 	case network.KindAMORequest, network.KindMAORequest:
-		a.queue.Push(m)
+		a.queue.Push(*m)
 		a.dispatch()
 	default:
 		panic(fmt.Sprintf("dsm: unexpected message %v", m))
@@ -124,7 +124,7 @@ func (a *Agent) execute() {
 	if m.Kind == network.KindMAORequest {
 		kind = network.KindMAOReply
 	}
-	a.net.Send(network.Msg{
+	a.net.Send(&network.Msg{
 		Kind:      kind,
 		Src:       network.Hub(a.p.Node),
 		Dst:       m.Src,

@@ -36,19 +36,19 @@ func newRig(t *testing.T) *rig {
 	mem := memsys.New(2, 128, 60)
 	r := &rig{eng: eng, net: net, mem: mem}
 	r.agent = New(eng, net, mem, Params{Node: 0, RemoteCycles: remoteCycles})
-	net.RegisterHub(0, func(m network.Msg) {
+	net.RegisterHub(0, func(m *network.Msg) {
 		r.agent.Handle(m)
 		if r.arrived != nil {
 			r.arrived()
 		}
 	})
-	net.RegisterCPU(2, func(m network.Msg) { r.replies = append(r.replies, m) })
+	net.RegisterCPU(2, func(m *network.Msg) { r.replies = append(r.replies, *m) })
 	return r
 }
 
 // msg is a request from CPU 2 to node 0's agent.
-func (r *rig) msg(kind network.Kind, addr, value, txn uint64) network.Msg {
-	return network.Msg{
+func (r *rig) msg(kind network.Kind, addr, value, txn uint64) *network.Msg {
+	return &network.Msg{
 		Kind:  kind,
 		Src:   network.Endpoint{Node: 1, CPU: 2},
 		Dst:   network.Hub(0),

@@ -228,7 +228,7 @@ func (m *Machine) EnableKernelMetrics() {
 // memory-side unit (an AMU's or a sync engine's Handle) via the hubRoute
 // function table.
 func (m *Machine) hubHandler(dir *directory.Controller, unit network.Handler) network.Handler {
-	return func(msg network.Msg) {
+	return func(msg *network.Msg) {
 		switch hubRoute[msg.Kind] {
 		case routeDir:
 			dir.Handle(msg)

@@ -22,9 +22,9 @@ func allocNet(t *testing.T) (sim.Engine, *Network) {
 	}
 	net := New(eng, topo.HopTable(), Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	for n := 0; n < 16; n++ {
-		net.RegisterHub(n, func(Msg) {})
+		net.RegisterHub(n, func(*Msg) {})
 	}
-	net.RegisterCPU(0, func(Msg) {})
+	net.RegisterCPU(0, func(*Msg) {})
 	return eng, net
 }
 
@@ -33,8 +33,8 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	burst := func() {
 		for i := 0; i < 32; i++ {
 			// Mix local (0->0) and remote (0->i%16) hub traffic.
-			net.Send(Msg{Kind: KindGetShared, Src: CPUAt(0, 0), Dst: Hub(i % 16), Addr: uint64(i)})
-			net.SendAfter(sim.Time(i%5), Msg{Kind: KindInvalidateAck, Src: Hub(i % 16), Dst: Hub(0)})
+			net.Send(&Msg{Kind: KindGetShared, Src: CPUAt(0, 0), Dst: Hub(i % 16), Addr: uint64(i)})
+			net.SendAfter(sim.Time(i%5), &Msg{Kind: KindInvalidateAck, Src: Hub(i % 16), Dst: Hub(0)})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -55,8 +55,8 @@ func TestDataPayloadSteadyStateZeroAlloc(t *testing.T) {
 		}
 		// Send copies b into the record's buffer, which the record keeps
 		// when it returns to the pool after delivery.
-		net.Send(Msg{Kind: KindDataShared, Src: Hub(1), Dst: CPUAt(0, 0), Data: b})
-		net.SendAfter(3, Msg{Kind: KindWriteback, Src: CPUAt(0, 0), Dst: Hub(1), Data: b})
+		net.Send(&Msg{Kind: KindDataShared, Src: Hub(1), Dst: CPUAt(0, 0), Data: b})
+		net.SendAfter(3, &Msg{Kind: KindWriteback, Src: CPUAt(0, 0), Dst: Hub(1), Data: b})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}

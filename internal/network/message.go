@@ -1,9 +1,9 @@
 // Package network models the interconnect of the simulated machine: typed
 // messages between endpoints (CPUs and hubs), fat-tree hop latency, local
 // bus latency, and traffic accounting (messages, bytes, byte-hops). Send
-// copies a block payload into the in-flight record, so no buffer changes
-// owner: the sender keeps its slice, and a handler's copy is valid until
-// the handler returns.
+// copies the message and its block payload into a pooled in-flight record,
+// so no buffer changes owner: the sender keeps its own. A handler receives
+// a *Msg pointing into that record, valid until the handler returns.
 package network
 
 import "fmt"
@@ -145,8 +145,9 @@ type Msg struct {
 	// pure control, 8 for word-grained data, BlockBytes for block data.
 	DataBytes int
 	// Data carries block contents for data-bearing kinds. Send copies it,
-	// so the sender keeps its slice. A handler's Data is valid until the
-	// handler returns; a receiver that retains the words copies them.
+	// so the sender keeps its slice. A handler's Data, like the *Msg that
+	// holds it, is valid until the handler returns; a receiver that
+	// retains the words copies them.
 	Data []uint64
 	// Txn threads a reply back to the transaction that caused it.
 	Txn uint64

@@ -9,8 +9,10 @@ import (
 )
 
 // Handler consumes a delivered message. Handlers run in event context: they
-// may schedule work and send messages but must not block.
-type Handler func(Msg)
+// may schedule work and send messages but must not block. The message is
+// the in-flight record's own and valid until the handler returns: a
+// handler that keeps anything of it for later copies it first.
+type Handler func(*Msg)
 
 // Network delivers messages between endpoints with fat-tree hop latency for
 // remote traffic and bus latency for CPU<->local-hub traffic, recording
@@ -19,8 +21,9 @@ type Handler func(Msg)
 // The delivery path is allocation-free in steady state: in-flight messages
 // live in pooled records recycled after delivery, hop distances come from
 // the machine's hop table (no topology interface call per Send), and
-// handler lookup indexes dense slices. Send copies a block payload into the
-// record's own buffer, which the record keeps across reuse.
+// handler lookup indexes dense slices. Send copies the message, and a block
+// payload into the record's own buffer, which the record keeps across
+// reuse; the handler then reads the record in place.
 type Network struct {
 	eng sim.Engine
 	// engs[n] is the node-affine engine view for node n; every schedule,
@@ -45,11 +48,12 @@ type Network struct {
 	hubs []Handler
 	cpus []Handler // indexed by global CPU id
 
-	// msgs recycle in-flight message records per shard; deliverCall is the
-	// prebound dispatch adapter so scheduling a delivery never allocates.
+	// msgs recycle in-flight message records per shard; deliverCall and
+	// injectCall are the prebound dispatch adapters, so scheduling a
+	// delivery or a deferred injection never allocates.
 	msgs        []*msgPool
 	deliverCall func(any)
-	sendCall    func(any)
+	injectCall  func(any)
 
 	stats   []Stats
 	tracing bool
@@ -67,7 +71,7 @@ type Network struct {
 // shard's clock, and any state the implementation keys by message source
 // must be partitioned accordingly.
 type Perturber interface {
-	DeliveryDelay(m Msg, lat sim.Time, now sim.Time) sim.Time
+	DeliveryDelay(m *Msg, lat sim.Time, now sim.Time) sim.Time
 }
 
 // Stats accumulates traffic counters. All counters are monotonically
@@ -140,10 +144,9 @@ func New(eng sim.Engine, hops topology.HopTable, p Params) *Network {
 		n.msgs = append(n.msgs, &msgPool{})
 	}
 	n.deliverCall = func(a any) { n.deliver(a.(*flight)) }
-	n.sendCall = func(a any) {
+	n.injectCall = func(a any) {
 		f := a.(*flight)
-		n.Send(f.m)
-		n.releaseFlight(f, f.m.Src.Node)
+		n.engs[f.m.Src.Node].ScheduleCallNode(f.m.Dst.Node, n.inject(f), n.deliverCall, f)
 	}
 	return n
 }
@@ -226,7 +229,7 @@ func (n *Network) SetPerturber(p Perturber) { n.perturb = p }
 
 // PacketBytes returns the on-wire size of m: header plus payload, rounded up
 // to the minimum packet size.
-func (n *Network) PacketBytes(m Msg) int {
+func (n *Network) PacketBytes(m *Msg) int {
 	b := n.headerSize + m.DataBytes
 	if b < n.minPacket {
 		b = n.minPacket
@@ -300,9 +303,32 @@ func (n *Network) releaseFlight(f *flight, node int) {
 
 // Send schedules delivery of m after the appropriate latency and records
 // traffic. Messages between distinct endpoints on the same node pay bus
-// latency only and are counted as local. Send copies m.Data, so the caller
-// may reuse its slice as soon as Send returns.
-func (n *Network) Send(m Msg) {
+// latency only and are counted as local. Send copies *m, payload included,
+// so the caller may reuse both as soon as Send returns.
+func (n *Network) Send(m *Msg) {
+	f := n.acquireFlight(n.nodePool[m.Src.Node], m)
+	n.engs[m.Src.Node].ScheduleCallNode(m.Dst.Node, n.inject(f), n.deliverCall, f)
+}
+
+// SendAfter injects m into the network delay cycles from now: traffic is
+// recorded and delivery latency paid at injection time, exactly as if Send
+// were called then. Fan-out bursts use it to model a single hub port
+// injecting one packet at a time; the deferred injection reuses the record
+// it copied m into, so it allocates nothing. Like Send, it copies *m at the
+// call.
+func (n *Network) SendAfter(delay sim.Time, m *Msg) {
+	if delay == 0 {
+		n.Send(m)
+		return
+	}
+	f := n.acquireFlight(n.nodePool[m.Src.Node], m)
+	n.engs[m.Src.Node].ScheduleCall(delay, n.injectCall, f)
+}
+
+// inject puts f's message on the wire now: it records the traffic, emits
+// the trace line and returns the delivery latency, jitter included.
+func (n *Network) inject(f *flight) sim.Time {
+	m := &f.m
 	hops := 0
 	var lat sim.Time
 	if !m.Src.IsHub() {
@@ -320,8 +346,7 @@ func (n *Network) Send(m Msg) {
 	if n.perturb != nil {
 		lat += n.perturb.DeliveryDelay(m, lat, eng.Now())
 	}
-	sh := n.nodePool[m.Src.Node]
-	stats := &n.stats[sh]
+	stats := &n.stats[n.nodePool[m.Src.Node]]
 	if hops > 0 {
 		stats.NetMessages++
 		stats.NetMessagesByKind[m.Kind]++
@@ -336,27 +361,12 @@ func (n *Network) Send(m Msg) {
 		eng.Emit(uint64(eng.Now()), "msg", fmt.Sprintf("%-9s %-10s -> %-10s addr=%#x val=%d (%dB, %d hops)",
 			m.Kind, m.Src, m.Dst, m.Addr, m.Value, bytes, hops))
 	}
-	f := n.acquireFlight(sh, &m)
-	eng.ScheduleCallNode(m.Dst.Node, lat, n.deliverCall, f)
-}
-
-// SendAfter injects m into the network delay cycles from now: traffic is
-// recorded and delivery latency paid at injection time, exactly as if Send
-// were called then. Fan-out bursts use it to model a single hub port
-// injecting one packet at a time, without allocating per deferred message.
-// Like Send, it copies m.Data at the call.
-func (n *Network) SendAfter(delay sim.Time, m Msg) {
-	if delay == 0 {
-		n.Send(m)
-		return
-	}
-	f := n.acquireFlight(n.nodePool[m.Src.Node], &m)
-	n.engs[m.Src.Node].ScheduleCall(delay, n.sendCall, f)
+	return lat
 }
 
 // deliver runs the destination's handler on f's message, then recycles f
 // into the delivering shard's pool: records migrate freely between shards.
-// The handler's Data aliases f's buffer, so the record stays out of the
+// The handler reads the record in place, so the record stays out of the
 // pool (and out of the handler's own Sends) until the handler returns.
 func (n *Network) deliver(f *flight) {
 	dst := f.m.Dst
@@ -371,6 +381,6 @@ func (n *Network) deliver(f *flight) {
 	if h == nil {
 		panic(fmt.Sprintf("network: no handler for %s (msg %s)", dst, f.m))
 	}
-	h(f.m)
+	h(&f.m)
 	n.releaseFlight(f, dst.Node)
 }

@@ -21,9 +21,9 @@ func testNet(t *testing.T, nodes int) (sim.Engine, *Network) {
 func TestLocalDeliveryLatency(t *testing.T) {
 	eng, net := testNet(t, 4)
 	var at sim.Time
-	net.RegisterHub(0, func(m Msg) { at = eng.Now() })
-	net.RegisterCPU(0, func(m Msg) {})
-	net.Send(Msg{Kind: KindGetShared, Src: CPUAt(0, 0), Dst: Hub(0)})
+	net.RegisterHub(0, func(m *Msg) { at = eng.Now() })
+	net.RegisterCPU(0, func(m *Msg) {})
+	net.Send(&Msg{Kind: KindGetShared, Src: CPUAt(0, 0), Dst: Hub(0)})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,10 +39,10 @@ func TestLocalDeliveryLatency(t *testing.T) {
 func TestRemoteDeliveryLatency(t *testing.T) {
 	eng, net := testNet(t, 16)
 	var at sim.Time
-	net.RegisterCPU(3, func(m Msg) { at = eng.Now() })
+	net.RegisterCPU(3, func(m *Msg) { at = eng.Now() })
 	// hub0 -> cpu3 on node 1: nodes 0 and 1 share a router => 2 hops, plus
 	// one bus on the CPU side.
-	net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(1, 3), DataBytes: 128})
+	net.Send(&Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(1, 3), DataBytes: 128})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestRemoteDeliveryLatency(t *testing.T) {
 
 func TestMinPacketApplied(t *testing.T) {
 	_, net := testNet(t, 2)
-	got := net.PacketBytes(Msg{Kind: KindInvalidate}) // 16B header < 32B min
+	got := net.PacketBytes(&Msg{Kind: KindInvalidate}) // 16B header < 32B min
 	if got != 32 {
 		t.Fatalf("PacketBytes(control) = %d, want 32", got)
 	}
-	got = net.PacketBytes(Msg{Kind: KindDataShared, DataBytes: 128})
+	got = net.PacketBytes(&Msg{Kind: KindDataShared, DataBytes: 128})
 	if got != 144 {
 		t.Fatalf("PacketBytes(block) = %d, want 144", got)
 	}
@@ -102,18 +102,18 @@ func TestCPUToRemoteCPUPaysTwoBuses(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	_, net := testNet(t, 2)
-	net.RegisterHub(0, func(Msg) {})
+	net.RegisterHub(0, func(*Msg) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	net.RegisterHub(0, func(Msg) {})
+	net.RegisterHub(0, func(*Msg) {})
 }
 
 func TestUnregisteredDestinationPanics(t *testing.T) {
 	eng, net := testNet(t, 2)
-	net.Send(Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(1)})
+	net.Send(&Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(1)})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -124,14 +124,14 @@ func TestUnregisteredDestinationPanics(t *testing.T) {
 
 func TestStatsSub(t *testing.T) {
 	eng, net := testNet(t, 4)
-	net.RegisterHub(1, func(Msg) {})
-	net.Send(Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(1)})
+	net.RegisterHub(1, func(*Msg) {})
+	net.Send(&Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(1)})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	before := net.Stats()
-	net.Send(Msg{Kind: KindGetExclusive, Src: Hub(0), Dst: Hub(1)})
-	net.Send(Msg{Kind: KindGetExclusive, Src: Hub(0), Dst: Hub(1)})
+	net.Send(&Msg{Kind: KindGetExclusive, Src: Hub(0), Dst: Hub(1)})
+	net.Send(&Msg{Kind: KindGetExclusive, Src: Hub(0), Dst: Hub(1)})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +147,9 @@ func TestStatsSub(t *testing.T) {
 func TestMessageOrderPreservedSameLatency(t *testing.T) {
 	eng, net := testNet(t, 4)
 	var got []uint64
-	net.RegisterHub(1, func(m Msg) { got = append(got, m.Value) })
+	net.RegisterHub(1, func(m *Msg) { got = append(got, m.Value) })
 	for i := uint64(0); i < 10; i++ {
-		net.Send(Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(1), Value: i})
+		net.Send(&Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(1), Value: i})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

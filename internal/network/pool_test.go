@@ -22,7 +22,7 @@ func poolNet(t *testing.T) (sim.Engine, *Network) {
 	}
 	net := New(eng, topo.HopTable(), Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	for n := 0; n < 16; n++ {
-		net.RegisterHub(n, func(Msg) {})
+		net.RegisterHub(n, func(*Msg) {})
 	}
 	return eng, net
 }
@@ -33,7 +33,7 @@ func recvNet(t *testing.T) (sim.Engine, *Network, *[][]uint64) {
 	t.Helper()
 	eng, net := poolNet(t)
 	got := new([][]uint64)
-	net.RegisterCPU(1, func(m Msg) {
+	net.RegisterCPU(1, func(m *Msg) {
 		if cap(m.Data) != len(m.Data) {
 			t.Errorf("delivered Data has len %d, cap %d; want cap == len", len(m.Data), cap(m.Data))
 		}
@@ -59,7 +59,7 @@ func seq(base uint64, n int) []uint64 {
 func TestReleaseDataZeroCapacity(t *testing.T) {
 	eng, net, got := recvNet(t)
 	for _, data := range [][]uint64{nil, {}, seq(7, 8), nil, seq(40, 8)} {
-		net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: data})
+		net.Send(&Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: data})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestReleaseDataZeroLengthReslice(t *testing.T) {
 	eng, net, got := recvNet(t)
 	long := seq(0xdeadbeef, 8)
 	for _, data := range [][]uint64{long, seq(1, 4), long[:0]} {
-		net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: data})
+		net.Send(&Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: data})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +104,9 @@ func TestReleaseDataZeroLengthReslice(t *testing.T) {
 func TestSendCopiesPayload(t *testing.T) {
 	eng, net, got := recvNet(t)
 	b := seq(100, 8)
-	net.Send(Msg{Kind: KindDataShared, Src: Hub(8), Dst: CPUAt(0, 1), Data: b})
+	net.Send(&Msg{Kind: KindDataShared, Src: Hub(8), Dst: CPUAt(0, 1), Data: b})
 	copy(b, seq(200, 8))
-	net.SendAfter(50, Msg{Kind: KindDataShared, Src: Hub(8), Dst: CPUAt(0, 1), Data: b})
+	net.SendAfter(50, &Msg{Kind: KindDataShared, Src: Hub(8), Dst: CPUAt(0, 1), Data: b})
 	copy(b, seq(300, 8))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -122,21 +122,21 @@ func TestSendCopiesPayload(t *testing.T) {
 func TestHandlerSendKeepsReceivedData(t *testing.T) {
 	eng, net, got := recvNet(t)
 	var seen []uint64
-	net.RegisterCPU(0, func(m Msg) {
+	net.RegisterCPU(0, func(m *Msg) {
 		for i := 0; i < 3; i++ {
-			net.Send(Msg{Kind: KindWriteback, Src: CPUAt(0, 0), Dst: CPUAt(0, 1), Data: seq(uint64(500+100*i), 8)})
+			net.Send(&Msg{Kind: KindWriteback, Src: CPUAt(0, 0), Dst: CPUAt(0, 1), Data: seq(uint64(500+100*i), 8)})
 		}
 		seen = append([]uint64{}, m.Data...)
 	})
 	// Warm the pool with delivered records, so a Send inside the handler
 	// has recycled records to pop.
 	for i := 0; i < 4; i++ {
-		net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: seq(9, 8)})
+		net.Send(&Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 1), Data: seq(9, 8)})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	net.Send(Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 0), Data: seq(1, 8)})
+	net.Send(&Msg{Kind: KindDataShared, Src: Hub(0), Dst: CPUAt(0, 0), Data: seq(1, 8)})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestMsgFreeReuseAfterShutdown(t *testing.T) {
 	eng, net := poolNet(t)
 	// One zero-latency local delivery (recycles its slot) and one remote
 	// delivery still in flight at the deadline.
-	net.Send(Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(0)})
-	net.Send(Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(8)})
+	net.Send(&Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(0)})
+	net.Send(&Msg{Kind: KindGetShared, Src: Hub(0), Dst: Hub(8)})
 	if err := eng.RunUntil(50); err != sim.ErrDeadline {
 		t.Fatalf("RunUntil = %v, want ErrDeadline (remote message in flight)", err)
 	}
@@ -169,7 +169,7 @@ func TestMsgFreeReuseAfterShutdown(t *testing.T) {
 		t.Fatalf("recycled slot not zeroed: %+v", slot.m)
 	}
 	eng.Shutdown()
-	net.Send(Msg{Kind: KindInvalidate, Src: Hub(0), Dst: Hub(0)})
+	net.Send(&Msg{Kind: KindInvalidate, Src: Hub(0), Dst: Hub(0)})
 	if got := len(net.msgs[0].msgFree); got != 0 {
 		t.Fatalf("Send after Shutdown left %d pooled slot(s), want 0 (reuse)", got)
 	}

@@ -105,8 +105,9 @@ type CPU struct {
 	// replyQ is a head-indexed FIFO: popping advances the head and the
 	// backing array is reused once drained, so steady-state message
 	// traffic never grows it. It is a slice rather than a sim.FIFO because
-	// takeReply also removes replies by kind from the middle.
-	replyQ    []network.Msg
+	// takeReply also removes replies by kind from the middle. It keeps
+	// only what the waits read of a reply: its kind and value.
+	replyQ    []reply
 	replyHead int
 
 	linkAddr  uint64
@@ -121,6 +122,8 @@ type CPU struct {
 	// predicate on every wake.
 	lineEvents *sim.Cond
 
+	// amsgQ copies each accepted active message: the delivered record
+	// is gone by the time a handler serves it.
 	amsgQ    sim.FIFO[network.Msg]
 	handlers map[int]Handler
 
@@ -304,7 +307,7 @@ func (c *CPU) syncDest(addr uint64) network.Endpoint {
 
 // --- message delivery (event context) -------------------------------------
 
-func (c *CPU) deliver(m network.Msg) {
+func (c *CPU) deliver(m *network.Msg) {
 	switch m.Kind {
 	case network.KindDataShared, network.KindDataExclusive, network.KindAckExclusive:
 		c.applyCacheReply(m)
@@ -329,7 +332,7 @@ func (c *CPU) deliver(m network.Msg) {
 
 // applyCacheReply completes the pending cache transaction at delivery time,
 // so a racing intervention a cycle later sees fully committed state.
-func (c *CPU) applyCacheReply(m network.Msg) {
+func (c *CPU) applyCacheReply(m *network.Msg) {
 	op := &c.pending
 	if !c.pendingLive || op.filled {
 		panic(fmt.Sprintf("proc: cpu %d cache reply with no pending op: %v", c.p.ID, m))
@@ -388,7 +391,7 @@ func (c *CPU) installLine(block uint64, st cache.State, data []uint64) {
 }
 
 func (c *CPU) writeback(v cache.Victim) {
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind:      network.KindWriteback,
 		Src:       c.endpoint(),
 		Dst:       c.home(v.Addr),
@@ -398,12 +401,12 @@ func (c *CPU) writeback(v cache.Victim) {
 	})
 }
 
-func (c *CPU) applyInvalidate(m network.Msg) {
+func (c *CPU) applyInvalidate(m *network.Msg) {
 	c.c.Invalidate(m.Addr)
 	if c.linkValid && c.linkAddr == c.block(m.Addr) {
 		c.linkValid = false
 	}
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind: network.KindInvalidateAck,
 		Src:  c.endpoint(),
 		Dst:  m.Src,
@@ -412,7 +415,7 @@ func (c *CPU) applyInvalidate(m network.Msg) {
 	c.lineEvents.Broadcast()
 }
 
-func (c *CPU) applyIntervention(m network.Msg) {
+func (c *CPU) applyIntervention(m *network.Msg) {
 	var words []uint64
 	if m.Flags&directory.IvnInvalidate != 0 {
 		if st, w := c.c.Invalidate(m.Addr); st == cache.Modified {
@@ -425,7 +428,7 @@ func (c *CPU) applyIntervention(m network.Msg) {
 	} else {
 		words, _ = c.c.Downgrade(m.Addr)
 	}
-	reply := network.Msg{
+	ack := network.Msg{
 		Kind: network.KindInterventionAck,
 		Src:  c.endpoint(),
 		Dst:  m.Src,
@@ -433,25 +436,30 @@ func (c *CPU) applyIntervention(m network.Msg) {
 		Data: words,
 	}
 	if words != nil {
-		reply.DataBytes = c.p.BlockBytes
+		ack.DataBytes = c.p.BlockBytes
 	} else {
 		// Already written back or only shared: the home's out-of-band
 		// writeback processing has (or will have) current data.
-		reply.Flags = directory.IvnAckStale
+		ack.Flags = directory.IvnAckStale
 	}
-	c.net.Send(reply)
+	c.net.Send(&ack)
 }
 
-func (c *CPU) pushReply(m network.Msg) {
-	c.replyQ = append(c.replyQ, m)
+// reply is what a wait reads of a reply-class message.
+type reply struct {
+	Kind  network.Kind
+	Value uint64
+}
+
+func (c *CPU) pushReply(m *network.Msg) {
+	c.replyQ = append(c.replyQ, reply{Kind: m.Kind, Value: m.Value})
 	c.wakePending()
 }
 
 // popReply removes and returns the oldest queued reply; the backing array
 // is reused once the queue drains.
-func (c *CPU) popReply() network.Msg {
+func (c *CPU) popReply() reply {
 	m := c.replyQ[c.replyHead]
-	c.replyQ[c.replyHead] = network.Msg{}
 	c.replyHead++
 	if c.replyHead == len(c.replyQ) {
 		c.replyQ = c.replyQ[:0]
@@ -464,17 +472,17 @@ func (c *CPU) replyPending() int { return len(c.replyQ) - c.replyHead }
 
 func (c *CPU) amsgPending() int { return c.amsgQ.Len() }
 
-func (c *CPU) acceptActiveMessage(m network.Msg) {
+func (c *CPU) acceptActiveMessage(m *network.Msg) {
 	if c.amsgPending() >= c.p.ActMsgQueueDepth {
-		c.net.Send(network.Msg{
+		c.net.Send(&network.Msg{
 			Kind: network.KindActiveMessageNack,
 			Src:  c.endpoint(), Dst: m.Src,
 			Addr: m.Addr, Txn: m.Txn,
 		})
 		return
 	}
-	c.amsgQ.Push(m)
-	c.net.Send(network.Msg{
+	c.amsgQ.Push(*m)
+	c.net.Send(&network.Msg{
 		Kind: network.KindActiveMessageAck,
 		Src:  c.endpoint(), Dst: m.Src,
 		Addr: m.Addr, Txn: m.Txn,
@@ -553,7 +561,7 @@ var (
 // served while waiting (this is what prevents distributed home-CPU
 // deadlock: two home CPUs RPC-ing each other must keep draining their own
 // handler queues).
-func (c *CPU) awaitMsg(mask kindMask, serveAmsg bool) network.Msg {
+func (c *CPU) awaitMsg(mask kindMask, serveAmsg bool) reply {
 	for {
 		if m, ok := c.takeReply(mask); ok {
 			return m
@@ -569,7 +577,7 @@ func (c *CPU) awaitMsg(mask kindMask, serveAmsg bool) network.Msg {
 }
 
 // takeReply removes and returns the oldest queued reply matching mask.
-func (c *CPU) takeReply(mask kindMask) (network.Msg, bool) {
+func (c *CPU) takeReply(mask kindMask) (reply, bool) {
 	for i := c.replyHead; i < len(c.replyQ); i++ {
 		if !mask.has(c.replyQ[i].Kind) {
 			continue
@@ -579,11 +587,10 @@ func (c *CPU) takeReply(mask kindMask) (network.Msg, bool) {
 			return c.popReply(), true
 		}
 		copy(c.replyQ[i:], c.replyQ[i+1:])
-		c.replyQ[len(c.replyQ)-1] = network.Msg{}
 		c.replyQ = c.replyQ[:len(c.replyQ)-1]
 		return m, true
 	}
-	return network.Msg{}, false
+	return reply{}, false
 }
 
 // --- cached memory operations ---------------------------------------------
@@ -608,7 +615,7 @@ func (c *CPU) Load(addr uint64) uint64 {
 		}
 		c.pending = pendingOp{kind: opLoad, addr: addr}
 		c.pendingLive = true
-		c.net.Send(network.Msg{
+		c.net.Send(&network.Msg{
 			Kind: network.KindGetShared,
 			Src:  c.endpoint(), Dst: c.home(addr),
 			Addr: c.block(addr),
@@ -653,7 +660,7 @@ func (c *CPU) LoadLinked(addr uint64) uint64 {
 		}
 		c.pending = pendingOp{kind: opLoadLinked, addr: addr}
 		c.pendingLive = true
-		c.net.Send(network.Msg{
+		c.net.Send(&network.Msg{
 			Kind: kind,
 			Src:  c.endpoint(), Dst: c.home(addr),
 			Addr: c.block(addr),
@@ -687,7 +694,7 @@ func (c *CPU) Store(addr, val uint64) {
 		}
 		c.pending = pendingOp{kind: opStore, addr: addr, val: val}
 		c.pendingLive = true
-		c.net.Send(network.Msg{
+		c.net.Send(&network.Msg{
 			Kind: kind,
 			Src:  c.endpoint(), Dst: c.home(addr),
 			Addr: c.block(addr),
@@ -738,7 +745,7 @@ func (c *CPU) StoreConditional(addr, val uint64) bool {
 	}
 	c.pending = pendingOp{kind: opStoreConditional, addr: addr, val: val}
 	c.pendingLive = true
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind: network.KindUpgrade,
 		Src:  c.endpoint(), Dst: c.home(addr),
 		Addr: c.block(addr),
@@ -795,7 +802,7 @@ func (c *CPU) atomicRMW(op core.Op, addr, operand, aux uint64) uint64 {
 		}
 		c.pending = pendingOp{kind: opAtomicRMW, addr: addr, val: operand, aux: aux, rmw: op}
 		c.pendingLive = true
-		c.net.Send(network.Msg{
+		c.net.Send(&network.Msg{
 			Kind: kind,
 			Src:  c.endpoint(), Dst: c.home(addr),
 			Addr: c.block(addr),
@@ -811,7 +818,7 @@ func (c *CPU) atomicRMW(op core.Op, addr, operand, aux uint64) uint64 {
 // cache (the access mode MAO spinning requires).
 func (c *CPU) UncachedLoad(addr uint64) uint64 {
 	c.sleep(&c.cyc.Compute, c.p.IssueCycles)
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind: network.KindUncachedLoad,
 		Src:  c.endpoint(), Dst: c.home(addr),
 		Addr: addr,
@@ -822,7 +829,7 @@ func (c *CPU) UncachedLoad(addr uint64) uint64 {
 // UncachedStore writes a word directly at its home node.
 func (c *CPU) UncachedStore(addr, val uint64) {
 	c.sleep(&c.cyc.Compute, c.p.IssueCycles)
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind: network.KindUncachedStore,
 		Src:  c.endpoint(), Dst: c.home(addr),
 		Addr:  addr,
@@ -850,7 +857,7 @@ func (c *CPU) MAOCompareSwap(addr, expect, val uint64) uint64 {
 
 func (c *CPU) mao(op core.Op, addr, operand, aux uint64) uint64 {
 	c.sleep(&c.cyc.Compute, c.p.IssueCycles)
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind: network.KindMAORequest,
 		Src:  c.endpoint(), Dst: c.syncDest(addr),
 		Addr:  addr,
@@ -868,7 +875,7 @@ func (c *CPU) mao(op core.Op, addr, operand, aux uint64) uint64 {
 // every operation.
 func (c *CPU) AMO(op core.Op, addr, operand, test uint64, flags uint32) uint64 {
 	c.sleep(&c.cyc.Compute, c.p.IssueCycles)
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind: network.KindAMORequest,
 		Src:  c.endpoint(), Dst: c.syncDest(addr),
 		Addr:  addr,
@@ -912,7 +919,7 @@ func (c *CPU) ActiveMessageCall(handler int, addr, arg uint64) uint64 {
 	}
 	for attempt := uint64(1); ; attempt++ {
 		c.sleep(&c.cyc.Compute, c.p.IssueCycles)
-		c.net.Send(network.Msg{
+		c.net.Send(&network.Msg{
 			Kind:  network.KindActiveMessage,
 			Src:   c.endpoint(),
 			Dst:   network.Endpoint{Node: target / c.p.ProcsPerNode, CPU: target},
@@ -946,7 +953,7 @@ func (c *CPU) serveOneActiveMessage() {
 	c.stats.AmsgServed++
 	c.sleep(&c.cyc.Compute, c.p.ActMsgInvokeCycles)
 	result := c.runHandler(m.Op, m.Addr, m.Value)
-	c.net.Send(network.Msg{
+	c.net.Send(&network.Msg{
 		Kind:  network.KindActiveMessageReply,
 		Src:   c.endpoint(),
 		Dst:   m.Src,

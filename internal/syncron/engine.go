@@ -113,12 +113,14 @@ func (e *Engine) partitionOf(addr uint64) *core.AMU {
 // Handle accepts hub-routed traffic: AMO/MAO requests (executing home-homed
 // ones, forwarding the rest to their home node's engine) and uncached
 // accesses to this node's memory. Runs in event context.
-func (e *Engine) Handle(m network.Msg) {
+func (e *Engine) Handle(m *network.Msg) {
 	if m.Kind == network.KindAMORequest || m.Kind == network.KindMAORequest {
 		if home := memsys.HomeNode(m.Addr); home != e.p.Node {
 			// Hierarchical coordination: the local engine inspects the
 			// request and relays it to the home partition; the home engine
 			// replies straight to the requesting CPU (m.Src is preserved).
+			// Readdressing the delivered record in place is safe: it is
+			// this handler's until it returns, and SendAfter copies it.
 			e.stats.Forwards++
 			e.stats.OccupancyCycles += e.p.InspectCycles
 			m.Dst = network.Hub(home)
