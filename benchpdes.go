@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"amosim/internal/machine"
@@ -14,9 +15,11 @@ import (
 // on a 1024-processor machine — the scale the crossover sweeps need and
 // the sequential kernel makes painful — once on each kernel. Its
 // deterministic fields (simulated cycles, per-barrier cost, dispatched
-// events, lookahead window, per-shard event counts) are identical between
-// kernels and across hosts: cross-kernel equivalence evidence. Host*
-// fields record the wall-clock ratio on the generating host, ungated.
+// events, lookahead window, per-shard event counts, window statistics and
+// the speedup ceiling they imply) are identical across hosts; the first
+// three are also identical between kernels: cross-kernel equivalence
+// evidence. Host* fields record the wall-clock ratio on the generating
+// host, ungated.
 
 // pdesDoc is the BENCH_pdes.json document.
 type pdesDoc struct {
@@ -29,12 +32,10 @@ type pdesDoc struct {
 	Warmup    int
 	Shards    int
 
-	// Deterministic outputs, identical on both kernels and every host.
+	// Deterministic outputs, identical on every host.
 	SimCycles        uint64  // measurement-window simulated cycles
 	CyclesPerBarrier float64 // simulated cost per barrier episode
-	EventsPerRun     uint64  // kernel events dispatched by the simulation phase
-	WindowCycles     uint64  // conservative lookahead width (min cross-shard latency)
-	ShardEvents      []uint64
+	pdesKernel
 
 	// Host measurements.
 	HostCPUs       int // runtime.NumCPU() on the generating host
@@ -42,6 +43,17 @@ type pdesDoc struct {
 	HostSeqNsPerOp float64
 	HostParNsPerOp float64
 	HostSpeedup    float64 // seq/par wall-clock ratio
+}
+
+// pdesKernel is the parallel kernel's side of the document, from the
+// simulation phase of one run.
+type pdesKernel struct {
+	EventsPerRun uint64 // kernel events dispatched, the same on both kernels
+	WindowCycles uint64 // conservative lookahead width (min cross-shard latency)
+	ShardEvents  []uint64
+	Windows      uint64  // window boundaries run
+	RankedPushes uint64  // push records those boundaries ranked
+	Ceiling      float64 // EventsPerRun / max ShardEvents: the speedup bound
 }
 
 const (
@@ -78,7 +90,7 @@ func benchPdes() (pdesDoc, error) {
 	if string(seqJSON) != string(parJSON) {
 		return pdesDoc{}, fmt.Errorf("amosim: parallel kernel diverged from sequential on the pdes workload:\nseq: %s\npar: %s", seqJSON, parJSON)
 	}
-	events, window, shardEvents, err := pdesKernelRun(pcfg, mech, bopts)
+	kernel, err := pdesKernelRun(pcfg, mech, bopts)
 	if err != nil {
 		return pdesDoc{}, err
 	}
@@ -115,9 +127,7 @@ func benchPdes() (pdesDoc, error) {
 
 		SimCycles:        seqR.TotalCycles,
 		CyclesPerBarrier: seqR.CyclesPerBarrier,
-		EventsPerRun:     events,
-		WindowCycles:     window,
-		ShardEvents:      shardEvents,
+		pdesKernel:       kernel,
 
 		HostCPUs:       runtime.NumCPU(),
 		HostIterations: pdesIterations,
@@ -128,16 +138,19 @@ func benchPdes() (pdesDoc, error) {
 }
 
 // pdesKernelRun executes the workload on a parallel machine with kernel
-// metrics enabled and returns the simulation phase's dispatched event
-// count, the engine's lookahead window, and the per-shard dispatch counts
-// — all deterministic.
-func pdesKernelRun(cfg Config, mech Mechanism, bopts BarrierOptions) (events, window uint64, shardEvents []uint64, err error) {
+// metrics enabled and returns the kernel's side of the document, all
+// deterministic.
+func pdesKernelRun(cfg Config, mech Mechanism, bopts BarrierOptions) (pdesKernel, error) {
 	bopts = bopts.WithDefaults()
 	m, err := machine.New(cfg)
 	if err != nil {
-		return 0, 0, nil, err
+		return pdesKernel{}, err
 	}
 	defer m.Shutdown()
+	pe, ok := m.Eng.(*sim.Parallel)
+	if !ok {
+		return pdesKernel{}, fmt.Errorf("amosim: the pdes workload built a %T, not the parallel kernel", m.Eng)
+	}
 	m.EnableKernelMetrics()
 	b := NewBarrier(m, mech, cfg.Processors, 0)
 	m.OnAllCPUs(func(c *CPU) {
@@ -146,13 +159,18 @@ func pdesKernelRun(cfg Config, mech Mechanism, bopts BarrierOptions) (events, wi
 			b.Wait(c)
 		}
 	})
-	before := m.Metrics()
+	before, windows, ranked := m.Metrics(), pe.Windows(), pe.RankedPushes()
 	if _, err := m.Run(); err != nil {
-		return 0, 0, nil, err
+		return pdesKernel{}, err
 	}
 	d := m.Metrics().Diff(before)
-	if pe, ok := m.Eng.(*sim.Parallel); ok {
-		window = uint64(pe.Window())
+	k := pdesKernel{
+		EventsPerRun: d.Kernel.EventsExecuted,
+		WindowCycles: pe.Window(),
+		ShardEvents:  d.Kernel.ShardEvents,
+		Windows:      pe.Windows() - windows,
+		RankedPushes: pe.RankedPushes() - ranked,
 	}
-	return d.Kernel.EventsExecuted, window, d.Kernel.ShardEvents, nil
+	k.Ceiling = float64(k.EventsPerRun) / float64(slices.Max(k.ShardEvents))
+	return k, nil
 }

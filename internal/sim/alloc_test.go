@@ -88,6 +88,64 @@ func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestParallelBoundarySteadyStateZeroAlloc pins the boundary's delivery
+// and flush paths, which the process test above never reaches. Two nodes
+// on their own shards ping each other across shards at the lookahead;
+// each ping starts a zero-delay chain whose later links have in-window
+// pushers; and every handler emits into an installed sink. So every window
+// ranks local and cross records, delivers through the cross list and
+// flushes staged trace records.
+func TestParallelBoundarySteadyStateZeroAlloc(t *testing.T) {
+	eng := NewParallel(2, []int{0, 1}, orderLookahead)
+	defer eng.Shutdown()
+	records := 0
+	eng.SetEmitSink(func(cycle uint64, kind, what string) { records++ })
+	var pingers [2]pinger
+	for node := range pingers {
+		pingers[node] = pinger{view: eng.ForNode(node), node: node, peer: &pingers[1-node]}
+		pingers[node].view.ScheduleCall(0, ping, &pingers[node])
+	}
+	deadline := Time(0)
+	window := func() {
+		deadline += 1000
+		if err := eng.RunUntil(deadline); err != ErrDeadline {
+			t.Fatalf("RunUntil = %v, want ErrDeadline (the pings never stop)", err)
+		}
+	}
+	window() // warm: grows the push logs, cross lists, staged records and arenas
+	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+		t.Fatalf("parallel window boundaries allocate %.1f/op, want 0", allocs)
+	}
+	if n := eng.Executed(); n == 0 || uint64(records) != n {
+		t.Fatalf("sink received %d records for %d events, want one per event", records, n)
+	}
+}
+
+// pinger is one node of the boundary test: it pings its peer across
+// shards and runs a chain of zero-delay links on its own.
+type pinger struct {
+	view  Engine
+	node  int
+	peer  *pinger
+	links int
+}
+
+func ping(a any) {
+	p := a.(*pinger)
+	p.view.Emit(p.view.Now(), "ping", "cross")
+	p.links = 0
+	p.view.ScheduleCall(0, pingLink, p)
+	p.view.ScheduleCallNode(p.peer.node, orderLookahead, ping, p.peer)
+}
+
+func pingLink(a any) {
+	p := a.(*pinger)
+	p.view.Emit(p.view.Now(), "link", "zero-delay")
+	if p.links++; p.links < 3 {
+		p.view.ScheduleCall(0, pingLink, p)
+	}
+}
+
 // TestSpawnOnIdleCarrierAllocs pins the point of carrier reuse: once a
 // process has returned, the next Spawn on the same scheduler runs on its
 // idle carrier and allocates only the Process and its prebound wake

@@ -102,17 +102,49 @@ func TestRunUntilDeadline(t *testing.T) {
 	}
 }
 
+// TestRunUntilDeadlineSyncsClocks: when RunUntil stops at its deadline,
+// every view's clock reads the time of the last event run, so an event
+// scheduled between runs through a view that ran nothing late lands where
+// the sequential kernel puts it, not in that view's past.
+func TestRunUntilDeadlineSyncsClocks(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		var fired [2][]Time
+		record := func(node int) func() {
+			return func() { fired[node] = append(fired[node], e.ForNode(node).Now()) }
+		}
+		e.ForNode(1).Schedule(10, record(1))
+		e.ForNode(0).Schedule(50, record(0))
+		e.ForNode(0).Schedule(500, record(0))
+		if err := e.RunUntil(100); err != ErrDeadline {
+			t.Fatalf("RunUntil(100) = %v, want ErrDeadline", err)
+		}
+		if now := e.ForNode(1).Now(); now != 50 {
+			t.Fatalf("node 1 clock after RunUntil(100) = %d, want 50", now)
+		}
+		e.ForNode(1).Schedule(5, record(1))
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(fired), "[[50 500] [10 55]]"; got != want {
+			t.Fatalf("fired = %v, want %v", fired, want)
+		}
+	})
+}
+
 // kernels are the engines every Process, Cond, Await and Shutdown test runs
-// on: the sequential kernel and a two-shard parallel kernel. On the parallel
-// kernel Spawn and Schedule land on shard 0, so tests whose processes share
-// host state keep them there; the others spread processes over both shards
-// with ForNode.
+// on: the sequential kernel and two- and three-shard parallel kernels, one
+// node per shard. On a parallel kernel Spawn and Schedule land on shard 0,
+// so tests whose processes share host state keep them there; the others
+// spread processes over shards with ForNode.
 var kernels = []struct {
 	name string
 	new  func() Engine
 }{
 	{"sequential", func() Engine { return NewSequential() }},
 	{"parallel-2", func() Engine { return NewParallel(2, []int{0, 1}, 4) }},
+	{"parallel-3", func() Engine { return NewParallel(3, []int{0, 1, 2}, 4) }},
 }
 
 // forKernels runs f once per kernel as a subtest; newEngine builds a fresh
@@ -461,17 +493,21 @@ func TestStop(t *testing.T) {
 
 // Property: for any program of handler pushes and sleeping processes, the
 // sequential kernel fires events in (time, push order), and the parallel
-// kernel fires them in exactly the sequential order. Programs push at
-// delays on both sides of every wheel-span multiple up to 3x the span, in
-// same-cycle bursts, and across shards onto cycles the target shard is
-// filling from inside the same window. Their processes push handler events
-// too, and sleep both below the lookahead, where a parallel shard can run
-// the sleep ahead inside its window, and across window ends and the wheel
-// span; the run is split by RunUntil deadlines.
+// kernels fire them in exactly the sequential order. A program has one
+// node per shard, so on parallel-3 every boundary merges three logs.
+// Programs push at delays on both sides of every wheel-span multiple up to
+// 3x the span, in same-cycle bursts, and across shards onto cycles the
+// target shard is filling from inside the same window. Their processes
+// push handler events too, and sleep both below the lookahead, where a
+// parallel shard can run the sleep ahead inside its window, and across
+// window ends and the wheel span; the run is split by RunUntil deadlines.
 func TestEventOrderProperty(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		f := func(seed uint64) bool {
-			want, _ := runOrderProgram(t, NewSequential(), seed)
+			eng := newEngine()
+			n := max(2, eng.NumShards()) // one node per shard
+			got, nodes := runOrderProgram(t, eng, n, seed)
+			want, _ := runOrderProgram(t, NewSequential(), n, seed)
 			for i := 1; i < len(want); i++ {
 				a, b := want[i-1], want[i]
 				if a.at > b.at || a.at == b.at && a.push >= b.push {
@@ -479,7 +515,6 @@ func TestEventOrderProperty(t *testing.T) {
 					return false
 				}
 			}
-			got, nodes := runOrderProgram(t, newEngine(), seed)
 			if !sameOrder(got, want) {
 				t.Logf("seed %d: global order differs from sequential", seed)
 				return false
@@ -535,7 +570,7 @@ var orderDelays = []Time{
 	3*wheelSpan - 1, 3 * wheelSpan,
 }
 
-// orderLookahead is the parallel-2 kernel's window (see kernels): the
+// orderLookahead is the parallel kernels' window (see kernels): the
 // shortest legal cross-shard delay.
 const orderLookahead = 4
 
@@ -560,13 +595,16 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// runOrderProgram runs the order program for seed on eng, split by
-// RunUntil deadlines, and returns the fired events in global order (as
-// the Emit sink received them) and in each node's own execution order.
-func runOrderProgram(t *testing.T, eng Engine, seed uint64) (global []orderRec, nodes [2][]orderRec) {
+// runOrderProgram runs the order program for seed on n nodes of eng,
+// split by RunUntil deadlines, and returns the fired events in global
+// order (as the Emit sink received them) and in each node's own execution
+// order. Every choice that picks among nodes is constant at n = 2, so the
+// two-node programs are those of a program written for two nodes.
+func runOrderProgram(t *testing.T, eng Engine, n int, seed uint64) (global []orderRec, nodes [][]orderRec) {
 	t.Helper()
 	defer eng.Shutdown()
 	const maxDepth = 6
+	nodes = make([][]orderRec, n)
 	var pushes atomic.Uint64
 	eng.SetEmitSink(func(cycle uint64, kind, what string) {
 		r := orderRec{at: cycle}
@@ -587,14 +625,14 @@ func runOrderProgram(t *testing.T, eng Engine, seed uint64) (global []orderRec, 
 		return now
 	}
 	// target picks a push's node and delay from hc: mostly its own node,
-	// and the other node at the lookahead or later.
+	// and another node at the lookahead or later.
 	target := func(node int, hc uint64) (int, Time) {
 		delay := orderDelays[(hc>>8)%uint64(len(orderDelays))]
 		if hc%4 == 0 {
 			delay = Time(hc>>8) % (3*wheelSpan + 2)
 		}
 		if (hc>>40)%3 == 0 {
-			return 1 - node, max(delay, orderLookahead)
+			return (node + 1 + int((hc>>44)%uint64(n-1))) % n, max(delay, orderLookahead)
 		}
 		return node, delay
 	}
@@ -627,17 +665,19 @@ func runOrderProgram(t *testing.T, eng Engine, seed uint64) (global []orderRec, 
 			}
 		}
 	}
-	for r := uint64(0); r < 6; r++ {
-		node := int(r % 2)
-		eng.ForNode(node).ScheduleCall(Time(r/2), fire, &orderEv{label: mix64(seed + r), node: node, push: pushes.Add(1), due: Time(r / 2)})
+	roots := uint64(3 * n)
+	for r := uint64(0); r < roots; r++ {
+		node := int(r % uint64(n))
+		due := Time(r / uint64(n))
+		eng.ForNode(node).ScheduleCall(due, fire, &orderEv{label: mix64(seed + r), node: node, push: pushes.Add(1), due: due})
 	}
 	// Two sleeping processes per node. Each step records, pushes a handler
 	// event two levels short of the depth limit, and sleeps; the next
 	// step's push index is taken at that Sleep, where a parked sleep
 	// pushes its wake.
-	for r := uint64(0); r < 4; r++ {
-		node := int(r % 2)
-		label, push, due := mix64(seed+r+6), pushes.Add(1), Time(r)
+	for r := uint64(0); r < uint64(2*n); r++ {
+		node := int(r % uint64(n))
+		label, push, due := mix64(seed+r+roots), pushes.Add(1), Time(r)
 		eng.ForNode(node).Spawn("sleeper", due, func(p *Process) {
 			view := eng.ForNode(node)
 			for step := 0; ; step++ {

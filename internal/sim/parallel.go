@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"cmp"
-	"slices"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Parallel is the conservative parallel discrete-event kernel. Nodes are
 // partitioned across shards; each shard owns an independent event queue,
@@ -31,15 +27,30 @@ import (
 //     under both kernels, and cross-shard pushes cannot land inside the
 //     window that issued them).
 //
-// At each boundary the coordinator replays the window's push log in the
-// order Sequential would have performed the pushes — pushing events execute
-// in (time, sequence) order, so records are ranked by (pusher time, pusher
-// sequence, push index), resolving pushers that themselves gained their
-// sequence this window in dependency rounds — and assigns global sequences
-// from one monotone counter. The assignment never reorders a live queue
-// (assigned-before-unassigned and local push order are both preserved by
-// construction), after which cross-shard messages are delivered and staged
-// trace records are flushed to the sink in (time, sequence, emission) order.
+// At each boundary the coordinator ranks the window's pushes in the order
+// Sequential would have performed them, which is the order pushing events
+// execute: (pusher time, pusher sequence, push index). It does so with one
+// k-way merge of the shards' push logs, each of which is already in that
+// order. A shard dispatches in (time, sequence, local) order, so along its
+// log the pusher time never decreases; within one pusher time, pushers that
+// carried a sequence ran first, in sequence order, and pushers pushed this
+// window ran in log order, which the merge turns into increasing sequences.
+// An in-window pusher's own record sits earlier in the same log, so it is
+// ranked before any record it pushed reaches the head, and the head resolves
+// its pusher sequence from it. Two shards never share a key, since a pusher
+// sequence names one event. The merge panics if its output ever steps back
+// in (pusher time, pusher sequence): that happens exactly when some log is
+// out of rank order.
+//
+// One monotone counter assigns the merged records their global sequences.
+// The assignment never reorders a live queue (assigned-before-unassigned
+// and local push order are both preserved by construction). Cross-shard
+// messages are then delivered from each shard's cross list, and staged
+// trace records are flushed to the sink by a second merge, in (time,
+// sequence) order. A push-log record holds no pointers, so the garbage
+// collector never scans the log and a boundary resets it by reslicing; the
+// callbacks of cross-shard messages live in the cross list, which is
+// cleared after delivery.
 type Parallel struct {
 	nodeShard []int32
 	window    Time // lookahead width
@@ -47,9 +58,8 @@ type Parallel struct {
 	seq       uint64 // global order counter: setup pushes + boundary ranking
 	now       Time   // global clock: latest executed event time
 	sink      func(cycle uint64, kind, what string)
-	emits     []emission // boundary merge scratch
-	refs      []recRef   // boundary ranking scratch
-	ready     []recRef
+	windows   uint64 // boundaries run
+	ranked    uint64 // push records those boundaries ranked
 	running   bool
 	started   bool
 	shutdown  bool
@@ -57,28 +67,25 @@ type Parallel struct {
 	doneCh    chan struct{}
 }
 
-// pushRec logs one push performed during a window: enough lineage to rank it
-// exactly where Sequential would have pushed it, plus the payload for
-// cross-shard pushes (local pushes live in the shard arena immediately).
+// pushRec logs one push performed during a window: the pusher's lineage,
+// enough to rank the push exactly where Sequential would have made it, and
+// the sequence the boundary assigns it.
 type pushRec struct {
-	at        Time
-	src       int32
-	dst       int32
-	slot      int32 // arena slot in src shard for local pushes; -1 for cross
-	executed  bool  // local event already dispatched within the window
-	seq       uint64
 	pusherAt  Time
 	pusherSeq uint64 // 0: pusher itself was pushed this window
-	pusherLoc int32  // pusher's push-log index when pusherSeq == 0
-	fn        func()
-	call      func(any)
-	arg       any
+	seq       uint64
+	slot      int32 // arena slot of a still-queued local push; -1 otherwise
+	pusherLoc int32 // pusher's push-log index when pusherSeq == 0
 }
 
-// recRef addresses one pushRec during boundary ranking.
-type recRef struct {
-	shard int32
-	idx   int32
+// crossRec is the payload of a cross-shard push, delivered at the boundary
+// with the sequence its push-log record rec was ranked.
+type crossRec struct {
+	at   Time
+	dst  int32
+	rec  int32
+	call func(any)
+	arg  any
 }
 
 // emission is one staged trace record, keyed by the emitting event.
@@ -86,7 +93,6 @@ type emission struct {
 	at    Time
 	seq   uint64
 	local int32
-	n     int32
 	cycle uint64
 	kind  string
 	what  string
@@ -106,12 +112,13 @@ type shard struct {
 	executed uint64
 	pool     procPool
 	pushLog  []pushRec
+	cross    []crossRec
 	emits    []emission
+	next     int // boundary merge cursor into pushLog, then emits
 	// lineage of the currently executing event
 	curAt    Time
 	curSeq   uint64
 	curLocal int32
-	emitCnt  int32
 	inEvent  bool
 	windowCh chan Time
 }
@@ -168,6 +175,12 @@ func (par *Parallel) ShardExecuted() []uint64 {
 	}
 	return out
 }
+
+// Windows reports the window boundaries run so far.
+func (par *Parallel) Windows() uint64 { return par.windows }
+
+// RankedPushes reports the push records those boundaries ranked.
+func (par *Parallel) RankedPushes() uint64 { return par.ranked }
 
 // NumShards implements Engine.
 func (par *Parallel) NumShards() int { return len(par.shards) }
@@ -278,6 +291,7 @@ func (par *Parallel) RunUntil(deadline Time) error {
 			go s.work()
 		}
 	}
+	var err error
 	for !par.stopped.Load() {
 		start := ^Time(0)
 		for _, s := range par.shards {
@@ -287,7 +301,8 @@ func (par *Parallel) RunUntil(deadline Time) error {
 			break // drained
 		}
 		if start > deadline {
-			return ErrDeadline
+			err = ErrDeadline
+			break
 		}
 		end := start + par.window
 		if end < start {
@@ -314,6 +329,9 @@ func (par *Parallel) RunUntil(deadline Time) error {
 		par.boundary()
 	}
 	par.syncClocks()
+	if err != nil {
+		return err
+	}
 	if procs := par.LiveProcesses(); procs > 0 && !par.stopped.Load() {
 		return &ErrDeadlock{At: par.now, Procs: procs}
 	}
@@ -332,111 +350,84 @@ func (par *Parallel) syncClocks() {
 }
 
 // boundary is the window-merge step: rank the window's pushes into the exact
-// sequential push order, assign global sequences, flush staged trace
-// records, and deliver cross-shard events.
+// sequential push order, assign global sequences, deliver cross-shard
+// events, and flush staged trace records.
 func (par *Parallel) boundary() {
-	par.refs = par.refs[:0]
-	for _, s := range par.shards {
-		for i := range s.pushLog {
-			par.refs = append(par.refs, recRef{shard: s.id, idx: int32(i)})
-		}
-	}
-	rec := func(r recRef) *pushRec { return &par.shards[r.shard].pushLog[r.idx] }
-	// Rank by pusher execution time first: Sequential performs pushes in the
-	// order pushing events execute, i.e. (time, sequence) over pushers.
-	slices.SortStableFunc(par.refs, func(a, b recRef) int {
-		return cmp.Compare(rec(a).pusherAt, rec(b).pusherAt)
-	})
-	for lo := 0; lo < len(par.refs); {
-		hi := lo
-		at := rec(par.refs[lo]).pusherAt
-		for hi < len(par.refs) && rec(par.refs[hi]).pusherAt == at {
-			hi++
-		}
-		// Within one pusher timestamp, resolve in dependency rounds: a
-		// pusher that gained its sequence this window (a zero-delay chain)
-		// ranks by that assignment, which an earlier round produced.
-		remaining := par.refs[lo:hi]
-		for len(remaining) > 0 {
-			par.ready = par.ready[:0]
-			rest := remaining[:0]
-			for _, r := range remaining {
-				pr := rec(r)
-				if pr.pusherSeq == 0 {
-					if ps := par.shards[r.shard].pushLog[pr.pusherLoc].seq; ps != 0 {
-						pr.pusherSeq = ps
-					}
-				}
-				if pr.pusherSeq != 0 {
-					par.ready = append(par.ready, r)
-				} else {
-					rest = append(rest, r)
-				}
-			}
-			if len(par.ready) == 0 {
-				panic("sim: parallel boundary ranking stuck (lineage cycle)")
-			}
-			slices.SortStableFunc(par.ready, func(ri, rj recRef) int {
-				if c := cmp.Compare(rec(ri).pusherSeq, rec(rj).pusherSeq); c != 0 {
-					return c
-				}
-				return cmp.Compare(ri.idx, rj.idx) // same pusher: log order = push order
-			})
-			for _, r := range par.ready {
-				pr := rec(r)
-				par.seq++
-				pr.seq = par.seq
-				if pr.slot >= 0 && !pr.executed {
-					ev := &par.shards[pr.src].q.arena[pr.slot]
-					ev.seq = pr.seq
-					ev.local = -1
-				}
-			}
-			remaining = rest
-		}
-		lo = hi
-	}
-	// Flush staged trace records in global event-execution order.
-	if par.sink != nil {
-		par.emits = par.emits[:0]
+	par.windows++
+	// Rank: merge the push logs by (pusher time, pusher sequence), each
+	// head resolving an in-window pusher's sequence (see Parallel).
+	var lastAt Time
+	var lastSeq uint64
+	for {
+		var from *shard
+		var best *pushRec
 		for _, s := range par.shards {
-			for i := range s.emits {
-				em := &s.emits[i]
-				if em.seq == 0 {
-					em.seq = s.pushLog[em.local].seq
+			if s.next == len(s.pushLog) {
+				continue
+			}
+			h := &s.pushLog[s.next]
+			if h.pusherSeq == 0 {
+				if h.pusherSeq = s.pushLog[h.pusherLoc].seq; h.pusherSeq == 0 {
+					panic("sim: parallel boundary ranking stuck (lineage cycle)")
 				}
-				par.emits = append(par.emits, *em)
 			}
-			s.emits = s.emits[:0]
-		}
-		slices.SortStableFunc(par.emits, func(a, b emission) int {
-			if c := cmp.Compare(a.at, b.at); c != 0 {
-				return c
+			if best == nil || h.pusherAt < best.pusherAt || h.pusherAt == best.pusherAt && h.pusherSeq < best.pusherSeq {
+				from, best = s, h
 			}
-			if c := cmp.Compare(a.seq, b.seq); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.n, b.n)
-		})
-		for i := range par.emits {
-			em := &par.emits[i]
-			par.sink(em.cycle, em.kind, em.what)
 		}
-	} else {
-		for _, s := range par.shards {
-			s.emits = s.emits[:0]
+		if best == nil {
+			break
 		}
+		if best.pusherAt < lastAt || best.pusherAt == lastAt && best.pusherSeq < lastSeq {
+			panic("sim: parallel push log out of rank order")
+		}
+		lastAt, lastSeq = best.pusherAt, best.pusherSeq
+		par.seq++
+		best.seq = par.seq
+		if best.slot >= 0 {
+			ev := &from.q.arena[best.slot]
+			ev.seq, ev.local = best.seq, -1
+		}
+		from.next++
 	}
 	// Deliver cross-shard events, now that every record carries its rank.
 	for _, s := range par.shards {
-		for i := range s.pushLog {
-			pr := &s.pushLog[i]
-			if pr.slot < 0 {
-				par.shards[pr.dst].q.push(pr.at, pr.seq, -1, pr.fn, pr.call, pr.arg)
-			}
-			*pr = pushRec{}
+		par.ranked += uint64(len(s.pushLog))
+		s.next = 0
+		for _, c := range s.cross {
+			par.shards[c.dst].q.push(c.at, s.pushLog[c.rec].seq, -1, nil, c.call, c.arg)
 		}
+		clear(s.cross)
+		s.cross = s.cross[:0]
+	}
+	// Flush staged trace records in global event-execution order: each
+	// shard staged its own in execution order, and two shards never share
+	// an event's (time, sequence).
+	for par.sink != nil {
+		var from *shard
+		var em *emission
+		for _, s := range par.shards {
+			if s.next == len(s.emits) {
+				continue
+			}
+			h := &s.emits[s.next]
+			if h.seq == 0 {
+				h.seq = s.pushLog[h.local].seq
+			}
+			if em == nil || h.at < em.at || h.at == em.at && h.seq < em.seq {
+				from, em = s, h
+			}
+		}
+		if em == nil {
+			break
+		}
+		par.sink(em.cycle, em.kind, em.what)
+		from.next++
+	}
+	for _, s := range par.shards {
 		s.pushLog = s.pushLog[:0]
+		s.emits = s.emits[:0]
+		s.next = 0
 	}
 }
 
@@ -466,10 +457,9 @@ func (s *shard) runWindow(end Time) {
 		}
 		s.now = ev.at
 		s.curAt, s.curSeq, s.curLocal = ev.at, ev.seq, ev.local
-		s.emitCnt = 0
 		s.inEvent = true
 		if ev.local >= 0 {
-			s.pushLog[ev.local].executed = true
+			s.pushLog[ev.local].slot = -1
 		}
 		fn, call, arg := ev.fn, ev.call, ev.arg
 		s.q.pop(id)
@@ -494,12 +484,7 @@ func (s *shard) push(at Time, fn func(), call func(any), arg any) {
 		s.q.push(at, s.par.seq, -1, fn, call, arg)
 		return
 	}
-	s.pushLog = append(s.pushLog, pushRec{
-		at: at, src: s.id, dst: s.id,
-		pusherAt: s.curAt, pusherSeq: s.curSeq, pusherLoc: s.curLocal,
-	})
-	recIdx := int32(len(s.pushLog) - 1)
-	s.pushLog[recIdx].slot = s.q.push(at, 0, recIdx, fn, call, arg)
+	s.logPush(s.q.push(at, 0, int32(len(s.pushLog)), fn, call, arg))
 }
 
 // pushCross stages an event for another shard; it is delivered at the next
@@ -514,11 +499,16 @@ func (s *shard) pushCross(dst int32, at Time, call func(any), arg any) {
 	if at < s.end {
 		panic("sim: cross-shard delivery below the lookahead window")
 	}
+	s.cross = append(s.cross, crossRec{at: at, dst: dst, rec: s.logPush(-1), call: call, arg: arg})
+}
+
+// logPush appends a push-log record with the executing event's lineage
+// and returns its index.
+func (s *shard) logPush(slot int32) int32 {
 	s.pushLog = append(s.pushLog, pushRec{
-		at: at, src: s.id, dst: dst, slot: -1,
-		pusherAt: s.curAt, pusherSeq: s.curSeq, pusherLoc: s.curLocal,
-		call: call, arg: arg,
+		pusherAt: s.curAt, pusherSeq: s.curSeq, pusherLoc: s.curLocal, slot: slot,
 	})
+	return int32(len(s.pushLog) - 1)
 }
 
 // Now returns the shard clock.
@@ -579,10 +569,9 @@ func (s *shard) Emit(cycle uint64, kind, what string) {
 		return
 	}
 	s.emits = append(s.emits, emission{
-		at: s.curAt, seq: s.curSeq, local: s.curLocal, n: s.emitCnt,
+		at: s.curAt, seq: s.curSeq, local: s.curLocal,
 		cycle: cycle, kind: kind, what: what,
 	})
-	s.emitCnt++
 }
 
 // SetEmitSink implements Engine (one sink for the whole engine).
@@ -606,23 +595,17 @@ func (s *shard) clock() Time { return s.now }
 
 // runAhead is Sequential.runAhead bounded by the window end, which never
 // passes RunUntil's deadline: below it, no other shard's push can land.
-// The skipped wake is logged as an executed local push and becomes the
-// current lineage, so the boundary ranks it, and the process's later
-// pushes and Emit records, as if it had been queued and dispatched. Its
-// record keeps slot 0, which is never read once executed: slot -1 would
-// make the boundary deliver it as a cross-shard event.
+// The skipped wake is logged as an already dispatched local push and
+// becomes the current lineage, so the boundary ranks it, and the process's
+// later pushes and Emit records, as if it had been queued and dispatched.
 func (s *shard) runAhead(d Time) bool {
 	at := s.now + d
 	if at >= s.end || s.par.stopped.Load() || !s.q.runAhead(at) {
 		return false
 	}
-	s.pushLog = append(s.pushLog, pushRec{
-		at: at, src: s.id, dst: s.id, executed: true,
-		pusherAt: s.curAt, pusherSeq: s.curSeq, pusherLoc: s.curLocal,
-	})
+	rec := s.logPush(-1)
 	s.now = at
-	s.curAt, s.curSeq, s.curLocal = at, 0, int32(len(s.pushLog)-1)
-	s.emitCnt = 0
+	s.curAt, s.curSeq, s.curLocal = at, 0, rec
 	s.executed++
 	return true
 }
