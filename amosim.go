@@ -87,6 +87,15 @@ func NewMachine(cfg Config) (*Machine, error) { return machine.New(cfg) }
 // memory and synchronization operations on it.
 type CPU = proc.CPU
 
+// SpinPred is CPU.SpinUntil's exit condition on the loaded word.
+type SpinPred = proc.Pred
+
+// AtLeast, Equal and NotEqual build the spin predicates v >= x, v == x and
+// v != x.
+func AtLeast(x uint64) SpinPred  { return proc.AtLeast(x) }
+func Equal(x uint64) SpinPred    { return proc.Equal(x) }
+func NotEqual(x uint64) SpinPred { return proc.NotEqual(x) }
+
 // Mechanism selects the atomic-primitive implementation for barriers and
 // locks.
 type Mechanism = syncprim.Mechanism

@@ -45,7 +45,7 @@ echo "== process carriers -race"
 # Process carriers (iter.Pull coroutines) are resumed from parallel shard
 # workers and stopped from the coordinator; the both-kernel process tests
 # exercise that hand-off, repeated under the race detector.
-go test -race -count=3 -run 'Process|Cond|Await|Shutdown|Spawn|Deadlock' ./internal/sim
+go test -race -count=3 -run 'Process|Await|Shutdown|Spawn|Deadlock' ./internal/sim
 
 echo "== sweep engine and differential matrix -race"
 # The parallel sweep path and the parallel event kernel must be race-clean:
@@ -145,7 +145,8 @@ done
 
 echo "== hot path: zero-alloc regression tests"
 # The pooled event, message, AMU, directory-transaction, home-memory,
-# dsm-agent and touched-set cache paths are pinned at exactly 0 allocs/op.
-go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/directory ./internal/memsys ./internal/dsm ./internal/cache
+# dsm-agent, touched-set cache and spin re-check paths are pinned at
+# exactly 0 allocs/op.
+go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/directory ./internal/memsys ./internal/dsm ./internal/cache ./internal/proc
 
 echo "CI PASS"

@@ -57,14 +57,23 @@ type Victim struct {
 
 // Cache is a sets x ways block cache. A set's ways are allocated on its
 // first Insert and never move afterwards, so a cache costs what its program
-// touches: a CPU spinning on one word holds one set, not the whole array.
+// touches: a CPU spinning on one word holds one set, not the whole array,
+// and an untouched cache holds one 4-byte index entry per set.
 type Cache struct {
 	ways       int
 	blockBytes int
-	blockShift int      // log2(blockBytes)
-	setMask    uint64   // len(sets)-1
-	sets       [][]Line // sets[i] holds set i's ways, nil until first Insert
-	tick       uint64
+	blockShift int    // log2(blockBytes)
+	setMask    uint64 // len(index)-1
+	// index[i] is 0 while set i has never been inserted into, and k once
+	// it is the k-th set touched. Touched sets are numbered from 1 and
+	// stored in chunks: chunk c holds sets 2^c to 2^(c+1)-1 and is
+	// allocated when the first of them is touched, so no way is ever
+	// copied and a cache that touched n sets holds fewer than 2n sets of
+	// ways.
+	index   []int32
+	chunks  [maxChunks][]Line
+	touched int32
+	tick    uint64
 	// spare swaps with a dirty victim's buffer, so the victim's words
 	// survive the fill that displaced them.
 	spare []uint64
@@ -78,6 +87,10 @@ type Cache struct {
 // blocks, 128 times the default 64 KiB cache. New allocates an index entry
 // per set up front, so the bound also bounds an untouched cache.
 const MaxLines = 1 << 16
+
+// maxChunks is bits.Len(MaxLines): enough chunks for a cache of MaxLines
+// one-way sets.
+const maxChunks = 17
 
 // New builds a cache with the given geometry. sets and blockBytes must be
 // powers of two, and sets x ways at most MaxLines. No line storage is
@@ -97,13 +110,25 @@ func New(sets, ways, blockBytes int) *Cache {
 		blockBytes: blockBytes,
 		blockShift: bits.TrailingZeros(uint(blockBytes)),
 		setMask:    uint64(sets - 1),
-		sets:       make([][]Line, sets),
+		index:      make([]int32, sets),
 	}
 }
 
 // setOf returns the index of the set that block maps to.
 func (c *Cache) setOf(block uint64) int {
 	return int(block >> c.blockShift & c.setMask)
+}
+
+// set returns the ways of the set that block maps to, nil if that set has
+// never been inserted into.
+func (c *Cache) set(block uint64) []Line {
+	k := c.index[c.setOf(block)]
+	if k == 0 {
+		return nil
+	}
+	ch := bits.Len32(uint32(k)) - 1
+	i := int(k-1<<ch) * c.ways
+	return c.chunks[ch][i : i+c.ways]
 }
 
 // BlockBytes returns the line size.
@@ -114,7 +139,7 @@ func (c *Cache) BlockBytes() int { return c.blockBytes }
 // search, so Lookup and every operation built on it report not-found there.
 func (c *Cache) Lookup(addr uint64) *Line {
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.sets[c.setOf(block)]
+	set := c.set(block)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
 			return &set[i]
@@ -146,12 +171,16 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 		panic(fmt.Sprintf("cache: Insert with %d words, want %d", len(words), c.blockBytes/memsys.WordBytes))
 	}
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	idx := c.setOf(block)
-	set := c.sets[idx]
-	if set == nil {
-		set = make([]Line, c.ways)
-		c.sets[idx] = set
+	if idx := c.setOf(block); c.index[idx] == 0 {
+		c.touched++
+		k := c.touched
+		if ch := bits.Len32(uint32(k)) - 1; k == 1<<ch {
+			// The chunk's first set: size it for the sets left to touch.
+			c.chunks[ch] = make([]Line, min(int(k), len(c.index)+1-int(k))*c.ways)
+		}
+		c.index[idx] = k
 	}
+	set := c.set(block)
 	c.tick++
 	c.misses++
 	// Replace in place if resident.
@@ -199,7 +228,7 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 // the next Insert into the line's set. Returns Invalid if absent.
 func (c *Cache) Invalidate(addr uint64) (State, []uint64) {
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.sets[c.setOf(block)]
+	set := c.set(block)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
 			st, w := set[i].State, set[i].Words
@@ -276,10 +305,10 @@ func lineState(ln *Line) State {
 // ascending order (for coherence checking and introspection).
 func (c *Cache) ResidentBlocks() []uint64 {
 	var out []uint64
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].State != Invalid {
-				out = append(out, set[i].Addr)
+	for _, ch := range c.chunks {
+		for i := range ch {
+			if ch[i].State != Invalid {
+				out = append(out, ch[i].Addr)
 			}
 		}
 	}

@@ -298,10 +298,8 @@ func TestNewAllocatesNoLines(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, untouched); allocs != 0 {
 			t.Errorf("%d ways: operations on an untouched set allocate %.1f/op, want 0", ways, allocs)
 		}
-		for i, set := range c.sets {
-			if set != nil {
-				t.Fatalf("%d ways: set %d allocated without an Insert", ways, i)
-			}
+		if c.touched != 0 {
+			t.Fatalf("%d ways: %d sets allocated without an Insert", ways, c.touched)
 		}
 		if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 			t.Errorf("%d ways: untouched operations counted %+v", ways, st)
@@ -384,5 +382,28 @@ func TestDirtyVictimWordsSurviveFill(t *testing.T) {
 	c.Invalidate(0x1000)
 	if v.Words[1] != 10 {
 		t.Fatalf("victim word 1 = %d after Invalidate, want 10", v.Words[1])
+	}
+}
+
+// TestWaysNeverMove touches every set of a cache, one block per set, and
+// checks that each block stays where it was inserted: touching more sets
+// allocates new storage for them and never copies the ways already in use.
+func TestWaysNeverMove(t *testing.T) {
+	const sets = 128
+	c := New(sets, 2, bb)
+	var first []*Line
+	for s := uint64(0); s < sets; s++ {
+		addr := s * bb
+		c.Insert(addr, Shared, words(s))
+		first = append(first, c.Lookup(addr))
+	}
+	for s := uint64(0); s < sets; s++ {
+		addr := s * bb
+		if ln := c.Lookup(addr); ln != first[s] || ln.Words[0] != s {
+			t.Fatalf("set %d: line moved or lost after touching every set", s)
+		}
+	}
+	if got := len(c.ResidentBlocks()); got != sets {
+		t.Fatalf("ResidentBlocks holds %d blocks, want %d", got, sets)
 	}
 }

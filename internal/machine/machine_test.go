@@ -40,7 +40,7 @@ func TestStorePropagatesBetweenCPUs(t *testing.T) {
 		c.Store(addr, 77)
 	})
 	m.OnCPU(3, func(c *proc.CPU) {
-		got = c.SpinUntil(addr, func(v uint64) bool { return v == 77 })
+		got = c.SpinUntil(addr, proc.Equal(77))
 	})
 	mustRun(t, m)
 	if got != 77 {
@@ -199,7 +199,7 @@ func TestAMOIncBarrierStyle(t *testing.T) {
 	passed := 0
 	m.OnAllCPUs(func(c *proc.CPU) {
 		c.AMOInc(count, procs) // test value: update fires at procs
-		c.SpinUntil(count, func(v uint64) bool { return v >= procs })
+		c.SpinUntil(count, proc.AtLeast(procs))
 		passed++
 	})
 	mustRun(t, m)
@@ -218,7 +218,7 @@ func TestAMOFetchAddUpdatesSharersInPlace(t *testing.T) {
 	var observed uint64
 	m.OnCPU(1, func(c *proc.CPU) {
 		// Become a sharer, then wait for the word update to patch the line.
-		observed = c.SpinUntil(addr, func(v uint64) bool { return v == 5 })
+		observed = c.SpinUntil(addr, proc.Equal(5))
 	})
 	m.OnCPU(2, func(c *proc.CPU) {
 		c.Think(500) // let CPU 1 cache the block first
@@ -284,7 +284,7 @@ func TestActiveMessageCallRemote(t *testing.T) {
 	})
 	// CPU 2 (the home) must be alive to serve handlers.
 	m.OnCPU(2, func(c *proc.CPU) {
-		c.SpinUntil(addr, func(v uint64) bool { return v >= 20 })
+		c.SpinUntil(addr, proc.AtLeast(20))
 	})
 	mustRun(t, m)
 	if old1 != 0 || old2 != 10 {
@@ -331,7 +331,7 @@ func TestActiveMessageOverflowNacksAndRetries(t *testing.T) {
 	m.OnAllCPUs(func(c *proc.CPU) {
 		c.ActiveMessageCall(1, addr, 1)
 		// Home CPU keeps serving while spinning for the final count.
-		c.SpinUntil(addr, func(v uint64) bool { return v >= procs })
+		c.SpinUntil(addr, proc.AtLeast(procs))
 	})
 	mustRun(t, m)
 	if got := readCoherent(m, addr); got != procs {
@@ -436,7 +436,7 @@ func TestAMUCacheDisabledStillCorrect(t *testing.T) {
 	count := m.AllocWord(0)
 	m.OnAllCPUs(func(c *proc.CPU) {
 		c.AMOInc(count, procs)
-		c.SpinUntil(count, func(v uint64) bool { return v >= procs })
+		c.SpinUntil(count, proc.AtLeast(procs))
 	})
 	mustRun(t, m)
 	if got := m.Mem.ReadWord(count); got != procs {
@@ -480,7 +480,7 @@ func TestRunDeadlockSurfacesError(t *testing.T) {
 	m := newMachine(t, 2)
 	addr := m.AllocWord(0)
 	m.OnCPU(0, func(c *proc.CPU) {
-		c.SpinUntil(addr, func(v uint64) bool { return v == 999 }) // never
+		c.SpinUntil(addr, proc.Equal(999)) // never
 	})
 	_, err := m.Run()
 	if err == nil {

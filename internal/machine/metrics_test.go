@@ -32,7 +32,7 @@ func TestMetricsMidRunConserves(t *testing.T) {
 	})
 	for id := 1; id < procs; id++ {
 		m.OnCPU(id, func(c *proc.CPU) {
-			c.SpinUntil(addr, func(v uint64) bool { return v == 3 })
+			c.SpinUntil(addr, proc.Equal(3))
 		})
 	}
 	mustRun(t, m)
@@ -68,7 +68,7 @@ func TestMetricsDiffWindow(t *testing.T) {
 	})
 	for id := 1; id < procs; id++ {
 		m.OnCPU(id, func(c *proc.CPU) {
-			c.SpinUntil(addr, func(v uint64) bool { return v == 99 })
+			c.SpinUntil(addr, proc.Equal(99))
 		})
 	}
 	mustRun(t, m)

@@ -114,7 +114,7 @@ func TestSpinWakesOnWordUpdate(t *testing.T) {
 	var wokeAt uint64
 	const releaseStart = 2000
 	m.OnCPU(1, func(c *proc.CPU) {
-		c.SpinUntil(addr, func(v uint64) bool { return v == 3 })
+		c.SpinUntil(addr, proc.Equal(3))
 		wokeAt = uint64(c.Now())
 	})
 	m.OnCPU(2, func(c *proc.CPU) {
@@ -138,7 +138,7 @@ func TestSpinWakesOnInvalidate(t *testing.T) {
 	addr := m.AllocWord(0)
 	woke := false
 	m.OnCPU(1, func(c *proc.CPU) {
-		c.SpinUntil(addr, func(v uint64) bool { return v == 7 })
+		c.SpinUntil(addr, proc.Equal(7))
 		woke = true
 	})
 	m.OnCPU(3, func(c *proc.CPU) {
@@ -156,7 +156,7 @@ func TestSpinUntilUncachedPolls(t *testing.T) {
 	addr := m.AllocWord(1)
 	var got uint64
 	m.OnCPU(0, func(c *proc.CPU) {
-		got = c.SpinUntilUncached(addr, func(v uint64) bool { return v >= 2 }, 200)
+		got = c.SpinUntilUncached(addr, proc.AtLeast(2), 200)
 	})
 	m.OnCPU(2, func(c *proc.CPU) {
 		c.Think(1500)

@@ -156,7 +156,7 @@ func TestCheckCoherenceAfterBarrierRuns(t *testing.T) {
 	m.OnAllCPUs(func(c *proc.CPU) {
 		for e := 1; e <= 3; e++ {
 			c.AMOInc(count, uint64(8*e))
-			c.SpinUntil(count, func(v uint64) bool { return v >= uint64(8*e) })
+			c.SpinUntil(count, proc.AtLeast(uint64(8*e)))
 		}
 	})
 	mustRun(t, m)

@@ -9,6 +9,16 @@
 // updates) are applied in event context at delivery time, so the cache is
 // always coherent with the directory's view regardless of where the program
 // happens to be suspended.
+//
+// A parked spin or serve loop (SpinUntil, ServeUntil) is woken by every
+// line event, but most wakes change nothing the loop waits for. So the
+// wake does not resume the program: it schedules a re-check step that
+// replays, event by event, what the woken loop would do (the reload's
+// issue and hit latencies, the spin check, the predicate) on the same
+// cycle buckets, and resumes the program only when it must act: the
+// predicate holds, the reload misses, or active messages are queued.
+// Event order, event counts and every simulated figure are those of a
+// program that re-checks itself.
 package proc
 
 import (
@@ -51,6 +61,43 @@ type Params struct {
 	// remote-homed requests to the home partition (hierarchical
 	// coordination). Replies still arrive directly from the executing hub.
 	LocalSyncHub bool
+}
+
+// Pred is a spin loop's exit condition on the loaded word. It is a value
+// rather than a closure, so a loop parked in event context keeps it in the
+// CPU without a heap allocation at each call site.
+type Pred struct {
+	op predOp
+	x  uint64
+}
+
+type predOp uint8
+
+const (
+	predAtLeast predOp = iota
+	predEqual
+	predNotEqual
+)
+
+// AtLeast holds for words v >= x.
+func AtLeast(x uint64) Pred { return Pred{predAtLeast, x} }
+
+// Equal holds for words v == x.
+func Equal(x uint64) Pred { return Pred{predEqual, x} }
+
+// NotEqual holds for words v != x.
+func NotEqual(x uint64) Pred { return Pred{predNotEqual, x} }
+
+// holds reports whether the word v satisfies the predicate.
+func (p Pred) holds(v uint64) bool {
+	switch p.op {
+	case predEqual:
+		return v == p.x
+	case predNotEqual:
+		return v != p.x
+	default:
+		return v >= p.x
+	}
 }
 
 // Handler is an active-message handler body. It runs in the context of the
@@ -117,10 +164,9 @@ type CPU struct {
 	// LL/SC never uses it).
 	linkVal uint64
 
-	// lineEvents wakes spin loops whenever any line is invalidated or
-	// updated, or an active message arrives. Spinners re-check their
-	// predicate on every wake.
-	lineEvents *sim.Cond
+	// wait is the parked spin or serve loop, if any. Any line being
+	// invalidated or updated, an active message arriving, or Poke wakes it.
+	wait lineWait
 
 	// amsgQ copies each accepted active message: the delivered record
 	// is gone by the time a handler serves it.
@@ -130,11 +176,12 @@ type CPU struct {
 	stats metrics.CPUStats
 
 	// Cycle attribution. Simulated time only passes while the program is
-	// suspended in Sleep/Await/Cond.Wait, so every wait is bracketed by
-	// beginWait/endWait and charged to exactly one bucket of cyc; the
-	// in-flight wait (if any) is finalized read-only by Metrics. The
-	// invariant Compute+MemoryStall+SpinIdle == Total is therefore exact
-	// at every snapshot instant.
+	// parked (in Sleep, Await or a line wait, whose re-check steps run in
+	// event context), so every wait is bracketed by beginWait/endWait and
+	// charged to exactly one bucket of cyc; the in-flight wait (if any) is
+	// finalized read-only by Metrics. The invariant
+	// Compute+MemoryStall+SpinIdle == Total is therefore exact at every
+	// snapshot instant.
 	cyc        metrics.CycleBreakdown // Total stays 0; computed at read time
 	waitBucket *uint64
 	waitFrom   sim.Time
@@ -148,12 +195,11 @@ type CPU struct {
 // endpoint.
 func New(eng sim.Engine, net *network.Network, cch *cache.Cache, p Params) *CPU {
 	c := &CPU{
-		p:          p,
-		eng:        eng,
-		net:        net,
-		c:          cch,
-		lineEvents: sim.NewCond(eng),
-		handlers:   make(map[int]Handler),
+		p:        p,
+		eng:      eng,
+		net:      net,
+		c:        cch,
+		handlers: make(map[int]Handler),
 	}
 	c.registerWake = func(wake func()) { c.pendingWake = wake }
 	net.RegisterCPU(p.ID, c.deliver)
@@ -227,14 +273,6 @@ func (c *CPU) endWait() {
 func (c *CPU) sleep(bucket *uint64, cycles uint64) {
 	c.beginWait(bucket)
 	c.proc.Sleep(sim.Time(cycles))
-	c.endWait()
-}
-
-// waitLineEvents parks on the line-event condition, charging the idle time
-// to the spin bucket.
-func (c *CPU) waitLineEvents() {
-	c.beginWait(&c.cyc.SpinIdle)
-	c.lineEvents.Wait(c.proc)
 	c.endWait()
 }
 
@@ -317,7 +355,7 @@ func (c *CPU) deliver(m *network.Msg) {
 		c.applyIntervention(m)
 	case network.KindWordUpdate:
 		c.c.PatchWord(m.Addr, m.Value)
-		c.lineEvents.Broadcast()
+		c.wakeLineWait()
 	case network.KindUncachedLoadReply, network.KindUncachedStoreAck,
 		network.KindMAOReply, network.KindAMOReply,
 		network.KindActiveMessageAck, network.KindActiveMessageNack,
@@ -412,7 +450,7 @@ func (c *CPU) applyInvalidate(m *network.Msg) {
 		Dst:  m.Src,
 		Addr: m.Addr,
 	})
-	c.lineEvents.Broadcast()
+	c.wakeLineWait()
 }
 
 func (c *CPU) applyIntervention(m *network.Msg) {
@@ -424,7 +462,7 @@ func (c *CPU) applyIntervention(m *network.Msg) {
 		if c.linkValid && c.linkAddr == c.block(m.Addr) {
 			c.linkValid = false
 		}
-		c.lineEvents.Broadcast()
+		c.wakeLineWait()
 	} else {
 		words, _ = c.c.Downgrade(m.Addr)
 	}
@@ -490,7 +528,7 @@ func (c *CPU) acceptActiveMessage(m *network.Msg) {
 	if c.pendingWake != nil && c.wakeOnAmsg {
 		c.wakePending()
 	} else {
-		c.lineEvents.Broadcast()
+		c.wakeLineWait()
 	}
 }
 
@@ -613,16 +651,20 @@ func (c *CPU) Load(addr uint64) uint64 {
 			}
 			continue
 		}
-		c.pending = pendingOp{kind: opLoad, addr: addr}
-		c.pendingLive = true
-		c.net.Send(&network.Msg{
-			Kind: network.KindGetShared,
-			Src:  c.endpoint(), Dst: c.home(addr),
-			Addr: c.block(addr),
-		})
-		op := c.awaitCacheReply()
-		return op.result
+		return c.loadMiss(addr)
 	}
+}
+
+// loadMiss is Load's miss tail: fetch the block shared and return the word.
+func (c *CPU) loadMiss(addr uint64) uint64 {
+	c.pending = pendingOp{kind: opLoad, addr: addr}
+	c.pendingLive = true
+	c.net.Send(&network.Msg{
+		Kind: network.KindGetShared,
+		Src:  c.endpoint(), Dst: c.home(addr),
+		Addr: c.block(addr),
+	})
+	return c.awaitCacheReply().result
 }
 
 // LoadLinked performs the LL half of LL/SC. Like the R10K/Origin lineage it
@@ -985,54 +1027,70 @@ func (c *CPU) ServeActiveMessages() bool {
 
 // ServeUntil keeps the CPU serving active messages until done reports true.
 // The machine parks finished programs here so home CPUs remain responsive
-// while other CPUs still need their handlers. Poke wakes the loop.
+// while other CPUs still need their handlers. Between services the loop
+// waits on line events, re-checking done and the handler queue in event
+// context; done must therefore be a pure read of simulated state. Poke
+// wakes the loop.
 func (c *CPU) ServeUntil(done func() bool) {
 	for !done() {
-		if c.ServeActiveMessages() {
-			continue
+		if !c.ServeActiveMessages() {
+			c.awaitLineWait(lineWait{done: done})
 		}
-		c.waitLineEvents()
 	}
 	c.ServeActiveMessages() // final drain (queues are empty by construction)
 }
 
-// Poke wakes the CPU's spin/serve loops so they re-check their predicates.
-func (c *CPU) Poke() { c.lineEvents.Broadcast() }
+// Poke wakes the CPU's parked spin or serve loop, if any, so it re-checks
+// its predicate.
+func (c *CPU) Poke() { c.wakeLineWait() }
 
 // --- spinning ----------------------------------------------------------------
 
-// SpinUntil loads addr coherently until pred holds, parking between checks
-// and waking on any line event (invalidation, word update) or incoming
-// active message. Returns the satisfying value.
-func (c *CPU) SpinUntil(addr uint64, pred func(uint64) bool) uint64 {
+// SpinUntil loads addr coherently until pred holds and returns the
+// satisfying value. Between checks it parks until a line event
+// (invalidation, word update) or an incoming active message; each such
+// wake re-checks in event context (see the package comment), so a wake
+// that leaves pred false costs no coroutine switch.
+func (c *CPU) SpinUntil(addr uint64, pred Pred) uint64 {
+	v := c.Load(addr)
 	for {
-		v := c.Load(addr)
 		c.sleep(&c.cyc.Compute, c.p.SpinCheckCycles)
-		if pred(v) {
+		if pred.holds(v) {
 			return v
 		}
 		if c.ServeActiveMessages() {
+			v = c.Load(addr)
 			continue
 		}
 		// Re-check the line after serving/sleeping: if it vanished, go load
 		// again rather than waiting for a wake that may never come.
-		if _, ok := c.c.ReadWord(addr); !ok {
+		cur, ok := c.c.ReadWord(addr)
+		if !ok {
+			v = c.Load(addr)
 			continue
 		}
-		if cur, _ := c.c.ReadWord(addr); pred(cur) {
+		if pred.holds(cur) {
 			return cur
 		}
-		c.waitLineEvents()
+		switch c.awaitLineWait(lineWait{addr: addr, pred: pred}) {
+		case exitHolds:
+			return c.wait.v
+		case exitMiss:
+			v = c.loadMiss(addr)
+		case exitAmsg:
+			c.ServeActiveMessages()
+			v = c.Load(addr)
+		}
 	}
 }
 
 // SpinUntilUncached polls addr with uncached loads (the MAO spin mode),
 // with a fixed delay between polls. Returns the satisfying value.
-func (c *CPU) SpinUntilUncached(addr uint64, pred func(uint64) bool, pollGap uint64) uint64 {
+func (c *CPU) SpinUntilUncached(addr uint64, pred Pred, pollGap uint64) uint64 {
 	for {
 		v := c.UncachedLoad(addr)
 		c.sleep(&c.cyc.Compute, c.p.SpinCheckCycles)
-		if pred(v) {
+		if pred.holds(v) {
 			return v
 		}
 		c.ServeActiveMessages()
@@ -1040,4 +1098,157 @@ func (c *CPU) SpinUntilUncached(addr uint64, pred func(uint64) bool, pollGap uin
 			c.sleep(&c.cyc.SpinIdle, pollGap)
 		}
 	}
+}
+
+// --- line waits: re-checks in event context ----------------------------------
+
+// lineWait is a parked spin or serve loop. The program parks it with
+// awaitLineWait; from then on each wake and each of the re-check's
+// latencies is one event running lineStep, until a step resumes the
+// program with the reason in exit.
+type lineWait struct {
+	step lineStep
+	exit lineExit
+	addr uint64
+	pred Pred
+	v    uint64 // the word the re-check loaded
+	// done is ServeUntil's predicate; nil for a spin loop.
+	done func() bool
+}
+
+// lineStep is what the next event of a line wait does.
+type lineStep uint8
+
+const (
+	stepNone    lineStep = iota // no wait, or the program is running it
+	stepParked                  // parked: the next line event wakes it
+	stepWoken                   // woken: the re-check starts
+	stepIssued                  // the reload's issue latency has passed
+	stepHit                     // the reload's hit latency has passed
+	stepChecked                 // the spin check's latency has passed
+)
+
+// lineExit is why a step resumed the program.
+type lineExit uint8
+
+const (
+	exitHolds lineExit = iota // the spin predicate holds on wait.v, or done holds
+	exitMiss                  // the reload missed: run Load's miss tail
+	exitAmsg                  // active messages are queued: serve them
+)
+
+// lineStepCall runs a CPU's next line-wait step; one function serves every
+// CPU, so scheduling a step never allocates.
+func lineStepCall(a any) { a.(*CPU).lineStep() }
+
+// awaitLineWait parks the program in w until a step resumes it, and
+// returns why. The wait's idle time is charged to the spin bucket, and
+// each re-check latency to the compute bucket, as the program's own waits
+// would be.
+func (c *CPU) awaitLineWait(w lineWait) lineExit {
+	c.wait = w
+	c.parkLineWait()
+	c.proc.Suspend()
+	return c.wait.exit
+}
+
+func (c *CPU) parkLineWait() {
+	c.beginWait(&c.cyc.SpinIdle)
+	c.wait.step = stepParked
+}
+
+// wakeLineWait schedules the parked loop's re-check, exactly where the
+// woken program's dispatch would be scheduled. A wake that finds no parked
+// loop (none, or one already re-checking) does nothing.
+func (c *CPU) wakeLineWait() {
+	if c.wait.step != stepParked {
+		return
+	}
+	c.wait.step = stepWoken
+	c.eng.ScheduleCall(0, lineStepCall, c)
+}
+
+// lineStep runs one step of the re-check in event context: it closes the
+// wait the previous step opened, then does what the woken loop would do
+// next, up to its next latency (scheduled as the step after this one) or
+// until the program must act (resumed as this event's last action).
+func (c *CPU) lineStep() {
+	c.endWait()
+	w := &c.wait
+	switch w.step {
+	case stepWoken:
+		if w.done != nil {
+			switch {
+			case w.done():
+				c.resumeLineWait(exitHolds)
+			case c.amsgPending() > 0:
+				c.resumeLineWait(exitAmsg)
+			default:
+				c.parkLineWait()
+			}
+			return
+		}
+		c.lineSleep(stepIssued, c.p.IssueCycles)
+	case stepIssued:
+		c.lineLookup()
+	case stepHit:
+		v, ok := c.c.ReadWord(w.addr)
+		if !ok {
+			// Invalidated during the hit latency: Load looks up again.
+			c.lineLookup()
+			return
+		}
+		c.c.Touch(w.addr)
+		w.v = v
+		c.lineSleep(stepChecked, c.p.SpinCheckCycles)
+	case stepChecked:
+		if w.pred.holds(w.v) {
+			c.resumeLineWait(exitHolds)
+			return
+		}
+		if c.amsgPending() > 0 {
+			c.resumeLineWait(exitAmsg)
+			return
+		}
+		cur, ok := c.c.ReadWord(w.addr)
+		if !ok {
+			// The line is gone: load again.
+			c.lineSleep(stepIssued, c.p.IssueCycles)
+			return
+		}
+		if w.pred.holds(cur) {
+			w.v = cur
+			c.resumeLineWait(exitHolds)
+			return
+		}
+		c.parkLineWait()
+	default:
+		panic("proc: line-wait step with no wait in progress")
+	}
+}
+
+// lineLookup is Load's lookup: a hit waits out the hit latency, a miss
+// hands the program Load's miss tail.
+func (c *CPU) lineLookup() {
+	if c.c.Lookup(c.wait.addr) == nil {
+		c.resumeLineWait(exitMiss)
+		return
+	}
+	c.lineSleep(stepHit, c.p.L1HitCycles)
+}
+
+// lineSleep charges cycles to the compute bucket, as the program's sleep
+// would, with the next step as its wake. The step event is popped with the
+// sequence and the Executed count a run-ahead sleep takes, so the event
+// order is the one the program's sleep gives.
+func (c *CPU) lineSleep(next lineStep, cycles uint64) {
+	c.beginWait(&c.cyc.Compute)
+	c.wait.step = next
+	c.eng.ScheduleCall(sim.Time(cycles), lineStepCall, c)
+}
+
+// resumeLineWait hands the program back, inside the current event.
+func (c *CPU) resumeLineWait(exit lineExit) {
+	c.wait.step, c.wait.exit = stepNone, exit
+	c.proc.Resume()
 }

@@ -12,6 +12,7 @@ import (
 	"amosim/internal/machine"
 	"amosim/internal/metrics"
 	"amosim/internal/proc"
+	"amosim/internal/sim"
 )
 
 func newMachine(t *testing.T, procs int) *machine.Machine {
@@ -145,7 +146,7 @@ func TestSpinUntilImmediateSatisfaction(t *testing.T) {
 	m.Mem.WriteWord(addr, 7)
 	var got uint64
 	m.OnCPU(0, func(c *proc.CPU) {
-		got = c.SpinUntil(addr, func(v uint64) bool { return v == 7 })
+		got = c.SpinUntil(addr, proc.Equal(7))
 	})
 	run(t, m)
 	if got != 7 {
@@ -167,5 +168,45 @@ func TestActiveMessageArgumentPlumbing(t *testing.T) {
 	run(t, m)
 	if got != addr+11 {
 		t.Fatalf("handler result = %d, want %d", got, addr+11)
+	}
+}
+
+// TestSpinRecheckSteadyStateZeroAlloc pins a parked spin loop's wake that
+// changes nothing at zero allocations: the wake, the re-check's reload,
+// hit and spin-check steps, and the re-park all run in event context on
+// the CPU's own state. CPU 1 sleeps far past each run's deadline, so every
+// run ends with ErrDeadline rather than a deadlock report.
+func TestSpinRecheckSteadyStateZeroAlloc(t *testing.T) {
+	m := newMachine(t, 2)
+	addr := m.AllocWord(0)
+	m.OnCPU(0, func(c *proc.CPU) { c.SpinUntil(addr, proc.Equal(1)) })
+	m.OnCPU(1, func(c *proc.CPU) { c.Think(1 << 40) })
+	spinner := m.CPUs[0]
+	recheck := func() {
+		spinner.Poke()
+		if err := m.Eng.RunUntil(m.Eng.Now() + 100); err != sim.ErrDeadline {
+			t.Fatalf("RunUntil = %v, want ErrDeadline", err)
+		}
+	}
+	// Load the line and park the spinner, then warm the re-check path.
+	if err := m.Eng.RunUntil(1000); err != sim.ErrDeadline {
+		t.Fatalf("RunUntil = %v, want ErrDeadline", err)
+	}
+	recheck()
+	before := spinner.Metrics().Cycles
+	hits := spinner.Cache().Stats().Hits
+	if allocs := testing.AllocsPerRun(100, recheck); allocs != 0 {
+		t.Fatalf("spurious wake, re-check and re-park allocate %.1f/op, want 0", allocs)
+	}
+	// Each re-check is a reload (issue and hit latencies) and a spin check
+	// charged to compute; the rest of each run is spin idle.
+	after := spinner.Metrics().Cycles
+	p := config.Default(2)
+	perCheck := p.IssueCycles + p.L1HitCycles + p.SpinCheckCycles
+	if got, want := after.Compute-before.Compute, 101*perCheck; got != want {
+		t.Fatalf("re-checks charged %d compute cycles, want %d", got, want)
+	}
+	if got := spinner.Cache().Stats().Hits - hits; got != 101 {
+		t.Fatalf("re-checks counted %d cache hits, want 101", got)
 	}
 }

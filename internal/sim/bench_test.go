@@ -132,19 +132,3 @@ func BenchmarkSleepRunAhead(b *testing.B) {
 	b.StopTimer()
 	e.Shutdown()
 }
-
-func BenchmarkCondBroadcast(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		c := NewCond(e)
-		for j := 0; j < 64; j++ {
-			e.Spawn("w", 0, func(p *Process) { c.Wait(p) })
-		}
-		e.Schedule(10, c.Broadcast)
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-		e.Shutdown()
-	}
-}

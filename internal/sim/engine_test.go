@@ -133,7 +133,7 @@ func TestRunUntilDeadlineSyncsClocks(t *testing.T) {
 	})
 }
 
-// kernels are the engines every Process, Cond, Await and Shutdown test runs
+// kernels are the engines every Process, Await and Shutdown test runs
 // on: the sequential kernel and two- and three-shard parallel kernels, one
 // node per shard. On a parallel kernel Spawn and Schedule land on shard 0,
 // so tests whose processes share host state keep them there; the others
@@ -333,63 +333,10 @@ func TestProcessesInterleaveDeterministically(t *testing.T) {
 	})
 }
 
-func TestCondBroadcastWakesAllWaiters(t *testing.T) {
-	forKernels(t, func(t *testing.T, newEngine func() Engine) {
-		e := newEngine()
-		defer e.Shutdown()
-		c := NewCond(e)
-		woken := 0
-		for i := 0; i < 10; i++ {
-			e.Spawn("w", 0, func(p *Process) {
-				c.Wait(p)
-				woken++
-			})
-		}
-		e.Spawn("b", 5, func(p *Process) {
-			if c.Waiters() != 10 {
-				t.Errorf("Waiters = %d, want 10", c.Waiters())
-			}
-			c.Broadcast()
-		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if woken != 10 {
-			t.Fatalf("woken = %d, want 10", woken)
-		}
-	})
-}
-
-func TestCondWaitAfterBroadcastWaitsForNext(t *testing.T) {
-	forKernels(t, func(t *testing.T, newEngine func() Engine) {
-		e := newEngine()
-		defer e.Shutdown()
-		c := NewCond(e)
-		var order []string
-		e.Spawn("early", 0, func(p *Process) {
-			c.Wait(p)
-			order = append(order, "early")
-		})
-		e.Spawn("bcast1", 1, func(p *Process) { c.Broadcast() })
-		e.Spawn("late", 2, func(p *Process) {
-			c.Wait(p)
-			order = append(order, "late")
-		})
-		e.Spawn("bcast2", 3, func(p *Process) { c.Broadcast() })
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if len(order) != 2 || order[0] != "early" || order[1] != "late" {
-			t.Fatalf("order = %v", order)
-		}
-	})
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		e := newEngine()
-		c := NewCond(e)
-		e.Spawn("stuck", 0, func(p *Process) { c.Wait(p) })
+		e.Spawn("stuck", 0, func(p *Process) { p.Suspend() })
 		err := e.Run()
 		dl, ok := err.(*ErrDeadlock)
 		if !ok {
@@ -422,20 +369,139 @@ func TestAwait(t *testing.T) {
 	})
 }
 
+// TestProcessResumeFromHandler: a handler that resumes a suspended process
+// is that process's dispatch. The process runs inside the handler, at its
+// time, before the next event due at the same cycle, and what it pushes
+// sorts as that handler's pushes do; its next sleep starts from there.
+func TestProcessResumeFromHandler(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		v := e.ForNode(1)
+		var order []string
+		var p *Process
+		p = v.Spawn("suspended", 0, func(p *Process) {
+			p.Suspend()
+			order = append(order, fmt.Sprintf("process@%d", p.Now()))
+			v.Schedule(0, func() { order = append(order, "pushed by process") })
+			p.Sleep(5)
+			order = append(order, fmt.Sprintf("woke@%d", p.Now()))
+		})
+		v.Schedule(42, func() {
+			order = append(order, "resumer")
+			p.Resume()
+		})
+		v.Schedule(42, func() { order = append(order, "next at 42") })
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		want := "[resumer process@42 next at 42 pushed by process woke@47]"
+		if got := fmt.Sprint(order); got != want {
+			t.Fatalf("order = %s, want %s", got, want)
+		}
+		// Spawn dispatch, two handlers, the pushed one and the sleep's wake:
+		// Resume adds no event of its own.
+		if got := e.Executed(); got != 5 {
+			t.Fatalf("Executed = %d, want 5", got)
+		}
+	})
+}
+
+// recovered runs f and returns what it panicked with, or nil.
+func recovered(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestProcessResumePanicsUnlessSuspended: Resume refuses a process that is
+// running, sleeping or Await-parked, and Suspend refuses to park with a
+// wake armed. Each refusal is recovered where it is raised, so the check
+// runs on every kernel (a panic leaving a parallel shard's event ends the
+// program), and the run then finishes normally.
+func TestProcessResumePanicsUnlessSuspended(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		v := e.ForNode(1)
+		var got []any
+		var sleeper, waiter *Process
+		var wake func()
+		v.Spawn("running", 0, func(p *Process) {
+			got = append(got, recovered(p.Resume))
+		})
+		sleeper = v.Spawn("sleeping", 0, func(p *Process) { p.Sleep(100) })
+		waiter = v.Spawn("awaiting", 0, func(p *Process) {
+			p.Await(func(w func()) {
+				wake = w
+				got = append(got, recovered(p.Suspend))
+			})
+		})
+		v.Schedule(10, func() {
+			got = append(got, recovered(sleeper.Resume), recovered(waiter.Resume))
+			wake()
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		want := []any{
+			"sim: Resume of a process that is not suspended",
+			"sim: Suspend with a wake armed",
+			"sim: Resume of a process that is not suspended",
+			"sim: Resume of a process that is not suspended",
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("panics = %q, want %q", got, want)
+		}
+	})
+}
+
+// TestProcessSuspendDeadlockAndShutdown: a run whose only live processes
+// are suspended ends in *ErrDeadlock, since no event can resume them, and
+// Shutdown unwinds them without leaking their carriers.
+func TestProcessSuspendDeadlockAndShutdown(t *testing.T) {
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		before := runtime.NumGoroutine()
+		e := newEngine()
+		unwound := 0
+		for node := 0; node < 2; node++ {
+			e.ForNode(node).Spawn("suspended", Time(node), func(p *Process) {
+				defer func() { unwound++ }()
+				p.Suspend()
+				t.Error("suspended process ran past Suspend")
+			})
+		}
+		dl, ok := e.Run().(*ErrDeadlock)
+		if !ok || dl.Procs != 2 || dl.At != 1 {
+			t.Fatalf("Run = %v, want a deadlock of 2 processes at cycle 1", dl)
+		}
+		e.Shutdown()
+		if unwound != 2 {
+			t.Fatalf("Shutdown unwound %d suspended processes, want 2", unwound)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("goroutines: %d before, %d after Shutdown", before, after)
+		}
+	})
+}
+
 // TestShutdownReleasesCarriers pins what Shutdown owes the host: every
 // carrier coroutine exits, whatever state its process is in. One process
-// is never dispatched (its start lies past the deadline), one is parked on
-// a Cond that is never broadcast, and one finished, leaving its carrier
-// idle; each kernel shard gets all three.
+// is never dispatched (its start lies past the deadline), one is suspended
+// and never resumed, and one finished, leaving its carrier idle; each
+// kernel shard gets all three.
 func TestShutdownReleasesCarriers(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		before := runtime.NumGoroutine()
 		e := newEngine()
 		for node := 0; node < 2; node++ {
 			v := e.ForNode(node)
-			c := NewCond(v)
 			v.Spawn("finished", 0, func(p *Process) { p.Sleep(1) })
-			v.Spawn("parked", 0, func(p *Process) { c.Wait(p) })
+			v.Spawn("parked", 0, func(p *Process) { p.Suspend() })
 			v.Spawn("never", 1000, func(p *Process) { t.Error("process past the deadline ran") })
 		}
 		if err := e.RunUntil(100); err != ErrDeadline {
@@ -463,8 +529,7 @@ func TestShutdownReleasesCarriers(t *testing.T) {
 func TestProcessPanicReachesRun(t *testing.T) {
 	type boom struct{ at Time }
 	e := NewSequential()
-	c := NewCond(e)
-	e.Spawn("parked", 0, func(p *Process) { c.Wait(p) })
+	e.Spawn("parked", 0, func(p *Process) { p.Suspend() })
 	e.Spawn("panicker", 5, func(p *Process) { panic(boom{at: p.Now()}) })
 	func() {
 		defer func() {
@@ -770,7 +835,7 @@ func TestProcessSleepAccumulationProperty(t *testing.T) {
 func TestShutdownIdempotent(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		e := newEngine()
-		e.Spawn("stuck", 0, func(p *Process) { NewCond(e).Wait(p) })
+		e.Spawn("stuck", 0, func(p *Process) { p.Suspend() })
 		_ = e.Run()
 		e.Shutdown()
 		e.Shutdown()

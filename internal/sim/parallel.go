@@ -68,14 +68,14 @@ type Parallel struct {
 }
 
 // pushRec logs one push performed during a window: the pusher's lineage,
-// enough to rank the push exactly where Sequential would have made it, and
-// the sequence the boundary assigns it.
+// enough to rank the push exactly where Sequential would have made it. The
+// worker writes it and the boundary only reads it; the sequence the
+// boundary assigns goes to the shard's seqs instead.
 type pushRec struct {
 	pusherAt  Time
 	pusherSeq uint64 // 0: pusher itself was pushed this window
-	seq       uint64
-	slot      int32 // arena slot of a still-queued local push; -1 otherwise
-	pusherLoc int32 // pusher's push-log index when pusherSeq == 0
+	slot      int32  // arena slot of a still-queued local push; -1 otherwise
+	pusherLoc int32  // pusher's push-log index when pusherSeq == 0
 }
 
 // crossRec is the payload of a cross-shard push, delivered at the boundary
@@ -115,6 +115,10 @@ type shard struct {
 	cross    []crossRec
 	emits    []emission
 	next     int // boundary merge cursor into pushLog, then emits
+	// seqs[i] is the global sequence the boundary ranked pushLog[i]. Only
+	// the coordinator writes it, so ranking a window rewrites no cache
+	// line the worker filled.
+	seqs []uint64
 	// lineage of the currently executing event
 	curAt    Time
 	curSeq   uint64
@@ -360,33 +364,36 @@ func (par *Parallel) boundary() {
 	var lastSeq uint64
 	for {
 		var from *shard
-		var best *pushRec
+		var at Time
+		var seq uint64
 		for _, s := range par.shards {
 			if s.next == len(s.pushLog) {
 				continue
 			}
 			h := &s.pushLog[s.next]
-			if h.pusherSeq == 0 {
-				if h.pusherSeq = s.pushLog[h.pusherLoc].seq; h.pusherSeq == 0 {
+			hs := h.pusherSeq
+			if hs == 0 {
+				if int(h.pusherLoc) >= len(s.seqs) {
 					panic("sim: parallel boundary ranking stuck (lineage cycle)")
 				}
+				hs = s.seqs[h.pusherLoc]
 			}
-			if best == nil || h.pusherAt < best.pusherAt || h.pusherAt == best.pusherAt && h.pusherSeq < best.pusherSeq {
-				from, best = s, h
+			if from == nil || h.pusherAt < at || h.pusherAt == at && hs < seq {
+				from, at, seq = s, h.pusherAt, hs
 			}
 		}
-		if best == nil {
+		if from == nil {
 			break
 		}
-		if best.pusherAt < lastAt || best.pusherAt == lastAt && best.pusherSeq < lastSeq {
+		if at < lastAt || at == lastAt && seq < lastSeq {
 			panic("sim: parallel push log out of rank order")
 		}
-		lastAt, lastSeq = best.pusherAt, best.pusherSeq
+		lastAt, lastSeq = at, seq
 		par.seq++
-		best.seq = par.seq
-		if best.slot >= 0 {
-			ev := &from.q.arena[best.slot]
-			ev.seq, ev.local = best.seq, -1
+		from.seqs = append(from.seqs, par.seq)
+		if slot := from.pushLog[from.next].slot; slot >= 0 {
+			ev := &from.q.arena[slot]
+			ev.seq, ev.local = par.seq, -1
 		}
 		from.next++
 	}
@@ -395,7 +402,7 @@ func (par *Parallel) boundary() {
 		par.ranked += uint64(len(s.pushLog))
 		s.next = 0
 		for _, c := range s.cross {
-			par.shards[c.dst].q.push(c.at, s.pushLog[c.rec].seq, -1, nil, c.call, c.arg)
+			par.shards[c.dst].q.push(c.at, s.seqs[c.rec], -1, nil, c.call, c.arg)
 		}
 		clear(s.cross)
 		s.cross = s.cross[:0]
@@ -405,27 +412,31 @@ func (par *Parallel) boundary() {
 	// an event's (time, sequence).
 	for par.sink != nil {
 		var from *shard
-		var em *emission
+		var at Time
+		var seq uint64
 		for _, s := range par.shards {
 			if s.next == len(s.emits) {
 				continue
 			}
 			h := &s.emits[s.next]
-			if h.seq == 0 {
-				h.seq = s.pushLog[h.local].seq
+			hs := h.seq
+			if hs == 0 {
+				hs = s.seqs[h.local]
 			}
-			if em == nil || h.at < em.at || h.at == em.at && h.seq < em.seq {
-				from, em = s, h
+			if from == nil || h.at < at || h.at == at && hs < seq {
+				from, at, seq = s, h.at, hs
 			}
 		}
-		if em == nil {
+		if from == nil {
 			break
 		}
+		em := &from.emits[from.next]
 		par.sink(em.cycle, em.kind, em.what)
 		from.next++
 	}
 	for _, s := range par.shards {
 		s.pushLog = s.pushLog[:0]
+		s.seqs = s.seqs[:0]
 		s.emits = s.emits[:0]
 		s.next = 0
 	}

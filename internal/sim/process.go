@@ -72,6 +72,8 @@ type Process struct {
 	// against waking a process that is not parked (or waking it twice).
 	wakeFn    func()
 	wakeArmed bool
+	// suspended marks a process parked by Suspend, which only Resume ends.
+	suspended bool
 }
 
 // dispatchCall adapts Process.dispatch to the engine's allocation-free
@@ -135,7 +137,8 @@ func (p *Process) dispatch() {
 
 // park returns control to the kernel and resumes when dispatched again.
 // Whoever wakes this process must do so by scheduling p.dispatch (via
-// Wake/Sleep/Cond), never by resuming the carrier directly.
+// Sleep or an Await wake) or by calling Resume from an event, never by
+// resuming the carrier directly.
 func (p *Process) park() {
 	if !p.yield(struct{}{}) {
 		panic(shutdownSentinel{})
@@ -192,36 +195,30 @@ func (p *Process) Await(register func(wake func())) {
 	p.park()
 }
 
-// Cond is a broadcast-only condition variable for processes. Waiters park
-// until the next Broadcast after they began waiting. There is no Signal: the
-// simulated hardware wakes all spinners and each re-checks its predicate,
-// mirroring how cache-line events wake all local spin loops.
-type Cond struct {
-	waiters []*Process
-}
-
-// NewCond returns a condition variable bound to e. Every waiter must run on
-// the same shard of e, since Broadcast wakes them through their own views.
-func NewCond(e Engine) *Cond { return &Cond{} }
-
-// Wait parks the calling process until the next Broadcast.
-func (c *Cond) Wait(p *Process) {
-	p.parkWaiting()
-	c.waiters = append(c.waiters, p)
+// Suspend parks the process with no wake armed: it runs again only when an
+// event handler calls Resume. The handler decides in event context whether
+// the process has anything to do, so a wait that mostly re-checks state can
+// stay parked without a coroutine switch per check. Suspending with a wake
+// armed (from inside an Await registration) is a bug and panics.
+func (p *Process) Suspend() {
+	if p.wakeArmed {
+		panic("sim: Suspend with a wake armed")
+	}
+	p.suspended = true
 	p.park()
 }
 
-// Broadcast wakes every currently parked waiter. Processes that call Wait
-// after Broadcast returns wait for the next one. Waking only schedules the
-// waiters' dispatch events, so no waiter re-enters Wait during the loop and
-// the waiter slice can be recycled in place.
-func (c *Cond) Broadcast() {
-	for i, w := range c.waiters {
-		c.waiters[i] = nil
-		w.wake()
+// Resume runs a suspended process inside the current event, which becomes
+// its dispatch: the process sees that event's time, and its pushes and Emit
+// records carry that event's lineage on both kernels. Resume returns once
+// the process parks again or finishes, so it must be called only from
+// event context, on the process's own shard, as the event's last action.
+// Resuming a process that is not suspended (one that is running, sleeping,
+// Await-parked or finished) panics.
+func (p *Process) Resume() {
+	if !p.suspended {
+		panic("sim: Resume of a process that is not suspended")
 	}
-	c.waiters = c.waiters[:0]
+	p.suspended = false
+	p.dispatch()
 }
-
-// Waiters reports how many processes are parked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }

@@ -85,13 +85,13 @@ func (b *Barrier) Wait(c *proc.CPU) {
 		} else {
 			c.AMOInc(b.count, target)
 		}
-		c.SpinUntil(b.count, func(v uint64) bool { return v >= target })
+		c.SpinUntil(b.count, proc.AtLeast(target))
 		return
 	case ActMsg:
 		// The handler releases the flag at the home, saving one network
 		// round trip for the last arriver.
 		c.ActiveMessageCall(HandlerBarrierInc, b.count, target)
-		c.SpinUntil(b.flag, func(v uint64) bool { return v >= target })
+		c.SpinUntil(b.flag, proc.AtLeast(target))
 		return
 	default:
 		old := FetchAdd(c, b.mech, b.count, 1)
@@ -102,17 +102,17 @@ func (b *Barrier) Wait(c *proc.CPU) {
 				return
 			}
 			if b.mech == MAO {
-				c.SpinUntilUncached(b.count, func(v uint64) bool { return v >= target }, 64)
+				c.SpinUntilUncached(b.count, proc.AtLeast(target), 64)
 				return
 			}
-			c.SpinUntil(b.count, func(v uint64) bool { return v >= target })
+			c.SpinUntil(b.count, proc.AtLeast(target))
 			return
 		}
 		if old == target-1 {
 			c.Store(b.flag, target) // release
 			return
 		}
-		c.SpinUntil(b.flag, func(v uint64) bool { return v >= target })
+		c.SpinUntil(b.flag, proc.AtLeast(target))
 	}
 }
 
@@ -232,9 +232,9 @@ func (tb *TreeBarrier) arrive(c *proc.CPU, addr, target uint64) uint64 {
 func (tb *TreeBarrier) spinRootRelease(c *proc.CPU, e, rootTarget uint64) {
 	switch tb.mech {
 	case AMO:
-		c.SpinUntil(tb.root, func(v uint64) bool { return v >= rootTarget })
+		c.SpinUntil(tb.root, proc.AtLeast(rootTarget))
 	default:
-		c.SpinUntil(tb.rootFl, func(v uint64) bool { return v >= e })
+		c.SpinUntil(tb.rootFl, proc.AtLeast(e))
 	}
 }
 
@@ -251,5 +251,5 @@ func (tb *TreeBarrier) releaseGroup(c *proc.CPU, flagAddr, e uint64) {
 
 // spinRelease waits for the group release.
 func (tb *TreeBarrier) spinRelease(c *proc.CPU, flagAddr, e uint64) {
-	c.SpinUntil(flagAddr, func(v uint64) bool { return v >= e })
+	c.SpinUntil(flagAddr, proc.AtLeast(e))
 }

@@ -142,7 +142,7 @@ func (b *CombiningBarrier) Wait(c *proc.CPU) {
 		// Member: post the arrival on our own node and wait for the
 		// cluster combiner's release.
 		c.Store(b.arrive[me], e)
-		c.SpinUntil(b.cflag[k], func(v uint64) bool { return v >= e })
+		c.SpinUntil(b.cflag[k], proc.AtLeast(e))
 		return
 	}
 
@@ -153,7 +153,7 @@ func (b *CombiningBarrier) Wait(c *proc.CPU) {
 		last = b.procs
 	}
 	for j := first + 1; j < last; j++ {
-		c.SpinUntil(b.arrive[j], func(v uint64) bool { return v >= e })
+		c.SpinUntil(b.arrive[j], proc.AtLeast(e))
 	}
 
 	target := e * uint64(b.nclusters)
@@ -162,16 +162,16 @@ func (b *CombiningBarrier) Wait(c *proc.CPU) {
 		// Naive AMO coding at the root: the amo.inc carries the test
 		// value, and combiners spin on the root itself.
 		if old := c.AMOInc(b.root, target); old != target-1 {
-			c.SpinUntil(b.root, func(v uint64) bool { return v >= target })
+			c.SpinUntil(b.root, proc.AtLeast(target))
 		}
 	case ActMsg:
 		c.ActiveMessageCall(HandlerBarrierInc, b.root, target)
-		c.SpinUntil(b.rootFl, func(v uint64) bool { return v >= target })
+		c.SpinUntil(b.rootFl, proc.AtLeast(target))
 	default:
 		if old := FetchAdd(c, b.mech, b.root, 1); old == target-1 {
 			c.Store(b.rootFl, target)
 		} else {
-			c.SpinUntil(b.rootFl, func(v uint64) bool { return v >= target })
+			c.SpinUntil(b.rootFl, proc.AtLeast(target))
 		}
 	}
 
@@ -284,7 +284,7 @@ func (l *CombiningLock) Acquire(c *proc.CPU) {
 	if pred != 0 {
 		// Queue behind the local predecessor and spin for the baton.
 		c.Store(l.next[pred-1], me+1)
-		v := c.SpinUntil(l.locked[me], func(v uint64) bool { return v != batonWait })
+		v := c.SpinUntil(l.locked[me], proc.NotEqual(batonWait))
 		if v == batonHold {
 			return // handed over locally; the global lock is still ours
 		}
@@ -305,7 +305,7 @@ func (l *CombiningLock) globalAcquire(c *proc.CPU, k int) {
 		return
 	}
 	c.Store(l.gnext[pred-1], kk+1)
-	c.SpinUntil(l.glocked[kk], func(v uint64) bool { return v == 0 })
+	c.SpinUntil(l.glocked[kk], proc.Equal(0))
 }
 
 // globalRelease hands the central lock to the next waiting cluster, if any.
@@ -316,7 +316,7 @@ func (l *CombiningLock) globalRelease(c *proc.CPU, k int) {
 		if mechCAS(c, l.mech, l.gtail, kk+1, 0) {
 			return
 		}
-		succ = c.SpinUntil(l.gnext[kk], func(v uint64) bool { return v != 0 })
+		succ = c.SpinUntil(l.gnext[kk], proc.NotEqual(0))
 	}
 	l.wake(c, l.glocked[succ-1], 0)
 }
@@ -349,7 +349,7 @@ func (l *CombiningLock) Release(c *proc.CPU) {
 			return
 		}
 		// A local waiter is between its tail swap and its link store.
-		succ = c.SpinUntil(l.next[me], func(v uint64) bool { return v != 0 })
+		succ = c.SpinUntil(l.next[me], proc.NotEqual(0))
 	}
 	l.wake(c, l.locked[succ-1], batonAcquire)
 }

@@ -66,7 +66,7 @@ func (b *SenseBarrier) Wait(c *proc.CPU) {
 		}
 		return
 	}
-	c.SpinUntil(b.sense, func(v uint64) bool { return v == mySense })
+	c.SpinUntil(b.sense, proc.Equal(mySense))
 }
 
 // DisseminationBarrier is the O(P log P)-message, O(log P)-latency barrier
@@ -128,6 +128,6 @@ func (b *DisseminationBarrier) Wait(c *proc.CPU) {
 		} else {
 			c.Store(flag, e)
 		}
-		c.SpinUntil(b.flags[r][me], func(v uint64) bool { return v >= e })
+		c.SpinUntil(b.flags[r][me], proc.AtLeast(e))
 	}
 }

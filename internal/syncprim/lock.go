@@ -42,7 +42,7 @@ func (l *TicketLock) SetBackoff(base uint64) { l.backoff = base }
 func (l *TicketLock) Acquire(c *proc.CPU) uint64 {
 	my := FetchAdd(c, l.mech, l.next, 1)
 	if l.backoff == 0 {
-		c.SpinUntil(l.serving, func(v uint64) bool { return v >= my })
+		c.SpinUntil(l.serving, proc.AtLeast(my))
 		return my
 	}
 	for {
@@ -96,7 +96,7 @@ func NewArrayLock(m *machine.Machine, mech Mechanism, slots, home int) *ArrayLoc
 // Acquire takes the lock, returning the slot to pass to Release.
 func (l *ArrayLock) Acquire(c *proc.CPU) int {
 	slot := int(FetchAdd(c, l.mech, l.seq, 1) % uint64(l.size))
-	c.SpinUntil(l.flags[slot], func(v uint64) bool { return v >= 1 })
+	c.SpinUntil(l.flags[slot], proc.AtLeast(1))
 	// Consume the token so the slot can be reused after wrap-around.
 	switch l.mech {
 	case AMO:

@@ -146,10 +146,10 @@ func (l *MCSLock) Acquire(c *proc.CPU) {
 	// Link behind the predecessor and spin on our own flag.
 	c.Store(l.next[pred-1], me+1)
 	if l.mech == AMO {
-		c.SpinUntil(l.locked[me], func(v uint64) bool { return v == 0 })
+		c.SpinUntil(l.locked[me], proc.Equal(0))
 		return
 	}
-	c.SpinUntil(l.locked[me], func(v uint64) bool { return v == 0 })
+	c.SpinUntil(l.locked[me], proc.Equal(0))
 }
 
 // Release hands the lock to the successor, if any.
@@ -162,7 +162,7 @@ func (l *MCSLock) Release(c *proc.CPU) {
 			return
 		}
 		// Someone is in Acquire between swap and link; wait for the link.
-		succ = uint64(c.SpinUntil(l.next[me], func(v uint64) bool { return v != 0 }))
+		succ = uint64(c.SpinUntil(l.next[me], proc.NotEqual(0)))
 	}
 	// Wake the successor by clearing its flag.
 	target := l.locked[succ-1]

@@ -533,7 +533,7 @@ var workqueueApp = trafficApp{name: "workqueue", build: func(m *machine.Machine,
 			c.Store(flagAddr[j], 1)
 			return
 		}
-		c.SpinUntil(flagAddr[j], func(v uint64) bool { return v != 0 })
+		c.SpinUntil(flagAddr[j], proc.NotEqual(0))
 		v := c.Load(valAddr[j])
 		syncprim.FetchAdd(c, mech, sumAddr, v)
 	}
@@ -577,7 +577,7 @@ var mpmcApp = trafficApp{name: "mpmc", build: func(m *machine.Machine, mech sync
 		c.Store(valAddr[my], payload[req])
 		c.Store(flagAddr[my], 1)
 		h := syncprim.FetchAdd(c, mech, headAddr, 1)
-		c.SpinUntil(flagAddr[h], func(v uint64) bool { return v != 0 })
+		c.SpinUntil(flagAddr[h], proc.NotEqual(0))
 		v := c.Load(valAddr[h])
 		syncprim.FetchAdd(c, mech, sumAddr, v)
 		syncprim.FetchAdd(c, mech, sqAddr, v*v)

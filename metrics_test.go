@@ -92,7 +92,7 @@ func TestShutdownThenMetrics(t *testing.T) {
 	}
 	addr := m.AllocWord(0)
 	m.OnAllCPUs(func(c *CPU) {
-		c.SpinUntil(addr, func(v uint64) bool { return v == 999 }) // never
+		c.SpinUntil(addr, Equal(999)) // never
 	})
 	if _, err := m.Run(); err == nil {
 		t.Fatal("expected deadlock")
