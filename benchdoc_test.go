@@ -25,7 +25,7 @@ func TestCompareBench(t *testing.T) {
 		gated []string // the document's `gate:"max"` fields
 	}{
 		"metrics":   {det: []string{"Rows[7].Attribution.SpinIdle", "Rows[0].Mechanism"}},
-		"hotpath":   {det: []string{"EventsPerRun"}, host: "HostBytesPerOp", gated: []string{"HostNsPerOp", "HostAllocsPerOp"}},
+		"hotpath":   {det: []string{"EventsPerRun"}, host: "HostSimAllocs", gated: []string{"HostNsPerOp", "HostAllocsPerOp", "HostBytesPerOp"}},
 		"pdes":      {det: []string{"ShardEvents[0]"}, host: "HostSpeedup"},
 		"crossover": {det: []string{"Rows[4].LockComb", "BarrierCrossover[dsm]"}, host: "HostSeconds"},
 		"traffic":   {det: []string{"Rows[17].P99", "Rows[3].Saturated"}, host: "HostSeconds"},

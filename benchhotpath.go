@@ -33,7 +33,7 @@ type hotpathDoc struct {
 	HostIterations  int     // timed ops across all batches
 	HostNsPerOp     float64 `gate:"max"` // wall-clock nanoseconds per op
 	HostAllocsPerOp float64 `gate:"max"` // heap allocations per op (construction + run)
-	HostBytesPerOp  float64 // heap bytes per op
+	HostBytesPerOp  float64 `gate:"max"` // heap bytes per op
 	// HostSimAllocs counts heap allocations during the simulation phase
 	// alone (machine construction excluded) of one instrumented run: the
 	// steady-state figure the event/message pooling drives toward zero.

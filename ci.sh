@@ -144,9 +144,9 @@ for b in metrics hotpath pdes crossover traffic; do
 done
 
 echo "== hot path: zero-alloc regression tests"
-# The pooled event, message, AMU, directory-transaction, home-memory,
-# dsm-agent, touched-set cache and spin re-check paths are pinned at
-# exactly 0 allocs/op.
+# The pooled event, message, AMU (the dsm agent's atomic unit included),
+# directory-transaction, home-memory, dsm load/store, touched-set cache
+# and spin re-check paths are pinned at exactly 0 allocs/op.
 go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/directory ./internal/memsys ./internal/dsm ./internal/cache ./internal/proc
 
 echo "CI PASS"

@@ -59,29 +59,6 @@ func (rc RunConfig) apply(cfg Config) Config {
 	return cfg
 }
 
-// Tag renders the non-default run selectors for sweep labels and table
-// titles: "" for the default amo machine on the sequential kernel,
-// " [syncron]", " [pdes:4]", or a concatenation.
-func (rc RunConfig) Tag() string {
-	var s string
-	if rc.Backend != BackendAMO {
-		s += " [" + rc.Backend.String() + "]"
-	}
-	if rc.Engine == "parallel" {
-		shards := rc.Shards
-		if shards == 0 {
-			shards = 1
-		}
-		s += fmt.Sprintf(" [pdes:%d]", shards)
-	}
-	return s
-}
-
-// labelTag renders the tag of a resolved config (see RunConfig.Tag).
-func labelTag(cfg Config) string {
-	return RunConfig{Backend: cfg.Backend, Engine: cfg.Engine, Shards: cfg.Shards}.Tag()
-}
-
 // BarrierOptions tunes RunBarrier.
 type BarrierOptions struct {
 	// Episodes is the measured episode count (default 8).
@@ -131,7 +108,7 @@ func RunBarrier(cfg Config, mech Mechanism, opts BarrierOptions) (BarrierResult,
 		return BarrierResult{}, err
 	}
 	defer m.Shutdown()
-	orc := attachChaos(m, opts.ChaosSeed, opts.ChaosLevel)
+	orc := chaos.Arm(m, chaos.Plan{Seed: opts.ChaosSeed, Level: opts.ChaosLevel})
 
 	var wait func(c *proc.CPU)
 	if mech == Combining {
@@ -171,7 +148,7 @@ func RunBarrier(cfg Config, mech Mechanism, opts BarrierOptions) (BarrierResult,
 	if _, err := m.Run(); err != nil {
 		return BarrierResult{}, fmt.Errorf("amosim: barrier run (%v, %d procs): %w", mech, cfg.Processors, err)
 	}
-	if err := checkChaos(orc); err != nil {
+	if err := orc(); err != nil {
 		return BarrierResult{}, fmt.Errorf("amosim: barrier run (%v, %d procs, chaos seed %d level %d): %w",
 			mech, cfg.Processors, opts.ChaosSeed, opts.ChaosLevel, err)
 	}
@@ -231,29 +208,6 @@ func BestTreeBarrier(cfg Config, mech Mechanism, opts BarrierOptions) (BarrierRe
 		}
 	}
 	return best, nil
-}
-
-// attachChaos hooks the fault injector (a no-op at level 0) and the
-// strongest invariant checker the kernel allows: the transition oracle on
-// the sequential kernel, the post-run coherence check on the parallel one
-// (the oracle inspects every CPU's cache at transition time, which would
-// race across shards). checkChaos runs the returned check after the run.
-func attachChaos(m *machine.Machine, seed uint64, level int) func() error {
-	chaos.Attach(m, chaos.Plan{Seed: seed, Level: level})
-	if level <= 0 {
-		return nil
-	}
-	if m.Cfg.Engine == "parallel" {
-		return m.CheckCoherence
-	}
-	return chaos.Observe(m).Check
-}
-
-func checkChaos(check func() error) error {
-	if check == nil {
-		return nil
-	}
-	return check()
 }
 
 // LockKind selects the lock algorithm. It lives in internal/syncprim next
@@ -321,7 +275,7 @@ func RunLock(cfg Config, kind LockKind, mech Mechanism, opts LockOptions) (LockR
 		return LockResult{}, err
 	}
 	defer m.Shutdown()
-	orc := attachChaos(m, opts.ChaosSeed, opts.ChaosLevel)
+	orc := chaos.Arm(m, chaos.Plan{Seed: opts.ChaosSeed, Level: opts.ChaosLevel})
 
 	var acquire func(c *proc.CPU) func()
 	switch kind {
@@ -376,7 +330,7 @@ func RunLock(cfg Config, kind LockKind, mech Mechanism, opts LockOptions) (LockR
 	if _, err := m.Run(); err != nil {
 		return LockResult{}, fmt.Errorf("amosim: lock run (%v %v, %d procs): %w", kind, mech, cfg.Processors, err)
 	}
-	if err := checkChaos(orc); err != nil {
+	if err := orc(); err != nil {
 		return LockResult{}, fmt.Errorf("amosim: lock run (%v %v, %d procs, chaos seed %d level %d): %w",
 			kind, mech, cfg.Processors, opts.ChaosSeed, opts.ChaosLevel, err)
 	}

@@ -109,6 +109,26 @@ func Attach(m *machine.Machine, plan Plan) *Injector {
 	return inj
 }
 
+// Arm is how an experiment run turns chaos on: it attaches plan's
+// injector to m with the strongest invariant check the kernel allows — the
+// transition oracle on the sequential kernel, the post-run coherence check
+// on the parallel one (the oracle inspects every CPU's cache at transition
+// time, which would race across shards) — and returns that check, to run
+// once the machine has quiesced. A disabled plan attaches nothing, and its
+// check always passes.
+func Arm(m *machine.Machine, plan Plan) (check func() error) {
+	if !plan.Enabled() {
+		return noCheck
+	}
+	Attach(m, plan)
+	if m.Cfg.Engine == "parallel" {
+		return m.CheckCoherence
+	}
+	return Observe(m).Check
+}
+
+func noCheck() error { return nil }
+
 // Stats returns what the injector has done so far, folded over nodes in
 // node order. Call only while the machine is quiescent.
 func (inj *Injector) Stats() Stats {

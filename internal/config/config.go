@@ -228,6 +228,24 @@ func (c Config) Nodes() int { return c.Processors / c.ProcsPerNode }
 // WordsPerBlock returns the number of 8-byte words per coherence block.
 func (c Config) WordsPerBlock() int { return c.BlockBytes / 8 }
 
+// Tag renders the non-default backend and event-kernel selectors for sweep
+// labels and table titles: "" for the amo machine on the sequential
+// kernel, " [syncron]", " [pdes:4]", or a concatenation.
+func (c Config) Tag() string {
+	var s string
+	if c.Backend != BackendAMO {
+		s += " [" + c.Backend.String() + "]"
+	}
+	if c.Engine == "parallel" {
+		shards := c.Shards
+		if shards == 0 {
+			shards = 1
+		}
+		s += fmt.Sprintf(" [pdes:%d]", shards)
+	}
+	return s
+}
+
 // MaxCycles bounds every latency field, so that the sums of latencies a
 // run schedules stay far below the 2^64 wrap of the simulated clock.
 const MaxCycles = 1 << 32

@@ -29,6 +29,13 @@
 // two: a fill that displaces a live entry costs OpCycles + SpillCycles
 // before the operation executes (0 extra for the paper's AMU, DRAMCycles
 // for SynCron).
+//
+// Built without a directory, the unit serves every request on the MAO
+// path. That is each disaggregated-memory node's atomic unit
+// (internal/dsm): it has no operand cache either, and zero queue and FU
+// cycles, so its one timed stage per operation is the memory access, with
+// DRAMCycles set to the remote service latency. A stage that occupies zero
+// cycles runs inline rather than as an event.
 package core
 
 import (
@@ -177,8 +184,9 @@ type uncached struct {
 //
 // The FU pipeline (dispatch -> start -> execute) is allocation-free in
 // steady state: the single in-flight request lives in cur, the pipeline
-// stages are prebound func values, the request queue is a ring FIFO, and
-// fine puts and uncached accesses ride pooled records.
+// stages are package-level functions scheduled with the unit as their
+// argument, the request queue is a ring FIFO, and fine puts and uncached
+// accesses ride pooled records.
 type AMU struct {
 	eng sim.Engine
 	net *network.Network
@@ -198,12 +206,8 @@ type AMU struct {
 	busy  bool
 
 	// cur is the request owned by the FU pipeline; valid while busy. The
-	// prebound stage funcs below read it instead of capturing a message.
+	// stages read it instead of capturing a message.
 	cur         network.Msg
-	dispatchFn  func()
-	startFn     func()
-	executeFn   func()
-	fillMAOFn   func()
 	fineGetDone func(val uint64)
 	putFree     []*finePut
 
@@ -218,7 +222,9 @@ type AMU struct {
 
 // New creates an AMU bound to its node's directory controller and memory.
 // The caller installs it as the directory's recall port (or wraps it, as
-// SynCron's engine does) with dir.SetAMU.
+// SynCron's engine does) with dir.SetAMU. With a nil dir the unit has no
+// coherent path: every request reads and writes memory directly, as an
+// MAO does.
 func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, dir *directory.Controller, p Params) *AMU {
 	if p.BlockBytes <= 0 {
 		panic("core: BlockBytes must be positive")
@@ -236,10 +242,6 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, dir *director
 		cache:     make([]amuEntry, words),
 		transient: transient,
 	}
-	a.dispatchFn = a.dispatch
-	a.startFn = a.start
-	a.executeFn = a.execute
-	a.fillMAOFn = func() { a.fillAndExecute(a.mem.ReadWord(a.cur.Addr), false) }
 	a.fineGetDone = func(val uint64) { a.fillAndExecute(val, true) }
 	a.loadReplyCall = func(x any) { a.uncachedLoadReply(x.(*uncached)) }
 	a.storeAckCall = func(x any) { a.uncachedStoreAck(x.(*uncached)) }
@@ -286,11 +288,32 @@ func (a *AMU) Quiesced() error {
 	return nil
 }
 
+// Queued returns how many requests wait behind the function unit.
+func (a *AMU) Queued() int { return a.queue.Len() }
+
 // occupy charges cycles of AMU occupancy (queue, function unit or DRAM
-// fill) before running job.
-func (a *AMU) occupy(cycles uint64, job func()) {
+// fill) and then runs stage, one of the stage functions below. A stage
+// that occupies zero cycles runs inline instead of as an event at delay 0.
+func (a *AMU) occupy(cycles uint64, stage func(any)) {
 	a.stats.OccupancyCycles += cycles
-	a.eng.Schedule(sim.Time(cycles), job)
+	if cycles == 0 {
+		stage(a)
+		return
+	}
+	a.eng.ScheduleCall(sim.Time(cycles), stage, a)
+}
+
+// The pipeline's stage functions take the unit as their argument, so one
+// function serves every unit and scheduling a stage allocates nothing.
+func dispatchCall(x any) { x.(*AMU).dispatch() }
+func startCall(x any)    { x.(*AMU).start() }
+func executeCall(x any)  { x.(*AMU).execute() }
+
+// fillMAOCall installs the current request's operand read straight from
+// memory.
+func fillMAOCall(x any) {
+	a := x.(*AMU)
+	a.fillAndExecute(a.mem.ReadWord(a.cur.Addr), false)
 }
 
 // SetPerturber installs fn, invoked after every completed AMO/MAO operation
@@ -363,7 +386,7 @@ func (a *AMU) dispatch() {
 	}
 	a.busy = true
 	a.cur = a.queue.Pop()
-	a.occupy(a.p.QueueCycles, a.startFn)
+	a.occupy(a.p.QueueCycles, startCall)
 }
 
 // start begins processing a.cur at the FU.
@@ -371,13 +394,14 @@ func (a *AMU) start() {
 	m := &a.cur
 	if e := a.lookup(m.Addr); e != nil {
 		a.stats.CacheHits++
-		a.occupy(a.p.OpCycles, a.executeFn)
+		a.occupy(a.p.OpCycles, executeCall)
 		return
 	}
-	// Miss: fetch the operand. MAOs read memory directly (non-coherent);
-	// AMOs perform a coherent fine-grained get through the directory.
-	if m.Flags&FlagMAO != 0 || m.Kind == network.KindMAORequest {
-		a.occupy(a.p.DRAMCycles, a.fillMAOFn)
+	// Miss: fetch the operand. MAOs, and every request at a unit without a
+	// directory, read memory directly (non-coherent); AMOs perform a
+	// coherent fine-grained get through the directory.
+	if a.dir == nil || m.Flags&FlagMAO != 0 || m.Kind == network.KindMAORequest {
+		a.occupy(a.p.DRAMCycles, fillMAOCall)
 		return
 	}
 	a.dir.FineGet(m.Addr, a.fineGetDone)
@@ -418,7 +442,7 @@ func (a *AMU) execute() {
 	}
 	a.busy = false
 	a.cur = network.Msg{}
-	a.eng.Schedule(0, a.dispatchFn)
+	a.eng.ScheduleCall(0, dispatchCall, a)
 }
 
 // evictAddr flushes the entry holding addr, if any.
@@ -472,7 +496,7 @@ func (a *AMU) fillAndExecute(val uint64, coherent bool) {
 	if a.fill(a.cur.Addr, val, coherent) {
 		cycles += a.p.SpillCycles
 	}
-	a.occupy(cycles, a.executeFn)
+	a.occupy(cycles, executeCall)
 }
 
 // fill installs (addr, val), evicting the LRU entry if needed, and reports

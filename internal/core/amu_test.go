@@ -299,6 +299,72 @@ func TestZeroWordCacheTransient(t *testing.T) {
 	}
 }
 
+// TestDirectorylessUnitServesAMOsFromMemory builds the disaggregated-memory
+// agent's unit: no directory, no operand cache, zero queue and FU cycles
+// and one memory stage. AMO requests, test-gated and update-always alike,
+// take the memory-side path: each reply carries the old value, memory
+// holds every result before the next operation reads it, and no fine put
+// is issued.
+func TestDirectorylessUnitServesAMOsFromMemory(t *testing.T) {
+	eng := sim.NewEngine()
+	topo, err := topology.NewFatTree(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := network.New(eng, topo.HopTable(), network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	mem := memsys.New(2, 128, 60)
+	const stage = 50
+	amu := New(eng, net, mem, nil, Params{Node: 0, DRAMCycles: stage, BlockBytes: 128})
+	var replies []network.Msg
+	net.RegisterCPU(2, func(m *network.Msg) { replies = append(replies, *m) })
+	addr := mem.AllocWord(0)
+	reqs := []struct {
+		op           Op
+		operand, aux uint64
+		flags        uint32
+	}{
+		{OpInc, 0, 2, FlagTest}, // the result reaches the test value here
+		{OpInc, 0, 2, FlagTest},
+		{OpFetchAdd, 5, 0, FlagUpdateAlways},
+		{OpFetchAdd, 5, 0, FlagUpdateAlways},
+		{OpInc, 0, 12, FlagTest | FlagUpdateAlways},
+	}
+	for i, q := range reqs {
+		amu.Handle(&network.Msg{
+			Kind: network.KindAMORequest, Src: network.Endpoint{Node: 1, CPU: 2}, Dst: network.Hub(0),
+			Addr: addr, Value: q.operand, Aux: q.aux, Op: int(q.op), Flags: q.flags, Txn: uint64(i),
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantOld := []uint64{0, 1, 2, 7, 12}
+	if len(replies) != len(wantOld) {
+		t.Fatalf("%d replies, want %d", len(replies), len(wantOld))
+	}
+	for i, m := range replies {
+		if m.Kind != network.KindAMOReply || m.Txn != uint64(i) || m.Value != wantOld[i] {
+			t.Fatalf("reply %d = %v txn %d old %d, want an AMO reply with old value %d", i, m.Kind, m.Txn, m.Value, wantOld[i])
+		}
+	}
+	if got := mem.ReadWord(addr); got != 13 {
+		t.Fatalf("memory = %d, want 13", got)
+	}
+	if _, held := amu.Peek(addr); held {
+		t.Fatal("the unit still holds the word after the run")
+	}
+	n := uint64(len(reqs))
+	if st := amu.Stats(); st.Ops != n || st.CacheHits != 0 || st.FinePuts != 0 || st.OccupancyCycles != n*stage {
+		t.Fatalf("stats %+v, want %d ops, no hits, no fine puts and %d occupancy cycles", st, n, n*stage)
+	}
+	// Each atomic schedules one stage, the memory read; the zero-cycle
+	// queue and FU stages run inline. The re-dispatch after each operation
+	// and each reply's delivery are one event apiece.
+	if got := eng.Executed(); got != 3*n {
+		t.Fatalf("Executed = %d, want %d: one stage, one re-dispatch and one reply per atomic", got, 3*n)
+	}
+}
+
 func TestRecallFlushesAndInvalidates(t *testing.T) {
 	r := newRig(t, 8, 0)
 	addr := r.mem.AllocWord(0)

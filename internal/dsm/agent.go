@@ -5,10 +5,12 @@
 //
 // Reads and writes are pipelined (a NIC-style agent serves them
 // concurrently); atomics serialize through a single function unit per
-// node, which is what makes them atomic. AMO requests are accepted and
-// executed exactly like memory-side atomics — their update-push flags are
-// meaningless without caches and are ignored — so all five synchronization
-// mechanisms run unmodified over the remote-access primitives.
+// node, which is what makes them atomic. That unit is a core.AMU built
+// without a directory or an operand cache, whose one stage is the remote
+// service latency: it serves AMO and MAO requests alike on the
+// memory-side path — their update-push flags are meaningless without
+// caches and are ignored — so all five synchronization mechanisms run
+// unmodified over the remote-access primitives.
 package dsm
 
 import (
@@ -31,41 +33,38 @@ type Params struct {
 
 // Agent is one node's disaggregated-memory endpoint.
 type Agent struct {
-	eng sim.Engine
 	net *network.Network
 	mem *memsys.Memory
 	p   Params
+	amu *core.AMU
 
-	queue sim.FIFO[network.Msg]
-	busy  bool
-	cur   network.Msg
-
-	dispatchFn func()
-	executeFn  func()
-
+	// stats counts the loads and stores; Stats adds the unit's atomics.
 	stats metrics.DSMStats
 }
 
 // New creates a memory agent for node p.Node.
 func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, p Params) *Agent {
-	a := &Agent{eng: eng, net: net, mem: mem, p: p}
-	a.dispatchFn = a.dispatch
-	a.executeFn = a.execute
-	return a
+	return &Agent{net: net, mem: mem, p: p, amu: core.New(eng, net, mem, nil, core.Params{
+		Node:       p.Node,
+		DRAMCycles: p.RemoteCycles,
+		// Without a directory the unit holds no coherent word, so no
+		// recall ever names a block.
+		BlockBytes: memsys.WordBytes,
+	})}
 }
 
-// Stats returns the agent's counters.
-func (a *Agent) Stats() metrics.DSMStats { return a.stats }
+// Stats returns the agent's counters, reading the atomics and their share
+// of the occupancy from the atomic unit.
+func (a *Agent) Stats() metrics.DSMStats {
+	s, u := a.stats, a.amu.Stats()
+	s.RemoteAtomics = u.Ops
+	s.OccupancyCycles += u.OccupancyCycles
+	return s
+}
 
 // Quiesced returns an error if the atomic unit still has queued or
 // in-flight work at quiescence.
-func (a *Agent) Quiesced() error {
-	if a.busy || a.queue.Len() != 0 {
-		return fmt.Errorf("dsm: node %d agent still busy at quiescence (%d queued)",
-			a.p.Node, a.queue.Len())
-	}
-	return nil
-}
+func (a *Agent) Quiesced() error { return a.amu.Quiesced() }
 
 // Handle accepts hub-routed remote accesses. Runs in event context.
 func (a *Agent) Handle(m *network.Msg) {
@@ -94,46 +93,8 @@ func (a *Agent) Handle(m *network.Msg) {
 			Txn:  m.Txn,
 		})
 	case network.KindAMORequest, network.KindMAORequest:
-		a.queue.Push(*m)
-		a.dispatch()
+		a.amu.Handle(m)
 	default:
 		panic(fmt.Sprintf("dsm: unexpected message %v", m))
 	}
-}
-
-// dispatch starts the head-of-queue atomic if the unit is idle.
-func (a *Agent) dispatch() {
-	if a.busy || a.queue.Len() == 0 {
-		return
-	}
-	a.busy = true
-	a.cur = a.queue.Pop()
-	a.stats.OccupancyCycles += a.p.RemoteCycles
-	a.eng.Schedule(sim.Time(a.p.RemoteCycles), a.executeFn)
-}
-
-// execute performs the atomic read-modify-write against home memory and
-// replies with the previous value.
-func (a *Agent) execute() {
-	m := &a.cur
-	a.stats.RemoteAtomics++
-	old := a.mem.ReadWord(m.Addr)
-	a.mem.WriteWord(m.Addr, core.Op(m.Op).Apply(old, m.Value, m.Aux))
-
-	kind := network.KindAMOReply
-	if m.Kind == network.KindMAORequest {
-		kind = network.KindMAOReply
-	}
-	a.net.Send(&network.Msg{
-		Kind:      kind,
-		Src:       network.Hub(a.p.Node),
-		Dst:       m.Src,
-		Addr:      m.Addr,
-		Value:     old,
-		DataBytes: memsys.WordBytes,
-		Txn:       m.Txn,
-	})
-	a.busy = false
-	a.cur = network.Msg{}
-	a.eng.Schedule(0, a.dispatchFn)
 }

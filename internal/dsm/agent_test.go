@@ -75,25 +75,25 @@ func TestAtomicsServedInArrivalOrderWhileQueueNeverDrains(t *testing.T) {
 	addr := r.mem.AllocWord(0)
 	const n = 2000
 	var sent uint64
-	var produce func()
-	produce = func() {
+	var produce func(any)
+	produce = func(any) {
 		for i := 0; i < 2 && sent < n; i++ {
 			r.net.Send(r.msg(network.KindAMORequest, addr, 1, sent))
 			sent++
 		}
 		if sent < n {
-			r.eng.Schedule(remoteCycles, produce)
+			r.eng.ScheduleCall(remoteCycles, produce, nil)
 		}
 	}
 	arrivals, high := 0, 0
 	r.arrived = func() {
 		arrivals++
-		if arrivals > 1 && r.agent.queue.Len() == 0 {
+		if arrivals > 1 && r.agent.amu.Queued() == 0 {
 			t.Fatalf("the atomic queue drained at arrival %d", arrivals)
 		}
-		high = max(high, r.agent.queue.Len())
+		high = max(high, r.agent.amu.Queued())
 	}
-	produce()
+	produce(nil)
 	r.run(t)
 	if high < n/2-1 {
 		t.Fatalf("the queue peaked at %d, want about %d: the producer did not outrun the unit", high, n/2)

@@ -190,7 +190,9 @@ func (b *SynCronBackend) CheckQuiescence() error { return quiesced(b.m.Syncs) }
 
 // DSMBackend wires a disaggregated machine: no directory, no cached data,
 // a memory agent per node serving remote reads/writes/atomics
-// (internal/dsm). CPUs run in remote-memory mode.
+// (internal/dsm). CPUs run in remote-memory mode. Each agent's atomics run
+// on its own directory-less core.AMU, which stays out of m.AMUs: that
+// list is the amo backend's, and chaos perturbs every unit on it.
 type DSMBackend struct {
 	m *Machine
 }
@@ -228,7 +230,8 @@ func (b *DSMBackend) RegisterNodeMetrics(m *Machine) {
 }
 
 // PeekWord implements Backend: home memory is always authoritative — the
-// agent holds no word state between operations.
+// agent's atomic unit has no operand cache, so it holds no word between
+// operations.
 func (b *DSMBackend) PeekWord(addr uint64) (uint64, bool) { return 0, false }
 
 // CheckQuiescence implements Backend.

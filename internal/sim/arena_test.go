@@ -10,7 +10,7 @@ func TestArenaFreeListExhaustionAndGrowth(t *testing.T) {
 	e := NewEngine()
 	const k = 8
 	for i := 0; i < k; i++ {
-		e.Schedule(Time(i), func() {})
+		schedule(e, Time(i), func() {})
 	}
 	if len(e.q.arena) != k || len(e.q.free) != 0 {
 		t.Fatalf("cold burst: arena %d free %d, want %d/0", len(e.q.arena), len(e.q.free), k)
@@ -33,7 +33,7 @@ func TestArenaFreeListExhaustionAndGrowth(t *testing.T) {
 	}
 	// A warm same-sized burst drains the free list without growing.
 	for i := 0; i < k; i++ {
-		e.Schedule(Time(i), func() {})
+		schedule(e, Time(i), func() {})
 	}
 	if len(e.q.arena) != k {
 		t.Fatalf("warm burst grew the arena to %d, want %d (reuse)", len(e.q.arena), k)
@@ -42,7 +42,7 @@ func TestArenaFreeListExhaustionAndGrowth(t *testing.T) {
 		t.Fatalf("warm burst left %d free slots, want 0 (exhausted)", len(e.q.free))
 	}
 	// One past exhaustion grows by exactly one slot.
-	e.Schedule(0, func() {})
+	schedule(e, 0, func() {})
 	if len(e.q.arena) != k+1 {
 		t.Fatalf("overflow event grew arena to %d, want %d", len(e.q.arena), k+1)
 	}

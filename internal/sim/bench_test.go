@@ -14,7 +14,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
 		for j := 0; j < 1000; j++ {
-			e.Schedule(Time(j%97), func() {})
+			schedule(e, Time(j%97), func() {})
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

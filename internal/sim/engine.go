@@ -4,8 +4,9 @@
 // events in (time, sequence) order, so identical inputs always produce
 // identical schedules. Two styles of simulated activity coexist:
 //
-//   - event handlers: plain callbacks scheduled with Engine.Schedule, used by
-//     hardware models (caches, directories, network, AMU);
+//   - event handlers: a func(any) and its argument, scheduled with
+//     Engine.ScheduleCall, used by hardware models (caches, directories,
+//     network, AMU);
 //   - processes: coroutines started with Engine.Spawn, used by simulated
 //     CPUs running synchronization algorithms. A process may sleep for a
 //     number of cycles, park until a handler calls its Await wake, or
@@ -48,9 +49,11 @@ type Time = uint64
 // Engine is the discrete-event kernel contract shared by the Sequential and
 // Parallel implementations (and by the per-node views the latter hands out).
 //
-// The pooled-arena contract: Schedule and ScheduleCall never retain fn/arg
-// beyond dispatch, events live in recycled arenas, and the ScheduleCall form
-// (prebound func(any) plus pointer argument) must not heap-allocate.
+// There is one event form: a call and its argument. The pooled-arena
+// contract: the kernels never retain call/arg beyond dispatch, events live
+// in recycled arenas, and scheduling a prebound func(any) (a package-level
+// function or a func value built once) with a pointer argument must not
+// heap-allocate.
 type Engine interface {
 	// Now returns the current simulated time of this view's clock. On a
 	// parallel shard view the clock is the shard's local clock, which agrees
@@ -58,10 +61,8 @@ type Engine interface {
 	Now() Time
 	// Executed reports the total number of events dispatched.
 	Executed() uint64
-	// Schedule runs fn at now+delay on this view's shard.
-	Schedule(delay Time, fn func())
-	// ScheduleCall runs call(arg) at now+delay on this view's shard; it is
-	// the allocation-free form of Schedule.
+	// ScheduleCall runs call(arg) at now+delay on this view's shard.
+	// Events due at the same instant run in scheduling order.
 	ScheduleCall(delay Time, call func(any), arg any)
 	// ScheduleCallNode runs call(arg) at now+delay on node's shard. Cross-
 	// shard deliveries require delay >= the engine's lookahead window.

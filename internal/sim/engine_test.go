@@ -10,13 +10,21 @@ import (
 	"time"
 )
 
+// schedule runs fn at now+delay on v. It is how these tests schedule a
+// closure: the kernels' one event form is a call and its argument, and
+// here the argument is fn itself.
+func schedule(v Engine, delay Time, fn func()) { v.ScheduleCall(delay, callFunc, fn) }
+
+// callFunc runs its argument, a func().
+func callFunc(fn any) { fn.(func())() }
+
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(10, func() { got = append(got, 2) })
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(10, func() { got = append(got, 3) }) // same time: FIFO by seq
-	e.Schedule(20, func() { got = append(got, 4) })
+	schedule(e, 10, func() { got = append(got, 2) })
+	schedule(e, 5, func() { got = append(got, 1) })
+	schedule(e, 10, func() { got = append(got, 3) }) // same time: FIFO by seq
+	schedule(e, 20, func() { got = append(got, 4) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -34,13 +42,24 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
+// TestScheduleNilPanics: every kernel and view refuses a nil call where it
+// is scheduled, not later where it would be dispatched.
 func TestScheduleNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for nil fn")
+	forKernels(t, func(t *testing.T, newEngine func() Engine) {
+		e := newEngine()
+		defer e.Shutdown()
+		for _, v := range []Engine{e, e.ForNode(1)} {
+			if recovered(func() { v.ScheduleCall(0, nil, nil) }) == nil {
+				t.Errorf("%T: ScheduleCall with a nil call did not panic", v)
+			}
+			if recovered(func() { v.ScheduleCallNode(0, 0, nil, nil) }) == nil {
+				t.Errorf("%T: ScheduleCallNode with a nil call did not panic", v)
+			}
 		}
-	}()
-	NewEngine().Schedule(0, nil)
+		if n := e.Pending(); n != 0 {
+			t.Fatalf("%d events queued after the refusals, want 0", n)
+		}
+	})
 }
 
 // NewParallel has no one-shard mode (one partition is the sequential
@@ -64,11 +83,11 @@ func TestNewParallelNeedsTwoShardsAndAWindow(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(1, func() {
+	schedule(e, 1, func() {
 		fired = append(fired, e.Now())
-		e.Schedule(2, func() {
+		schedule(e, 2, func() {
 			fired = append(fired, e.Now())
-			e.Schedule(0, func() { fired = append(fired, e.Now()) })
+			schedule(e, 0, func() { fired = append(fired, e.Now()) })
 		})
 	})
 	if err := e.Run(); err != nil {
@@ -85,8 +104,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestRunUntilDeadline(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(5, func() { ran++ })
-	e.Schedule(50, func() { ran++ })
+	schedule(e, 5, func() { ran++ })
+	schedule(e, 50, func() { ran++ })
 	err := e.RunUntil(10)
 	if err != ErrDeadline {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -114,16 +133,16 @@ func TestRunUntilDeadlineSyncsClocks(t *testing.T) {
 		record := func(node int) func() {
 			return func() { fired[node] = append(fired[node], e.ForNode(node).Now()) }
 		}
-		e.ForNode(1).Schedule(10, record(1))
-		e.ForNode(0).Schedule(50, record(0))
-		e.ForNode(0).Schedule(500, record(0))
+		schedule(e.ForNode(1), 10, record(1))
+		schedule(e.ForNode(0), 50, record(0))
+		schedule(e.ForNode(0), 500, record(0))
 		if err := e.RunUntil(100); err != ErrDeadline {
 			t.Fatalf("RunUntil(100) = %v, want ErrDeadline", err)
 		}
 		if now := e.ForNode(1).Now(); now != 50 {
 			t.Fatalf("node 1 clock after RunUntil(100) = %d, want 50", now)
 		}
-		e.ForNode(1).Schedule(5, record(1))
+		schedule(e.ForNode(1), 5, record(1))
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -135,9 +154,9 @@ func TestRunUntilDeadlineSyncsClocks(t *testing.T) {
 
 // kernels are the engines every Process, Await and Shutdown test runs
 // on: the sequential kernel and two- and three-shard parallel kernels, one
-// node per shard. On a parallel kernel Spawn and Schedule land on shard 0,
-// so tests whose processes share host state keep them there; the others
-// spread processes over shards with ForNode.
+// node per shard. On a parallel kernel Spawn and ScheduleCall land on
+// shard 0, so tests whose processes share host state keep them there; the
+// others spread processes over shards with ForNode.
 var kernels = []struct {
 	name string
 	new  func() Engine
@@ -287,8 +306,8 @@ func TestProcessRunAheadYieldsOnTie(t *testing.T) {
 			p.Sleep(3)
 			got = append(got, fmt.Sprint("wake ", p.Now()))
 		})
-		v.Schedule(5, func() { got = append(got, "handler 5") })
-		v.Schedule(8, func() { got = append(got, "handler 8") })
+		schedule(v, 5, func() { got = append(got, "handler 5") })
+		schedule(v, 8, func() { got = append(got, "handler 8") })
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -359,7 +378,7 @@ func TestAwait(t *testing.T) {
 			p.Await(func(w func()) { wake = w })
 			doneAt = p.Now()
 		})
-		e.Schedule(42, func() { wake() })
+		schedule(e, 42, func() { wake() })
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -383,15 +402,15 @@ func TestProcessResumeFromHandler(t *testing.T) {
 		p = v.Spawn("suspended", 0, func(p *Process) {
 			p.Suspend()
 			order = append(order, fmt.Sprintf("process@%d", p.Now()))
-			v.Schedule(0, func() { order = append(order, "pushed by process") })
+			schedule(v, 0, func() { order = append(order, "pushed by process") })
 			p.Sleep(5)
 			order = append(order, fmt.Sprintf("woke@%d", p.Now()))
 		})
-		v.Schedule(42, func() {
+		schedule(v, 42, func() {
 			order = append(order, "resumer")
 			p.Resume()
 		})
-		v.Schedule(42, func() { order = append(order, "next at 42") })
+		schedule(v, 42, func() { order = append(order, "next at 42") })
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -437,7 +456,7 @@ func TestProcessResumePanicsUnlessSuspended(t *testing.T) {
 				got = append(got, recovered(p.Suspend))
 			})
 		})
-		v.Schedule(10, func() {
+		schedule(v, 10, func() {
 			got = append(got, recovered(sleeper.Resume), recovered(waiter.Resume))
 			wake()
 		})
@@ -546,8 +565,8 @@ func TestProcessPanicReachesRun(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
+	schedule(e, 1, func() { ran++; e.Stop() })
+	schedule(e, 2, func() { ran++ })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -719,13 +738,10 @@ func runOrderProgram(t *testing.T, eng Engine, n int, seed uint64) (global []ord
 			}
 			for k := uint64(0); k < burst; k++ {
 				child := &orderEv{label: mix64(hc + k), depth: ev.depth + 1, node: node, push: pushes.Add(1), due: now + delay}
-				switch {
-				case node != ev.node || (hc>>56)%2 == 0:
+				if node != ev.node || (hc>>56)%2 == 0 {
 					view.ScheduleCallNode(node, delay, fire, child)
-				case (hc>>57)%2 == 0:
+				} else {
 					view.ScheduleCall(delay, fire, child)
-				default:
-					view.Schedule(delay, func() { fire(child) })
 				}
 			}
 		}

@@ -213,13 +213,8 @@ func (par *Parallel) Emit(cycle uint64, kind, what string) {
 // SetEmitSink implements Engine.
 func (par *Parallel) SetEmitSink(sink func(cycle uint64, kind, what string)) { par.sink = sink }
 
-// Schedule implements Engine for setup context: the event lands on shard 0.
-// Components must schedule through their shard views instead.
-func (par *Parallel) Schedule(delay Time, fn func()) {
-	par.shards[0].Schedule(delay, fn)
-}
-
-// ScheduleCall implements Engine for setup context (see Schedule).
+// ScheduleCall implements Engine for setup context: the event lands on
+// shard 0. Components must schedule through their shard views instead.
 func (par *Parallel) ScheduleCall(delay Time, call func(any), arg any) {
 	par.shards[0].ScheduleCall(delay, call, arg)
 }
@@ -402,7 +397,7 @@ func (par *Parallel) boundary() {
 		par.ranked += uint64(len(s.pushLog))
 		s.next = 0
 		for _, c := range s.cross {
-			par.shards[c.dst].q.push(c.at, s.seqs[c.rec], -1, nil, c.call, c.arg)
+			par.shards[c.dst].q.push(c.at, s.seqs[c.rec], -1, c.call, c.arg)
 		}
 		clear(s.cross)
 		s.cross = s.cross[:0]
@@ -472,14 +467,10 @@ func (s *shard) runWindow(end Time) {
 		if ev.local >= 0 {
 			s.pushLog[ev.local].slot = -1
 		}
-		fn, call, arg := ev.fn, ev.call, ev.arg
+		call, arg := ev.call, ev.arg
 		s.q.pop(id)
 		s.executed++
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
+		call(arg)
 	}
 	s.inEvent = false
 	s.curLocal = -1
@@ -489,13 +480,13 @@ func (s *shard) runWindow(end Time) {
 // the push log; outside one (setup, phase attachment, quiescence wakeups)
 // the coordinator's counter assigns the global sequence immediately, which
 // is exactly when the sequential kernel would assign it.
-func (s *shard) push(at Time, fn func(), call func(any), arg any) {
+func (s *shard) push(at Time, call func(any), arg any) {
 	if !s.inEvent {
 		s.par.seq++ //lint:coordinator-context — no window is running, the caller is setup/phase code
-		s.q.push(at, s.par.seq, -1, fn, call, arg)
+		s.q.push(at, s.par.seq, -1, call, arg)
 		return
 	}
-	s.logPush(s.q.push(at, 0, int32(len(s.pushLog)), fn, call, arg))
+	s.logPush(s.q.push(at, 0, int32(len(s.pushLog)), call, arg))
 }
 
 // pushCross stages an event for another shard; it is delivered at the next
@@ -504,7 +495,7 @@ func (s *shard) push(at Time, fn func(), call func(any), arg any) {
 func (s *shard) pushCross(dst int32, at Time, call func(any), arg any) {
 	if !s.inEvent {
 		s.par.seq++ //lint:coordinator-context — no window is running, the caller is setup/phase code
-		s.par.shards[dst].q.push(at, s.par.seq, -1, nil, call, arg)
+		s.par.shards[dst].q.push(at, s.par.seq, -1, call, arg)
 		return
 	}
 	if at < s.end {
@@ -528,20 +519,12 @@ func (s *shard) Now() Time { return s.now }
 // Executed reports this shard's dispatch count.
 func (s *shard) Executed() uint64 { return s.executed }
 
-// Schedule implements Engine on the shard view.
-func (s *shard) Schedule(delay Time, fn func()) {
-	if fn == nil {
-		panic("sim: Schedule with nil fn")
-	}
-	s.push(s.now+delay, fn, nil, nil)
-}
-
 // ScheduleCall implements Engine on the shard view.
 func (s *shard) ScheduleCall(delay Time, call func(any), arg any) {
 	if call == nil {
 		panic("sim: ScheduleCall with nil call")
 	}
-	s.push(s.now+delay, nil, call, arg)
+	s.push(s.now+delay, call, arg)
 }
 
 // ScheduleCallNode implements Engine on the shard view: same-shard targets
@@ -552,7 +535,7 @@ func (s *shard) ScheduleCallNode(node int, delay Time, call func(any), arg any) 
 	}
 	dst := s.par.nodeShard[node]
 	if dst == s.id {
-		s.push(s.now+delay, nil, call, arg)
+		s.push(s.now+delay, call, arg)
 		return
 	}
 	s.pushCross(dst, s.now+delay, call, arg)

@@ -11,9 +11,8 @@ const wheelSpan = 2048
 
 const wheelMask = wheelSpan - 1
 
-// event is one arena slot. Exactly one of fn / call is set: fn is the
-// plain-closure form (Schedule), call+arg the prebound allocation-free form
-// (ScheduleCall).
+// event is one arena slot: the call to dispatch, its argument, and where
+// it sorts.
 type event struct {
 	at Time
 	// seq is the event's global sequence. On a parallel shard, zero means
@@ -22,7 +21,6 @@ type event struct {
 	seq   uint64
 	local int32
 	next  int32 // the next slot in the same bucket
-	fn    func()
 	call  func(any)
 	arg   any
 }
@@ -70,7 +68,7 @@ type queue struct {
 }
 
 // push queues an event and returns its arena slot.
-func (q *queue) push(at Time, seq uint64, local int32, fn func(), call func(any), arg any) int32 {
+func (q *queue) push(at Time, seq uint64, local int32, call func(any), arg any) int32 {
 	var id int32
 	if n := len(q.free); n > 0 {
 		id = q.free[n-1]
@@ -80,7 +78,7 @@ func (q *queue) push(at Time, seq uint64, local int32, fn func(), call func(any)
 		id = int32(len(q.arena) - 1)
 	}
 	ev := &q.arena[id]
-	ev.at, ev.seq, ev.local, ev.fn, ev.call, ev.arg = at, seq, local, fn, call, arg
+	ev.at, ev.seq, ev.local, ev.call, ev.arg = at, seq, local, call, arg
 	q.n++
 	if at-q.last < wheelSpan {
 		i := at & wheelMask

@@ -9,9 +9,8 @@ package sim
 // the wheel span and in a binary heap of arena slots otherwise, so neither
 // scheduling nor dispatch boxes through interfaces or allocates once the
 // arena has warmed up. Every push takes the next sequence, so one within
-// the span always joins its bucket's tail. Hot callers use ScheduleCall
-// with a prebound func(any) plus a pointer argument, which stores both
-// without allocating.
+// the span always joins its bucket's tail. ScheduleCall stores a prebound
+// func(any) and a pointer argument without allocating.
 type Sequential struct {
 	now      Time
 	deadline Time // the running RunUntil's bound
@@ -57,25 +56,16 @@ func (e *Sequential) Emit(cycle uint64, kind, what string) {
 // SetEmitSink implements Engine.
 func (e *Sequential) SetEmitSink(sink func(cycle uint64, kind, what string)) { e.sink = sink }
 
-// Schedule runs fn at now+delay. Events scheduled at the same instant run in
-// scheduling order. Schedule may be called from event handlers and from
-// processes.
-func (e *Sequential) Schedule(delay Time, fn func()) {
-	if fn == nil {
-		panic("sim: Schedule with nil fn")
-	}
-	e.push(e.now+delay, fn, nil, nil)
-}
-
-// ScheduleCall runs call(arg) at now+delay. It is the allocation-free form
-// of Schedule: with a prebound call (package-level func or a func value
+// ScheduleCall runs call(arg) at now+delay. Events scheduled at the same
+// instant run in scheduling order. It may be called from event handlers and
+// from processes. With a prebound call (package-level func or a func value
 // created once at construction) and a pointer-typed arg, scheduling stores
 // both into a pooled event slot without heap allocation.
 func (e *Sequential) ScheduleCall(delay Time, call func(any), arg any) {
 	if call == nil {
 		panic("sim: ScheduleCall with nil call")
 	}
-	e.push(e.now+delay, nil, call, arg)
+	e.push(e.now+delay, call, arg)
 }
 
 // ScheduleCallNode implements Engine: with a single shard the destination
@@ -84,9 +74,9 @@ func (e *Sequential) ScheduleCallNode(node int, delay Time, call func(any), arg 
 	e.ScheduleCall(delay, call, arg)
 }
 
-func (e *Sequential) push(at Time, fn func(), call func(any), arg any) {
+func (e *Sequential) push(at Time, call func(any), arg any) {
 	e.seq++
-	e.q.push(at, e.seq, 0, fn, call, arg)
+	e.q.push(at, e.seq, 0, call, arg)
 }
 
 // Pending reports the number of queued events.
@@ -123,14 +113,10 @@ func (e *Sequential) RunUntil(deadline Time) error {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
-		fn, call, arg := ev.fn, ev.call, ev.arg
+		call, arg := ev.call, ev.arg
 		e.q.pop(id)
 		e.executed++
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
+		call(arg)
 	}
 	if e.pool.live > 0 && !e.stopped {
 		return &ErrDeadlock{At: e.now, Procs: e.pool.live}

@@ -5,7 +5,6 @@ import (
 
 	"amosim/internal/chaos"
 	"amosim/internal/config"
-	"amosim/internal/machine"
 	"amosim/internal/sweep"
 	"amosim/internal/syncprim"
 )
@@ -124,7 +123,7 @@ func point(s Spec, cfg config.Config, mech syncprim.Mechanism, rc RunConfig, run
 	for _, p := range ps {
 		label += " " + p.Name + "=" + p.Value
 	}
-	label += tagOf(cfg)
+	label += cfg.Tag()
 	return sweep.Point{
 		Label: label,
 		Key:   sweep.KeyOf("workload/"+s.Name(), cfg, int(mech), rc, ps),
@@ -138,44 +137,9 @@ func point(s Spec, cfg config.Config, mech syncprim.Mechanism, rc RunConfig, run
 	}
 }
 
-// tagOf renders the non-default backend/kernel selectors of a resolved
-// config for sweep labels (mirroring the root package's labelTag).
-func tagOf(cfg config.Config) string {
-	var s string
-	if cfg.Backend != config.BackendAMO {
-		s += " [" + cfg.Backend.String() + "]"
-	}
-	if cfg.Engine == "parallel" {
-		shards := cfg.Shards
-		if shards == 0 {
-			shards = 1
-		}
-		s += fmt.Sprintf(" [pdes:%d]", shards)
-	}
-	return s
-}
-
-// attachChaos hooks the fault injector (a no-op at level 0) and the
-// strongest invariant checker the kernel allows — the transition oracle on
-// the sequential kernel, the post-run coherence check on the parallel one.
-// The returned check runs after the machine quiesces (nil when chaos is
-// off).
-func attachChaos(m *machine.Machine, rc RunConfig) func() error {
-	chaos.Attach(m, chaos.Plan{Seed: rc.ChaosSeed, Level: rc.ChaosLevel})
-	if rc.ChaosLevel <= 0 {
-		return nil
-	}
-	if m.Cfg.Engine == "parallel" {
-		return m.CheckCoherence
-	}
-	return chaos.Observe(m).Check
-}
-
-func checkChaos(check func() error) error {
-	if check == nil {
-		return nil
-	}
-	return check()
+// plan is the fault-injection plan rc selects.
+func (rc RunConfig) plan() chaos.Plan {
+	return chaos.Plan{Seed: rc.ChaosSeed, Level: rc.ChaosLevel}
 }
 
 // StencilSpec is the 1-D three-point stencil kernel (see Stencil).

@@ -128,7 +128,7 @@ func runTraffic(cfg config.Config, mech syncprim.Mechanism, rc RunConfig, app tr
 		return TrafficResult{}, err
 	}
 	defer m.Shutdown()
-	orc := attachChaos(m, rc)
+	orc := chaos.Arm(m, rc.plan())
 	syncprim.RegisterHandlers(m)
 
 	total := o.Warmup + o.Requests
@@ -201,7 +201,7 @@ func runTraffic(cfg config.Config, mech syncprim.Mechanism, rc RunConfig, app tr
 	if _, err := m.Run(); err != nil {
 		return fail(fmt.Errorf("measured phase: %w", err))
 	}
-	if err := checkChaos(orc); err != nil {
+	if err := orc(); err != nil {
 		return fail(fmt.Errorf("chaos seed %d level %d: %w", rc.ChaosSeed, rc.ChaosLevel, err))
 	}
 	fold(measSoj)
@@ -781,7 +781,7 @@ func trafficPoint(s Spec, cfg config.Config, mech syncprim.Mechanism, rc RunConf
 	for _, p := range ps {
 		label += " " + p.Name + "=" + p.Value
 	}
-	label += tagOf(cfg)
+	label += cfg.Tag()
 	return sweep.Point{
 		Label: label,
 		Key:   sweep.KeyOf("workload/"+s.Name(), cfg, int(mech), rc, ps),

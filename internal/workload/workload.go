@@ -9,6 +9,7 @@ package workload
 import (
 	"fmt"
 
+	"amosim/internal/chaos"
 	"amosim/internal/config"
 	"amosim/internal/machine"
 	"amosim/internal/memsys"
@@ -63,7 +64,7 @@ func runStencil(cfg config.Config, mech syncprim.Mechanism, chunk, iters int, rc
 		return Result{}, err
 	}
 	defer m.Shutdown()
-	orc := attachChaos(m, rc)
+	orc := chaos.Arm(m, rc.plan())
 
 	procs := cfg.Processors
 	n := procs * chunk
@@ -102,7 +103,7 @@ func runStencil(cfg config.Config, mech syncprim.Mechanism, chunk, iters int, rc
 	if err != nil {
 		return Result{}, fmt.Errorf("workload: stencil (%v): %w", mech, err)
 	}
-	if err := checkChaos(orc); err != nil {
+	if err := orc(); err != nil {
 		return Result{}, fmt.Errorf("workload: stencil (%v, chaos seed %d level %d): %w", mech, rc.ChaosSeed, rc.ChaosLevel, err)
 	}
 
@@ -151,7 +152,7 @@ func runPrefixSum(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) (Res
 		return Result{}, err
 	}
 	defer m.Shutdown()
-	orc := attachChaos(m, rc)
+	orc := chaos.Arm(m, rc.plan())
 	procs := cfg.Processors
 
 	x := make([]uint64, procs)
@@ -179,7 +180,7 @@ func runPrefixSum(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) (Res
 	if err != nil {
 		return Result{}, fmt.Errorf("workload: prefix sum (%v): %w", mech, err)
 	}
-	if err := checkChaos(orc); err != nil {
+	if err := orc(); err != nil {
 		return Result{}, fmt.Errorf("workload: prefix sum (%v, chaos seed %d level %d): %w", mech, rc.ChaosSeed, rc.ChaosLevel, err)
 	}
 
@@ -209,7 +210,7 @@ func runHistogram(cfg config.Config, mech syncprim.Mechanism, bins, itemsPerCPU 
 		return Result{}, err
 	}
 	defer m.Shutdown()
-	orc := attachChaos(m, rc)
+	orc := chaos.Arm(m, rc.plan())
 	procs := cfg.Processors
 
 	binAddr := make([]uint64, bins)
@@ -236,7 +237,7 @@ func runHistogram(cfg config.Config, mech syncprim.Mechanism, bins, itemsPerCPU 
 	if err != nil {
 		return Result{}, fmt.Errorf("workload: histogram (%v): %w", mech, err)
 	}
-	if err := checkChaos(orc); err != nil {
+	if err := orc(); err != nil {
 		return Result{}, fmt.Errorf("workload: histogram (%v, chaos seed %d level %d): %w", mech, rc.ChaosSeed, rc.ChaosLevel, err)
 	}
 

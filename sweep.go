@@ -192,7 +192,7 @@ func BarrierPoint(cfg Config, mech Mechanism, opts BarrierOptions) SweepPoint {
 	opts = opts.WithDefaults()
 	cfg = opts.apply(cfg)
 	return SweepPoint{
-		Label: fmt.Sprintf("barrier %s p=%d b=%d%s", mech, cfg.Processors, opts.Branching, labelTag(cfg)),
+		Label: fmt.Sprintf("barrier %s p=%d b=%d%s", mech, cfg.Processors, opts.Branching, cfg.Tag()),
 		Key:   sweep.KeyOf("barrier", cfg, int(mech), opts),
 		Run: func() (any, error) {
 			r, err := RunBarrier(cfg, mech, opts)
@@ -210,7 +210,7 @@ func LockPoint(cfg Config, kind LockKind, mech Mechanism, opts LockOptions) Swee
 	opts = opts.WithDefaults()
 	cfg = opts.apply(cfg)
 	return SweepPoint{
-		Label: fmt.Sprintf("lock %s %s p=%d%s", kind, mech, cfg.Processors, labelTag(cfg)),
+		Label: fmt.Sprintf("lock %s %s p=%d%s", kind, mech, cfg.Processors, cfg.Tag()),
 		Key:   sweep.KeyOf("lock", cfg, int(kind), int(mech), opts),
 		Run: func() (any, error) {
 			r, err := RunLock(cfg, kind, mech, opts)

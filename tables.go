@@ -386,7 +386,7 @@ func ApplicationTable(procs []int, backend Backend) (*stats.Table, error) {
 	}
 	rs := sweepValues[workload.Result](vals)
 	t := &stats.Table{
-		Title:  "Applications: total cycles (verified kernels)" + RunConfig{Backend: backend}.Tag(),
+		Title:  "Applications: total cycles (verified kernels)" + Config{Backend: backend}.Tag(),
 		Header: []string{"app", "CPUs", "LL/SC", "MAO", "AMO", "AMO speedup"},
 	}
 	const mechsPerApp = 3 // the spec's default LLSC, MAO, AMO columns
