@@ -39,7 +39,9 @@ echo "== benchmark module"
 (cd bench && go vet ./... && go test ./...)
 
 echo "== go test -race (short)"
-go test -race -short ./internal/sim/... ./internal/machine/... ./internal/syncprim/... ./internal/chaos/...
+# internal/proc's spin loops send messages from event context, and its
+# spin-path pin runs them on 2 shards of the parallel kernel.
+go test -race -short ./internal/sim/... ./internal/machine/... ./internal/syncprim/... ./internal/chaos/... ./internal/proc
 
 echo "== process carriers -race"
 # Process carriers (iter.Pull coroutines) are resumed from parallel shard
@@ -94,6 +96,7 @@ fuzz_smoke internal/isa FuzzAMOEncodeDecode
 fuzz_smoke internal/syncprim FuzzParseMechanism
 fuzz_smoke internal/syncprim FuzzParseLockKind
 fuzz_smoke internal/chaos FuzzChaosTrial
+fuzz_smoke internal/config FuzzConfig
 
 echo "== chaos smoke"
 # A hostile-level fault-injection run must exit 0 and finish

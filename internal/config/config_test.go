@@ -59,64 +59,79 @@ func TestWordsPerBlock(t *testing.T) {
 	}
 }
 
-func TestValidateRejections(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		substr string
-	}{
-		{"zero processors", func(c *Config) { c.Processors = 0 }, "Processors"},
-		{"negative processors", func(c *Config) { c.Processors = -4 }, "Processors"},
-		{"zero procs per node", func(c *Config) { c.ProcsPerNode = 0 }, "ProcsPerNode"},
-		{"non multiple", func(c *Config) { c.Processors = 5 }, "multiple"},
-		{"bad block bytes", func(c *Config) { c.BlockBytes = 100 }, "BlockBytes"},
-		{"non pow2 block", func(c *Config) { c.BlockBytes = 24 }, "BlockBytes"},
-		{"oversized block", func(c *Config) { c.BlockBytes = 1024 }, "must be at most 512"},
-		{"zero ways", func(c *Config) { c.CacheWays = 0 }, "cache geometry"},
-		{"non pow2 sets", func(c *Config) { c.CacheSets = 100 }, "CacheSets"},
-		{"huge sets", func(c *Config) { c.CacheSets = 1 << 40 }, "line count must be at most 65536"},
-		{"huge ways", func(c *Config) { c.CacheWays = 1 << 40 }, "line count must be at most 65536"},
-		{"lines over bound", func(c *Config) { c.CacheSets = 1 << 15; c.CacheWays = 3 }, "line count must be at most 65536"},
-		{"too many nodes", func(c *Config) { c.Processors = 2 * 4097 }, "more than the 4096 a hop table holds"},
-		{"too many nodes at one per node", func(c *Config) { c.Processors = 1 << 22; c.ProcsPerNode = 1 }, "4194304 nodes"},
-		{"radix 1", func(c *Config) { c.RouterRadix = 1 }, "RouterRadix"},
-		{"non pow2 radix", func(c *Config) { c.RouterRadix = 6 }, "RouterRadix"},
-		{"bad interconnect", func(c *Config) { c.Interconnect = "hypercube" }, "Interconnect"},
-		{"non pow2 torus", func(c *Config) { c.Interconnect = "torus"; c.Processors = 6 }, "power-of-two node count"},
-		{"negative amu cache", func(c *Config) { c.AMUCacheWords = -1 }, "AMUCacheWords"},
-		{"zero actmsg queue", func(c *Config) { c.ActMsgQueueDepth = 0 }, "ActMsgQueueDepth"},
-		{"zero min packet", func(c *Config) { c.MinPacketBytes = 0 }, "MinPacketBytes"},
-		{"negative header", func(c *Config) { c.HeaderBytes = -1 }, "HeaderBytes"},
-		{"zero hop latency", func(c *Config) { c.HopCycles = 0 }, "HopCycles"},
-		{"zero dram latency", func(c *Config) { c.DRAMCycles = 0 }, "DRAMCycles"},
-		{"zero amu op latency", func(c *Config) { c.AMUOpCycles = 0 }, "AMUOpCycles"},
-		// Latencies that passed Validate and then wrapped the simulated
-		// clock ("sim: time went backwards").
-		{"hop latency wraps the clock", func(c *Config) { c.HopCycles = 1 << 62 }, "HopCycles must be at most 4294967296"},
-		{"dram latency wraps the clock", func(c *Config) { c.DRAMCycles = 1 << 63 }, "DRAMCycles must be at most"},
-		{"inject latency wraps the clock", func(c *Config) { c.InjectCycles = 1 << 62 }, "InjectCycles must be at most"},
-		{"dsm latency wraps the clock", func(c *Config) { c.Backend = BackendDSM; c.DSMRemoteCycles = 1 << 63 }, "DSMRemoteCycles must be at most"},
-		// Operand caches and sync tables that ran out of memory in
-		// core.New, or built a table scanned end to end on every AMO.
-		{"amu cache out of memory", func(c *Config) { c.AMUCacheWords = 1 << 36 }, "AMUCacheWords must be at most 256"},
-		{"amu cache of 16M words", func(c *Config) { c.AMUCacheWords = 1 << 24 }, "AMUCacheWords must be at most"},
-		{"amu cache over bound", func(c *Config) { c.AMUCacheWords = core.MaxCacheWords + 1 }, "AMUCacheWords must be at most"},
-		{"million sync partitions", func(c *Config) { c.Backend = BackendSynCron; c.SyncPartitions = 1 << 20 }, "1048576 partitions"},
-		{"sync tables over bound", func(c *Config) {
-			c.Backend = BackendSynCron
-			c.SyncPartitions = 4
-			c.SyncTableEntries = core.MaxCacheWords / 2
-		}, "table entries per node must be at most 256"},
-		// Latencies on which the LL/SC barrier and ticket lock never
-		// finish: the intervention beats the store conditional.
-		{"llsc dir 2", func(c *Config) { c.DirCycles = 2 }, "DirCycles (2) must exceed IssueCycles + L1HitCycles (3)"},
-		{"llsc dir 3", func(c *Config) { c.DirCycles = 3 }, "DirCycles (3) must exceed"},
-		{"llsc issue 8", func(c *Config) { c.IssueCycles = 8 }, "DirCycles (8) must exceed IssueCycles + L1HitCycles (10)"},
-		{"llsc l1 hit 8", func(c *Config) { c.L1HitCycles = 8 }, "DirCycles (8) must exceed"},
-		{"llsc l1 hit 16", func(c *Config) { c.L1HitCycles = 16 }, "DirCycles (8) must exceed"},
-		{"llsc dir 3 syncron", func(c *Config) { c.Backend = BackendSynCron; c.DirCycles = 3 }, "on the syncron backend"},
+// validateRejections are the configurations Validate must reject: each
+// mutates Default(8), and substr is part of the error's text.
+var validateRejections = []struct {
+	name   string
+	mutate func(*Config)
+	substr string
+}{
+	{"zero processors", func(c *Config) { c.Processors = 0 }, "Processors"},
+	{"negative processors", func(c *Config) { c.Processors = -4 }, "Processors"},
+	{"zero procs per node", func(c *Config) { c.ProcsPerNode = 0 }, "ProcsPerNode"},
+	{"non multiple", func(c *Config) { c.Processors = 5 }, "multiple"},
+	{"bad block bytes", func(c *Config) { c.BlockBytes = 100 }, "BlockBytes"},
+	{"non pow2 block", func(c *Config) { c.BlockBytes = 24 }, "BlockBytes"},
+	{"oversized block", func(c *Config) { c.BlockBytes = 1024 }, "must be at most 512"},
+	{"zero ways", func(c *Config) { c.CacheWays = 0 }, "cache geometry"},
+	{"non pow2 sets", func(c *Config) { c.CacheSets = 100 }, "CacheSets"},
+	{"huge sets", func(c *Config) { c.CacheSets = 1 << 40 }, "line count must be at most 65536"},
+	{"huge ways", func(c *Config) { c.CacheWays = 1 << 40 }, "line count must be at most 65536"},
+	{"lines over bound", func(c *Config) { c.CacheSets = 1 << 15; c.CacheWays = 3 }, "line count must be at most 65536"},
+	{"too many nodes", func(c *Config) { c.Processors = 2 * 4097 }, "more than the 4096 a hop table holds"},
+	{"too many nodes at one per node", func(c *Config) { c.Processors = 1 << 22; c.ProcsPerNode = 1 }, "4194304 nodes"},
+	{"radix 1", func(c *Config) { c.RouterRadix = 1 }, "RouterRadix"},
+	{"non pow2 radix", func(c *Config) { c.RouterRadix = 6 }, "RouterRadix"},
+	{"bad interconnect", func(c *Config) { c.Interconnect = "hypercube" }, "Interconnect"},
+	{"non pow2 torus", func(c *Config) { c.Interconnect = "torus"; c.Processors = 6 }, "power-of-two node count"},
+	{"negative amu cache", func(c *Config) { c.AMUCacheWords = -1 }, "AMUCacheWords"},
+	{"zero actmsg queue", func(c *Config) { c.ActMsgQueueDepth = 0 }, "ActMsgQueueDepth"},
+	{"zero min packet", func(c *Config) { c.MinPacketBytes = 0 }, "MinPacketBytes"},
+	{"negative header", func(c *Config) { c.HeaderBytes = -1 }, "HeaderBytes"},
+	{"zero hop latency", func(c *Config) { c.HopCycles = 0 }, "HopCycles"},
+	{"zero dram latency", func(c *Config) { c.DRAMCycles = 0 }, "DRAMCycles"},
+	{"zero amu op latency", func(c *Config) { c.AMUOpCycles = 0 }, "AMUOpCycles"},
+	// Latencies that passed Validate and then wrapped the simulated
+	// clock ("sim: time went backwards").
+	{"hop latency wraps the clock", func(c *Config) { c.HopCycles = 1 << 62 }, "HopCycles must be at most 4294967296"},
+	{"dram latency wraps the clock", func(c *Config) { c.DRAMCycles = 1 << 63 }, "DRAMCycles must be at most"},
+	{"inject latency wraps the clock", func(c *Config) { c.InjectCycles = 1 << 62 }, "InjectCycles must be at most"},
+	{"dsm latency wraps the clock", func(c *Config) { c.Backend = BackendDSM; c.DSMRemoteCycles = 1 << 63 }, "DSMRemoteCycles must be at most"},
+	// Operand caches and sync tables that ran out of memory in
+	// core.New, or built a table scanned end to end on every AMO.
+	{"amu cache out of memory", func(c *Config) { c.AMUCacheWords = 1 << 36 }, "AMUCacheWords must be at most 256"},
+	{"amu cache of 16M words", func(c *Config) { c.AMUCacheWords = 1 << 24 }, "AMUCacheWords must be at most"},
+	{"amu cache over bound", func(c *Config) { c.AMUCacheWords = core.MaxCacheWords + 1 }, "AMUCacheWords must be at most"},
+	{"million sync partitions", func(c *Config) { c.Backend = BackendSynCron; c.SyncPartitions = 1 << 20 }, "1048576 partitions"},
+	{"sync tables over bound", func(c *Config) {
+		c.Backend = BackendSynCron
+		c.SyncPartitions = 4
+		c.SyncTableEntries = core.MaxCacheWords / 2
+	}, "table entries per node must be at most 256"},
+	// Latencies on which the LL/SC barrier and ticket lock never
+	// finish: the intervention beats the store conditional.
+	{"llsc dir 2", func(c *Config) { c.DirCycles = 2 }, "DirCycles (2) must exceed IssueCycles + L1HitCycles (3)"},
+	{"llsc dir 3", func(c *Config) { c.DirCycles = 3 }, "DirCycles (3) must exceed"},
+	{"llsc issue 8", func(c *Config) { c.IssueCycles = 8 }, "DirCycles (8) must exceed IssueCycles + L1HitCycles (10)"},
+	{"llsc l1 hit 8", func(c *Config) { c.L1HitCycles = 8 }, "DirCycles (8) must exceed"},
+	{"llsc l1 hit 16", func(c *Config) { c.L1HitCycles = 16 }, "DirCycles (8) must exceed"},
+	{"llsc dir 3 syncron", func(c *Config) { c.Backend = BackendSynCron; c.DirCycles = 3 }, "on the syncron backend"},
+}
+
+// RejectedConfigs returns validateRejections' configurations, which seed
+// FuzzConfig's corpus.
+func RejectedConfigs() []Config {
+	var out []Config
+	for _, tc := range validateRejections {
+		c := Default(8)
+		tc.mutate(&c)
+		out = append(out, c)
 	}
-	for _, tc := range cases {
+	return out
+}
+
+func TestValidateRejections(t *testing.T) {
+	for _, tc := range validateRejections {
 		t.Run(tc.name, func(t *testing.T) {
 			c := Default(8)
 			tc.mutate(&c)

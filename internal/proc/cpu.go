@@ -10,15 +10,15 @@
 // always coherent with the directory's view regardless of where the program
 // happens to be suspended.
 //
-// A parked spin or serve loop (SpinUntil, ServeUntil) is woken by every
-// line event, but most wakes change nothing the loop waits for. So the
-// wake does not resume the program: it schedules a re-check step that
-// replays, event by event, what the woken loop would do (the reload's
-// issue and hit latencies, the spin check, the predicate) on the same
-// cycle buckets, and resumes the program only when it must act: the
-// predicate holds, the reload misses, or active messages are queued.
-// Event order, event counts and every simulated figure are those of a
-// program that re-checks itself.
+// A spin loop (SpinUntil) runs in event context from its first load to its
+// exit, and a parked serve loop (ServeUntil) re-checks there. Each step
+// replays, event by event, what the program's own loop would do (the
+// load's issue and hit latencies, the miss's GetShared and its reply wait,
+// the spin check, the predicate) on the same cycle buckets; a parked loop
+// is woken by every line event, and most wakes change nothing it waits
+// for. The program runs again only when it must act: the predicate holds,
+// or active messages are queued. Event order, event counts and every
+// simulated figure are those of a program that loads and re-checks itself.
 package proc
 
 import (
@@ -164,8 +164,10 @@ type CPU struct {
 	// LL/SC never uses it).
 	linkVal uint64
 
-	// wait is the parked spin or serve loop, if any. Any line being
-	// invalidated or updated, an active message arriving, or Poke wakes it.
+	// wait is the spin or serve loop running as line-wait steps, if any.
+	// Once parked, any line being invalidated or updated, an active
+	// message arriving, or Poke wakes it; a spin's reload waits for the
+	// cache reply instead.
 	wait lineWait
 
 	// amsgQ copies each accepted active message: the delivered record
@@ -176,8 +178,8 @@ type CPU struct {
 	stats metrics.CPUStats
 
 	// Cycle attribution. Simulated time only passes while the program is
-	// parked (in Sleep, Await or a line wait, whose re-check steps run in
-	// event context), so every wait is bracketed by beginWait/endWait and
+	// parked (in Sleep, Await or a line wait, whose steps run in event
+	// context), so every wait is bracketed by beginWait/endWait and
 	// charged to exactly one bucket of cyc; the in-flight wait (if any) is
 	// finalized read-only by Metrics. The invariant
 	// Compute+MemoryStall+SpinIdle == Total is therefore exact at every
@@ -533,6 +535,13 @@ func (c *CPU) acceptActiveMessage(m *network.Msg) {
 }
 
 func (c *CPU) wakePending() {
+	if c.wait.step == stepReload {
+		// A spin's reload waits for the reply: its next step runs where
+		// the waiting program's dispatch would.
+		c.wait.step = stepReplied
+		c.eng.ScheduleCall(0, lineStepCall, c)
+		return
+	}
 	if c.pendingWake == nil {
 		return
 	}
@@ -559,6 +568,11 @@ func (c *CPU) awaitCacheReply() pendingOp {
 	for !c.pending.filled {
 		c.parkForReply()
 	}
+	return c.endPending()
+}
+
+// endPending retires the filled cache transaction and returns it.
+func (c *CPU) endPending() pendingOp {
 	op := c.pending
 	c.pending = pendingOp{}
 	c.pendingLive = false
@@ -651,12 +665,14 @@ func (c *CPU) Load(addr uint64) uint64 {
 			}
 			continue
 		}
-		return c.loadMiss(addr)
+		c.sendGetShared(addr)
+		return c.awaitCacheReply().result
 	}
 }
 
-// loadMiss is Load's miss tail: fetch the block shared and return the word.
-func (c *CPU) loadMiss(addr uint64) uint64 {
+// sendGetShared starts Load's miss: it installs the pending load and asks
+// the home for the block shared. The reply fills the word into the op.
+func (c *CPU) sendGetShared(addr uint64) {
 	c.pending = pendingOp{kind: opLoad, addr: addr}
 	c.pendingLive = true
 	c.net.Send(&network.Msg{
@@ -664,7 +680,6 @@ func (c *CPU) loadMiss(addr uint64) uint64 {
 		Src:  c.endpoint(), Dst: c.home(addr),
 		Addr: c.block(addr),
 	})
-	return c.awaitCacheReply().result
 }
 
 // LoadLinked performs the LL half of LL/SC. Like the R10K/Origin lineage it
@@ -1048,44 +1063,25 @@ func (c *CPU) Poke() { c.wakeLineWait() }
 
 // SpinUntil loads addr coherently until pred holds and returns the
 // satisfying value. Between checks it parks until a line event
-// (invalidation, word update) or an incoming active message; each such
-// wake re-checks in event context (see the package comment), so a wake
-// that leaves pred false costs no coroutine switch.
+// (invalidation, word update) or an incoming active message. The loop runs
+// in event context from its first load, reloads that miss included (see
+// the package comment), so the program runs only to serve queued active
+// messages, after which the loop loads afresh, and to return. Under
+// RemoteMemory the cache stays empty and every check reloads remotely:
+// the loop is SpinUntilUncached with no poll gap.
 func (c *CPU) SpinUntil(addr uint64, pred Pred) uint64 {
-	v := c.Load(addr)
-	for {
-		c.sleep(&c.cyc.Compute, c.p.SpinCheckCycles)
-		if pred.holds(v) {
-			return v
-		}
-		if c.ServeActiveMessages() {
-			v = c.Load(addr)
-			continue
-		}
-		// Re-check the line after serving/sleeping: if it vanished, go load
-		// again rather than waiting for a wake that may never come.
-		cur, ok := c.c.ReadWord(addr)
-		if !ok {
-			v = c.Load(addr)
-			continue
-		}
-		if pred.holds(cur) {
-			return cur
-		}
-		switch c.awaitLineWait(lineWait{addr: addr, pred: pred}) {
-		case exitHolds:
-			return c.wait.v
-		case exitMiss:
-			v = c.loadMiss(addr)
-		case exitAmsg:
-			c.ServeActiveMessages()
-			v = c.Load(addr)
-		}
+	if c.p.RemoteMemory {
+		return c.SpinUntilUncached(addr, pred, 0)
 	}
+	for c.awaitLineWait(lineWait{addr: addr, pred: pred}) == exitAmsg {
+		c.ServeActiveMessages()
+	}
+	return c.wait.v
 }
 
-// SpinUntilUncached polls addr with uncached loads (the MAO spin mode),
-// with a fixed delay between polls. Returns the satisfying value.
+// SpinUntilUncached polls addr with uncached loads (the MAO spin mode, and
+// SpinUntil under RemoteMemory), with a fixed delay between polls. Returns
+// the satisfying value.
 func (c *CPU) SpinUntilUncached(addr uint64, pred Pred, pollGap uint64) uint64 {
 	for {
 		v := c.UncachedLoad(addr)
@@ -1100,12 +1096,12 @@ func (c *CPU) SpinUntilUncached(addr uint64, pred Pred, pollGap uint64) uint64 {
 	}
 }
 
-// --- line waits: re-checks in event context ----------------------------------
+// --- line waits: spin and serve loops in event context -----------------------
 
-// lineWait is a parked spin or serve loop. The program parks it with
-// awaitLineWait; from then on each wake and each of the re-check's
-// latencies is one event running lineStep, until a step resumes the
-// program with the reason in exit.
+// lineWait is a spin loop or a parked serve loop. The program starts it
+// with awaitLineWait; from then on each wake, each latency and each reply
+// is one event running lineStep, until a step resumes the program with the
+// reason in exit.
 type lineWait struct {
 	step lineStep
 	exit lineExit
@@ -1123,8 +1119,10 @@ const (
 	stepNone    lineStep = iota // no wait, or the program is running it
 	stepParked                  // parked: the next line event wakes it
 	stepWoken                   // woken: the re-check starts
-	stepIssued                  // the reload's issue latency has passed
-	stepHit                     // the reload's hit latency has passed
+	stepIssued                  // the load's issue latency has passed
+	stepHit                     // the load's hit latency has passed
+	stepReload                  // the load missed: the next reply wakes it
+	stepReplied                 // woken by a reply, the miss's or another wait's
 	stepChecked                 // the spin check's latency has passed
 )
 
@@ -1133,7 +1131,6 @@ type lineExit uint8
 
 const (
 	exitHolds lineExit = iota // the spin predicate holds on wait.v, or done holds
-	exitMiss                  // the reload missed: run Load's miss tail
 	exitAmsg                  // active messages are queued: serve them
 )
 
@@ -1141,13 +1138,18 @@ const (
 // CPU, so scheduling a step never allocates.
 func lineStepCall(a any) { a.(*CPU).lineStep() }
 
-// awaitLineWait parks the program in w until a step resumes it, and
-// returns why. The wait's idle time is charged to the spin bucket, and
-// each re-check latency to the compute bucket, as the program's own waits
-// would be.
+// awaitLineWait runs w until a step resumes the program, and returns why.
+// A serve loop parks at once; a spin loop starts with its load's issue
+// latency. Parked time is charged to the spin bucket, a miss's reply wait
+// to the stall bucket and each latency to the compute bucket, as the
+// program's own waits would be.
 func (c *CPU) awaitLineWait(w lineWait) lineExit {
 	c.wait = w
-	c.parkLineWait()
+	if w.done != nil {
+		c.parkLineWait()
+	} else {
+		c.lineSleep(stepIssued, c.p.IssueCycles)
+	}
 	c.proc.Suspend()
 	return c.wait.exit
 }
@@ -1201,6 +1203,14 @@ func (c *CPU) lineStep() {
 		c.c.Touch(w.addr)
 		w.v = v
 		c.lineSleep(stepChecked, c.p.SpinCheckCycles)
+	case stepReplied:
+		if !c.pending.filled {
+			// Another wait's reply: wait on, as awaitCacheReply does.
+			c.parkReload()
+			return
+		}
+		w.v = c.endPending().result
+		c.lineSleep(stepChecked, c.p.SpinCheckCycles)
 	case stepChecked:
 		if w.pred.holds(w.v) {
 			c.resumeLineWait(exitHolds)
@@ -1228,13 +1238,21 @@ func (c *CPU) lineStep() {
 }
 
 // lineLookup is Load's lookup: a hit waits out the hit latency, a miss
-// hands the program Load's miss tail.
+// sends GetShared and waits for the reply.
 func (c *CPU) lineLookup() {
 	if c.c.Lookup(c.wait.addr) == nil {
-		c.resumeLineWait(exitMiss)
+		c.sendGetShared(c.wait.addr)
+		c.parkReload()
 		return
 	}
 	c.lineSleep(stepHit, c.p.L1HitCycles)
+}
+
+// parkReload waits for a reply, charged to the stall bucket as the
+// program's reply wait would be; wakePending schedules the next step.
+func (c *CPU) parkReload() {
+	c.beginWait(&c.cyc.MemoryStall)
+	c.wait.step = stepReload
 }
 
 // lineSleep charges cycles to the compute bucket, as the program's sleep

@@ -171,42 +171,88 @@ func TestActiveMessageArgumentPlumbing(t *testing.T) {
 	}
 }
 
-// TestSpinRecheckSteadyStateZeroAlloc pins a parked spin loop's wake that
-// changes nothing at zero allocations: the wake, the re-check's reload,
-// hit and spin-check steps, and the re-park all run in event context on
-// the CPU's own state. CPU 1 sleeps far past each run's deadline, so every
-// run ends with ErrDeadline rather than a deadlock report.
+// TestSpinRecheckSteadyStateZeroAlloc pins a parked spin loop's wakes at
+// zero allocations: the wake, the re-check's steps and the re-park all run
+// in event context on the CPU's own state, the reload's GetShared and its
+// reply wait included.
 func TestSpinRecheckSteadyStateZeroAlloc(t *testing.T) {
-	m := newMachine(t, 2)
-	addr := m.AllocWord(0)
-	m.OnCPU(0, func(c *proc.CPU) { c.SpinUntil(addr, proc.Equal(1)) })
-	m.OnCPU(1, func(c *proc.CPU) { c.Think(1 << 40) })
-	spinner := m.CPUs[0]
-	recheck := func() {
-		spinner.Poke()
-		if err := m.Eng.RunUntil(m.Eng.Now() + 100); err != sim.ErrDeadline {
+	p := config.Default(2)
+	// A wake that changes nothing: each Poke re-checks a line still
+	// cached. CPU 1 sleeps far past each run's deadline, so every run ends
+	// with ErrDeadline rather than a deadlock report.
+	t.Run("hit", func(t *testing.T) {
+		m := newMachine(t, 2)
+		addr := m.AllocWord(0)
+		m.OnCPU(0, func(c *proc.CPU) { c.SpinUntil(addr, proc.Equal(1)) })
+		m.OnCPU(1, func(c *proc.CPU) { c.Think(1 << 40) })
+		spinner := m.CPUs[0]
+		recheck := func() {
+			spinner.Poke()
+			if err := m.Eng.RunUntil(m.Eng.Now() + 100); err != sim.ErrDeadline {
+				t.Fatalf("RunUntil = %v, want ErrDeadline", err)
+			}
+		}
+		// Load the line and park the spinner, then warm the re-check path.
+		if err := m.Eng.RunUntil(1000); err != sim.ErrDeadline {
 			t.Fatalf("RunUntil = %v, want ErrDeadline", err)
 		}
-	}
-	// Load the line and park the spinner, then warm the re-check path.
-	if err := m.Eng.RunUntil(1000); err != sim.ErrDeadline {
-		t.Fatalf("RunUntil = %v, want ErrDeadline", err)
-	}
-	recheck()
-	before := spinner.Metrics().Cycles
-	hits := spinner.Cache().Stats().Hits
-	if allocs := testing.AllocsPerRun(100, recheck); allocs != 0 {
-		t.Fatalf("spurious wake, re-check and re-park allocate %.1f/op, want 0", allocs)
-	}
-	// Each re-check is a reload (issue and hit latencies) and a spin check
-	// charged to compute; the rest of each run is spin idle.
-	after := spinner.Metrics().Cycles
-	p := config.Default(2)
-	perCheck := p.IssueCycles + p.L1HitCycles + p.SpinCheckCycles
-	if got, want := after.Compute-before.Compute, 101*perCheck; got != want {
-		t.Fatalf("re-checks charged %d compute cycles, want %d", got, want)
-	}
-	if got := spinner.Cache().Stats().Hits - hits; got != 101 {
-		t.Fatalf("re-checks counted %d cache hits, want 101", got)
-	}
+		recheck()
+		before := spinner.Metrics().Cycles
+		hits := spinner.Cache().Stats().Hits
+		if allocs := testing.AllocsPerRun(100, recheck); allocs != 0 {
+			t.Fatalf("spurious wake, re-check and re-park allocate %.1f/op, want 0", allocs)
+		}
+		// Each re-check is a reload (issue and hit latencies) and a spin
+		// check charged to compute; the rest of each run is spin idle.
+		after := spinner.Metrics().Cycles
+		perCheck := p.IssueCycles + p.L1HitCycles + p.SpinCheckCycles
+		if got, want := after.Compute-before.Compute, 101*perCheck; got != want {
+			t.Fatalf("re-checks charged %d compute cycles, want %d", got, want)
+		}
+		if got := spinner.Cache().Stats().Hits - hits; got != 101 {
+			t.Fatalf("re-checks counted %d cache hits, want 101", got)
+		}
+	})
+	// A wake whose reload misses: CPU 1 stores 0 to the spun word every
+	// period cycles, and each run spans one store. The store invalidates
+	// the spinner's copy, so the re-check sends GetShared, waits for the
+	// reply, finds the predicate still false and parks again.
+	t.Run("reload", func(t *testing.T) {
+		const period = 1000
+		m := newMachine(t, 2)
+		addr := m.AllocWord(0)
+		m.OnCPU(0, func(c *proc.CPU) { c.SpinUntil(addr, proc.Equal(1)) })
+		m.OnCPU(1, func(c *proc.CPU) {
+			for at := sim.Time(period); ; at += period {
+				c.Think(uint64(at - c.Now()))
+				c.Store(addr, 0)
+			}
+		})
+		spinner := m.CPUs[0]
+		deadline := sim.Time(period / 2)
+		reload := func() {
+			if err := m.Eng.RunUntil(deadline); err != sim.ErrDeadline {
+				t.Fatalf("RunUntil = %v, want ErrDeadline", err)
+			}
+			deadline += period
+		}
+		// Load the line and park the spinner, then warm the reload path.
+		reload()
+		reload()
+		before := spinner.Metrics().Cycles
+		misses := spinner.Cache().Stats().Misses
+		if allocs := testing.AllocsPerRun(100, reload); allocs != 0 {
+			t.Fatalf("invalidation, reload and re-park allocate %.1f/op, want 0", allocs)
+		}
+		// Each reload is an issue latency and, once the reply fills the
+		// line, a spin check charged to compute: a miss sleeps no hit
+		// latency.
+		after := spinner.Metrics().Cycles
+		if got, want := after.Compute-before.Compute, 101*(p.IssueCycles+p.SpinCheckCycles); got != want {
+			t.Fatalf("reloads charged %d compute cycles, want %d", got, want)
+		}
+		if got := spinner.Cache().Stats().Misses - misses; got != 101 {
+			t.Fatalf("reloads counted %d cache misses, want 101", got)
+		}
+	})
 }
