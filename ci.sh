@@ -149,7 +149,7 @@ done
 echo "== hot path: zero-alloc regression tests"
 # The pooled event, message, AMU (the dsm agent's atomic unit included),
 # directory-transaction, home-memory, dsm load/store, touched-set cache
-# and spin re-check paths are pinned at exactly 0 allocs/op.
+# and spin re-check and reload paths are pinned at exactly 0 allocs/op.
 go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/directory ./internal/memsys ./internal/dsm ./internal/cache ./internal/proc
 
 echo "CI PASS"
