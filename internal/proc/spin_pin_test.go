@@ -189,24 +189,34 @@ const (
 // handler sweeps).
 func TestSpinPathPinned(t *testing.T) {
 	var seq strings.Builder
-	pin := func(run func(engine string) string) {
-		s := run("seq")
-		if p := run("parallel"); p != s {
-			t.Fatalf("parallel kernel differs from sequential:\n%s\nvs\n%s", p, s)
-		}
-		seq.WriteString(s)
-	}
 	for _, backend := range []config.Backend{config.BackendAMO, config.BackendDSM} {
 		for delay := uint64(0); delay < 64; delay++ {
-			pin(func(engine string) string { return spinPathRun(t, engine, backend, delay) })
+			seq.WriteString(bothKernels(t, func(engine string) string { return spinPathRun(t, engine, backend, delay) }))
 		}
 	}
 	for delay := uint64(0); delay < handlerSpinDelays; delay++ {
-		pin(func(engine string) string { return handlerSpinRun(t, engine, delay) })
+		seq.WriteString(bothKernels(t, func(engine string) string { return handlerSpinRun(t, engine, delay) }))
 	}
-	const golden = "testdata/spin_path.golden"
-	if *updateSpinGolden {
-		if err := os.WriteFile(golden, []byte(seq.String()), 0o644); err != nil {
+	matchGolden(t, "testdata/spin_path.golden", *updateSpinGolden, seq.String())
+}
+
+// bothKernels renders run on the sequential kernel and on 2 parallel
+// shards, and fails unless the two renderings are equal.
+func bothKernels(t *testing.T, run func(engine string) string) string {
+	t.Helper()
+	s := run("seq")
+	if p := run("parallel"); p != s {
+		t.Fatalf("parallel kernel differs from sequential:\n%s\nvs\n%s", p, s)
+	}
+	return s
+}
+
+// matchGolden fails unless got equals the golden file, naming the first
+// line that differs; with update set it rewrites the file instead.
+func matchGolden(t *testing.T, golden string, update bool, got string) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -215,7 +225,7 @@ func TestSpinPathPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := seq.String(); got != string(want) {
+	if got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := range gl {
 			if i >= len(wl) || gl[i] != wl[i] {
