@@ -39,8 +39,9 @@ echo "== benchmark module"
 (cd bench && go vet ./... && go test ./...)
 
 echo "== go test -race (short)"
-# internal/proc's spin loops send messages from event context, and its
-# spin-path pin runs them on 2 shards of the parallel kernel.
+# internal/proc's spin and remote LL/SC loops send messages from event
+# context, and its spin-path and LL/SC-path pins run them on 2 shards of
+# the parallel kernel.
 go test -race -short ./internal/sim/... ./internal/machine/... ./internal/syncprim/... ./internal/chaos/... ./internal/proc
 
 echo "== process carriers -race"
@@ -148,8 +149,9 @@ done
 
 echo "== hot path: zero-alloc regression tests"
 # The pooled event, message, AMU (the dsm agent's atomic unit included),
-# directory-transaction, home-memory, dsm load/store, touched-set cache
-# and spin re-check and reload paths are pinned at exactly 0 allocs/op.
+# directory-transaction, home-memory, dsm load/store, touched-set cache,
+# spin re-check and reload, and remote LL/SC loop paths are pinned at
+# exactly 0 allocs/op.
 go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/directory ./internal/memsys ./internal/dsm ./internal/cache ./internal/proc
 
 echo "CI PASS"

@@ -156,7 +156,9 @@ type Config struct {
 	// are NACKed and retransmitted.
 	ActMsgQueueDepth int
 	// ActMsgTimeoutCycles is the sender's retransmission timeout after a
-	// NACK.
+	// NACK; the n-th retry waits n timeouts plus a per-CPU skew. It must
+	// be positive: at zero the skew is zero for some CPUs, which then
+	// retry at once, as often as the home's invocation cost allows.
 	ActMsgTimeoutCycles uint64
 
 	// IssueCycles is the fixed per-memory-op issue overhead in the core.
@@ -350,7 +352,7 @@ func (c Config) Validate() error {
 		{"AMUQueueCycles", c.AMUQueueCycles, false},
 		{"ActMsgInvokeCycles", c.ActMsgInvokeCycles, false},
 		{"ActMsgHandlerCycles", c.ActMsgHandlerCycles, false},
-		{"ActMsgTimeoutCycles", c.ActMsgTimeoutCycles, false},
+		{"ActMsgTimeoutCycles", c.ActMsgTimeoutCycles, true},
 		{"IssueCycles", c.IssueCycles, true},
 		{"SpinCheckCycles", c.SpinCheckCycles, false},
 		{"SyncInspectCycles", c.SyncInspectCycles, false},

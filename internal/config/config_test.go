@@ -91,6 +91,10 @@ var validateRejections = []struct {
 	{"zero hop latency", func(c *Config) { c.HopCycles = 0 }, "HopCycles"},
 	{"zero dram latency", func(c *Config) { c.DRAMCycles = 0 }, "DRAMCycles"},
 	{"zero amu op latency", func(c *Config) { c.AMUOpCycles = 0 }, "AMUOpCycles"},
+	// CPUs whose ID is a multiple of 13 retried NACKed active messages
+	// with no backoff, so a barrier's retries grew with the home's
+	// invocation cost.
+	{"zero actmsg timeout", func(c *Config) { c.ActMsgTimeoutCycles = 0 }, "ActMsgTimeoutCycles"},
 	// Latencies that passed Validate and then wrapped the simulated
 	// clock ("sim: time went backwards").
 	{"hop latency wraps the clock", func(c *Config) { c.HopCycles = 1 << 62 }, "HopCycles must be at most 4294967296"},

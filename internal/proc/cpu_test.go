@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"amosim/internal/config"
+	"amosim/internal/core"
 	"amosim/internal/machine"
 	"amosim/internal/metrics"
 	"amosim/internal/proc"
@@ -256,3 +257,60 @@ func TestSpinRecheckSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 }
+
+// TestLLSCSteadyStateZeroAlloc pins the remote LL/SC loop at zero
+// allocations. On dsm, CPU 0 and CPU 2, on different nodes, start an
+// LL/SC fetch-add on one word at the same cycle of every period, so each
+// period's loops contend the same way: their steps send the remote loads
+// and compare-and-swaps, wait for the replies, and one SC fails and backs
+// off before its retry commits, all in event context on the CPUs' own
+// state.
+func TestLLSCSteadyStateZeroAlloc(t *testing.T) {
+	const period = 40000
+	cfg := config.Default(4)
+	cfg.Backend = config.BackendDSM
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Shutdown)
+	addr := m.AllocWord(1)
+	for _, id := range []int{0, 2} {
+		m.OnCPU(id, func(c *proc.CPU) {
+			for at := sim.Time(period); ; at += period {
+				c.Think(uint64(at - c.Now()))
+				c.LLSC(core.OpFetchAdd, addr, 1, 0)
+			}
+		})
+	}
+	// Each run spans one period's adds, from half a period before them.
+	deadline := sim.Time(period / 2)
+	adds := func() {
+		if err := m.Eng.RunUntil(deadline); err != sim.ErrDeadline {
+			t.Fatalf("RunUntil = %v, want ErrDeadline", err)
+		}
+		deadline += period
+	}
+	scFailures := func() uint64 { return m.CPUs[0].Stats().SCFailures + m.CPUs[2].Stats().SCFailures }
+	// Start the programs, then warm the loop's path.
+	adds()
+	adds()
+	failed, executed := scFailures(), m.Eng.Executed()
+	if allocs := testing.AllocsPerRun(100, adds); allocs != 0 {
+		t.Fatalf("contended remote LL/SC loops allocate %.1f/op, want 0", allocs)
+	}
+	// AllocsPerRun runs adds once more than it averages over.
+	if got := scFailures() - failed; got != 101*llscFailuresPerPeriod {
+		t.Fatalf("101 periods failed %d SCs, want %d", got, 101*llscFailuresPerPeriod)
+	}
+	if got := m.Eng.Executed() - executed; got != 101*llscEventsPerPeriod {
+		t.Fatalf("101 periods ran %d events, want %d", got, 101*llscEventsPerPeriod)
+	}
+}
+
+// One period of TestLLSCSteadyStateZeroAlloc: one SC fails, and the two
+// loops, their retry included, run this many events.
+const (
+	llscFailuresPerPeriod = 1
+	llscEventsPerPeriod   = 36
+)

@@ -3,6 +3,7 @@ package syncprim
 import (
 	"fmt"
 
+	"amosim/internal/core"
 	"amosim/internal/machine"
 	"amosim/internal/proc"
 )
@@ -78,13 +79,7 @@ func NewMCSLock(m *machine.Machine, mech Mechanism, procs, home int) *MCSLock {
 func mechSwap(c *proc.CPU, mech Mechanism, addr, val uint64) uint64 {
 	switch mech {
 	case LLSC:
-		for attempt := uint64(0); ; attempt++ {
-			v := c.LoadLinked(addr)
-			if c.StoreConditional(addr, val) {
-				return v
-			}
-			c.Think(backoffCycles(attempt, c.ID()))
-		}
+		return c.LLSC(core.OpSwap, addr, val, 0)
 	case Atomic, Combining:
 		return c.AtomicSwap(addr, val)
 	case ActMsg:
@@ -102,16 +97,7 @@ func mechSwap(c *proc.CPU, mech Mechanism, addr, val uint64) uint64 {
 func mechCAS(c *proc.CPU, mech Mechanism, addr, expect, val uint64) bool {
 	switch mech {
 	case LLSC:
-		for attempt := uint64(0); ; attempt++ {
-			v := c.LoadLinked(addr)
-			if v != expect {
-				return false
-			}
-			if c.StoreConditional(addr, val) {
-				return true
-			}
-			c.Think(backoffCycles(attempt, c.ID()))
-		}
+		return c.LLSC(core.OpCompareSwap, addr, val, expect) == expect
 	case Atomic, Combining:
 		return c.AtomicCompareSwap(addr, expect, val) == expect
 	case ActMsg:
@@ -171,13 +157,4 @@ func (l *MCSLock) Release(c *proc.CPU) {
 		return
 	}
 	c.Store(target, 0)
-}
-
-// backoffCycles is the shared LL/SC retry backoff.
-func backoffCycles(attempt uint64, id int) uint64 {
-	shift := attempt
-	if shift > 4 {
-		shift = 4
-	}
-	return (16 << shift) + uint64(id*41%64)
 }

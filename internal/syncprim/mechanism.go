@@ -132,29 +132,13 @@ func RegisterHandlers(m *machine.Machine) {
 	})
 }
 
-// LLSCFetchAdd is the classic retry loop over LL/SC, with the small
-// per-CPU-skewed backoff real library routines use: without it, contenders
-// in a deterministic machine can phase-lock, each SC invalidating the other
-// links forever. Because LoadLinked fetches the block exclusive, failures
-// only happen when an intervention lands inside the tiny LL-to-SC window,
-// so the backoff is short.
-func LLSCFetchAdd(c *proc.CPU, addr, delta uint64) uint64 {
-	for attempt := uint64(0); ; attempt++ {
-		v := c.LoadLinked(addr)
-		if c.StoreConditional(addr, v+delta) {
-			return v
-		}
-		c.Think(backoffCycles(attempt, c.ID()))
-	}
-}
-
 // FetchAdd performs an atomic fetch-and-add on addr using the given
 // mechanism, returning the previous value. For AMO the new value is pushed
 // to sharers' caches (amo.fetchadd semantics).
 func FetchAdd(c *proc.CPU, mech Mechanism, addr, delta uint64) uint64 {
 	switch mech {
 	case LLSC:
-		return LLSCFetchAdd(c, addr, delta)
+		return c.LLSC(core.OpFetchAdd, addr, delta, 0)
 	case Atomic:
 		return c.AtomicFetchAdd(addr, delta)
 	case ActMsg:

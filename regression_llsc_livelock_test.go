@@ -13,8 +13,27 @@ import (
 // links forever. Fixed by exclusive-fetch LL + directory residence +
 // per-CPU-skewed backoff. It replicates RunLock's structure with a deadline
 // so a wedge surfaces as a failure with state instead of a test timeout.
+// It runs on every backend, on the sequential kernel and on 2 parallel
+// shards: on dsm the LL/SC loops run as event-context steps, whose wedge
+// would surface the same way.
 func TestLockHangRepro(t *testing.T) {
-	cfg := DefaultConfig(16)
+	for _, be := range Backends {
+		for _, engine := range []string{"seq", "parallel"} {
+			t.Run(be.String()+"/"+engine, func(t *testing.T) {
+				cfg := DefaultConfig(16)
+				cfg.Backend = be
+				if engine == "parallel" {
+					cfg.Engine, cfg.Shards = "parallel", 2
+				}
+				lockHangRepro(t, cfg)
+			})
+		}
+	}
+}
+
+// lockHangRepro runs the contended LL/SC ticket lock on cfg's machine
+// under the RunUntil bound, logging each CPU's progress if it wedges.
+func lockHangRepro(t *testing.T, cfg Config) {
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
