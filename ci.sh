@@ -48,7 +48,7 @@ echo "== process carriers -race"
 # Process carriers (iter.Pull coroutines) are resumed from parallel shard
 # workers and stopped from the coordinator; the both-kernel process tests
 # exercise that hand-off, repeated under the race detector.
-go test -race -count=3 -run 'Process|Await|Shutdown|Spawn|Deadlock' ./internal/sim
+go test -race -count=3 -run 'Process|Shutdown|Spawn|Deadlock' ./internal/sim
 
 echo "== sweep engine and differential matrix -race"
 # The parallel sweep path and the parallel event kernel must be race-clean:

@@ -156,9 +156,10 @@ type Config struct {
 	// are NACKed and retransmitted.
 	ActMsgQueueDepth int
 	// ActMsgTimeoutCycles is the sender's retransmission timeout after a
-	// NACK; the n-th retry waits n timeouts plus a per-CPU skew. It must
-	// be positive: at zero the skew is zero for some CPUs, which then
-	// retry at once, as often as the home's invocation cost allows.
+	// NACK; the n-th retry waits n timeouts plus a per-CPU skew, which is
+	// zero for some CPUs. It must cover one handler service, invocation
+	// included: the home frees a queue slot only by serving a handler, so
+	// a retry sent sooner can only be NACKed again.
 	ActMsgTimeoutCycles uint64
 
 	// IssueCycles is the fixed per-memory-op issue overhead in the core.
@@ -280,7 +281,7 @@ func (c Config) Validate() error {
 	case c.Processors%c.ProcsPerNode != 0:
 		return fail("Processors", "(%d) must be a multiple of ProcsPerNode (%d)", c.Processors, c.ProcsPerNode)
 	case c.Nodes() > topology.MaxNodes:
-		return fail("Processors", "(%d) at %d per node makes %d nodes, more than the %d a hop table holds", c.Processors, c.ProcsPerNode, c.Nodes(), topology.MaxNodes)
+		return fail("Processors", "(%d) at %d per node makes %d nodes, more than the topology bound of %d", c.Processors, c.ProcsPerNode, c.Nodes(), topology.MaxNodes)
 	case c.BlockBytes <= 0 || c.BlockBytes%8 != 0:
 		return fail("BlockBytes", "must be a positive multiple of 8, got %d", c.BlockBytes)
 	case !isPow2(c.BlockBytes):
@@ -365,6 +366,9 @@ func (c Config) Validate() error {
 		case l.v > MaxCycles:
 			return fail(l.field, "must be at most %d cycles, got %d", uint64(MaxCycles), l.v)
 		}
+	}
+	if service := c.ActMsgInvokeCycles + c.ActMsgHandlerCycles; c.ActMsgTimeoutCycles < service {
+		return fail("ActMsgTimeoutCycles", "(%d) must be at least ActMsgInvokeCycles + ActMsgHandlerCycles (%d): a retry sent before the home serves a handler is NACKed again", c.ActMsgTimeoutCycles, service)
 	}
 	// A queued GETX's intervention leaves the home DirCycles after the data
 	// reply, and an SC commits IssueCycles + L1HitCycles after the data

@@ -78,7 +78,7 @@ var validateRejections = []struct {
 	{"huge sets", func(c *Config) { c.CacheSets = 1 << 40 }, "line count must be at most 65536"},
 	{"huge ways", func(c *Config) { c.CacheWays = 1 << 40 }, "line count must be at most 65536"},
 	{"lines over bound", func(c *Config) { c.CacheSets = 1 << 15; c.CacheWays = 3 }, "line count must be at most 65536"},
-	{"too many nodes", func(c *Config) { c.Processors = 2 * 4097 }, "more than the 4096 a hop table holds"},
+	{"too many nodes", func(c *Config) { c.Processors = 2 * 4097 }, "more than the topology bound of 4096"},
 	{"too many nodes at one per node", func(c *Config) { c.Processors = 1 << 22; c.ProcsPerNode = 1 }, "4194304 nodes"},
 	{"radix 1", func(c *Config) { c.RouterRadix = 1 }, "RouterRadix"},
 	{"non pow2 radix", func(c *Config) { c.RouterRadix = 6 }, "RouterRadix"},
@@ -95,6 +95,13 @@ var validateRejections = []struct {
 	// with no backoff, so a barrier's retries grew with the home's
 	// invocation cost.
 	{"zero actmsg timeout", func(c *Config) { c.ActMsgTimeoutCycles = 0 }, "ActMsgTimeoutCycles"},
+	// Retries sent sooner than the home serves a handler: a 2-episode
+	// ActMsg barrier on 32 CPUs ran 435,933 events here, 1,959 at the
+	// defaults.
+	{"actmsg timeout under one service", func(c *Config) {
+		c.ActMsgTimeoutCycles = 1
+		c.ActMsgInvokeCycles = 1 << 20
+	}, "ActMsgTimeoutCycles (1) must be at least ActMsgInvokeCycles + ActMsgHandlerCycles (1048616)"},
 	// Latencies that passed Validate and then wrapped the simulated
 	// clock ("sim: time went backwards").
 	{"hop latency wraps the clock", func(c *Config) { c.HopCycles = 1 << 62 }, "HopCycles must be at most 4294967296"},
@@ -233,12 +240,17 @@ func TestValidateAdmitsSizeBounds(t *testing.T) {
 		{"max nodes", func(c *Config) { c.Processors = 2 * topology.MaxNodes }},
 		{"max lines in sets", func(c *Config) { c.CacheSets = cache.MaxLines; c.CacheWays = 1 }},
 		{"max lines in ways", func(c *Config) { c.CacheSets = 1; c.CacheWays = cache.MaxLines }},
+		// The active-message timeout must cover the invocation and the
+		// handler body, so the body is free when both others sit at the
+		// bound.
 		{"every latency at MaxCycles on dsm", func(c *Config) {
 			c.Backend = BackendDSM
 			setCycles(t, c, MaxCycles)
+			c.ActMsgHandlerCycles = 0
 		}},
 		{"every latency but the LL/SC pair at MaxCycles", func(c *Config) {
 			setCycles(t, c, MaxCycles, "IssueCycles", "L1HitCycles")
+			c.ActMsgHandlerCycles = 0
 		}},
 		{"amu cache at bound", func(c *Config) { c.AMUCacheWords = core.MaxCacheWords }},
 		{"sync tables at bound", func(c *Config) {

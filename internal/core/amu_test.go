@@ -75,7 +75,7 @@ func newRig(t *testing.T, cacheWords int, spillCycles uint64) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := network.New(eng, topo.HopTable(), network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	net := network.New(eng, topo, network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	mem := memsys.New(2, 128, 60)
 	dir := directory.New(eng, net, mem, directory.Params{Node: 0, ProcsPerNode: 2, BlockBytes: 128, DirCycles: 8, DRAMCycles: 60})
 	amu := New(eng, net, mem, dir, Params{Node: 0, CacheWords: cacheWords, OpCycles: 2, QueueCycles: 8, DRAMCycles: 60, SpillCycles: spillCycles, BlockBytes: 128})
@@ -311,7 +311,7 @@ func TestDirectorylessUnitServesAMOsFromMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := network.New(eng, topo.HopTable(), network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	net := network.New(eng, topo, network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	mem := memsys.New(2, 128, 60)
 	const stage = 50
 	amu := New(eng, net, mem, nil, Params{Node: 0, DRAMCycles: stage, BlockBytes: 128})

@@ -85,7 +85,7 @@ func newRigWith(t *testing.T, ncpus int, set func(*Params)) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := network.New(eng, topo.HopTable(), network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	net := network.New(eng, topo, network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	mem := memsys.New(4, 128, 60)
 	p := Params{Node: 0, ProcsPerNode: 2, BlockBytes: 128, DirCycles: 8, DRAMCycles: 60, InjectCycles: 4}
 	set(&p)

@@ -32,7 +32,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := network.New(eng, topo.HopTable(), network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	net := network.New(eng, topo, network.Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	mem := memsys.New(2, 128, 60)
 	r := &rig{eng: eng, net: net, mem: mem}
 	r.agent = New(eng, net, mem, Params{Node: 0, RemoteCycles: remoteCycles})

@@ -61,9 +61,9 @@ func TestLookaheadWindowPinned(t *testing.T) {
 }
 
 // TestNewAllocatesWhatItTouches bounds the bytes one 1024-CPU machine
-// allocates at construction. Caches allocate a set on first touch and the
-// hop table is built once, so construction stays well under the 30 MB that
-// eager per-CPU line arrays cost.
+// allocates at construction. Caches allocate a set on first touch and hop
+// distances are computed, not tabled, so construction stays well under the
+// 30 MB that eager per-CPU line arrays cost.
 func TestNewAllocatesWhatItTouches(t *testing.T) {
 	const limit = 8 << 20
 	cfg := parallelConfig(1024, 2)

@@ -32,7 +32,6 @@ import (
 type Machine struct {
 	Cfg   config.Config
 	Eng   sim.Engine
-	Topo  topology.Topology
 	Net   *network.Network
 	Mem   *memsys.Memory
 	Dirs  []*directory.Controller // amo, syncron backends
@@ -98,12 +97,11 @@ func New(cfg config.Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	hops := topo.HopTable()
-	eng, err := newEngine(cfg, hops)
+	eng, err := newEngine(cfg, topo)
 	if err != nil {
 		return nil, err
 	}
-	net := network.New(eng, hops, network.Params{
+	net := network.New(eng, topo, network.Params{
 		HopCycles:  cfg.HopCycles,
 		BusCycles:  cfg.BusCycles,
 		MinPacket:  cfg.MinPacketBytes,
@@ -111,7 +109,7 @@ func New(cfg config.Config) (*Machine, error) {
 	})
 	mem := memsys.New(cfg.Nodes(), cfg.BlockBytes, cfg.DRAMCycles)
 
-	m := &Machine{Cfg: cfg, Eng: eng, Topo: topo, Net: net, Mem: mem}
+	m := &Machine{Cfg: cfg, Eng: eng, Net: net, Mem: mem}
 	m.done = make([]bool, cfg.Processors)
 	m.phasePred = func() bool { return m.phaseDone }
 
@@ -155,10 +153,9 @@ func New(cfg config.Config) (*Machine, error) {
 // kernel's lookahead window is the minimum latency of any cross-shard
 // message: cross-node traffic pays at least Hops(a,b)*HopCycles hub-to-hub,
 // so the window is the minimum hop distance between nodes in different
-// shards times the per-hop charge, read from the machine's hop table.
-// Chaos perturbation only adds latency, so the bound stays conservative
-// under fault injection.
-func newEngine(cfg config.Config, hops topology.HopTable) (sim.Engine, error) {
+// shards times the per-hop charge. Chaos perturbation only adds latency,
+// so the bound stays conservative under fault injection.
+func newEngine(cfg config.Config, topo topology.Topology) (sim.Engine, error) {
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = 1
@@ -171,17 +168,7 @@ func newEngine(cfg config.Config, hops topology.HopTable) (sim.Engine, error) {
 	for n := 0; n < nodes; n++ {
 		nodeShard[n] = n * shards / nodes
 	}
-	minHops := 0
-	for a := 0; a < nodes; a++ {
-		for b := 0; b < nodes; b++ {
-			if nodeShard[a] == nodeShard[b] {
-				continue
-			}
-			if h := hops.Hops(a, b); minHops == 0 || h < minHops {
-				minHops = h
-			}
-		}
-	}
+	minHops := topo.MinHopsAcross(nodeShard)
 	if minHops == 0 {
 		return nil, fmt.Errorf("machine: no cross-shard hop distance for %d shards over %d nodes", shards, nodes)
 	}

@@ -20,7 +20,7 @@ func allocNet(t *testing.T) (sim.Engine, *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(eng, topo.HopTable(), Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	net := New(eng, topo, Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 	for n := 0; n < 16; n++ {
 		net.RegisterHub(n, func(*Msg) {})
 	}

@@ -19,11 +19,11 @@ type Handler func(*Msg)
 // traffic statistics as it goes.
 //
 // The delivery path is allocation-free in steady state: in-flight messages
-// live in pooled records recycled after delivery, hop distances come from
-// the machine's hop table (no topology interface call per Send), and
-// handler lookup indexes dense slices. Send copies the message, and a block
-// payload into the record's own buffer, which the record keeps across
-// reuse; the handler then reads the record in place.
+// live in pooled records recycled after delivery, hop distances are
+// computed inline from the two node indices, and handler lookup indexes
+// dense slices. Send copies the message, and a block payload into the
+// record's own buffer, which the record keeps across reuse; the handler
+// then reads the record in place.
 type Network struct {
 	eng sim.Engine
 	// engs[n] is the node-affine engine view for node n; every schedule,
@@ -36,14 +36,11 @@ type Network struct {
 	nodePool []int32
 	shards   int
 
+	topo       topology.Topology
 	hopCycles  sim.Time
 	busCycles  sim.Time
 	minPacket  int
 	headerSize int
-
-	// hops is the machine's precomputed hop table, so Send never crosses
-	// the topology interface.
-	hops topology.HopTable
 
 	hubs []Handler
 	cpus []Handler // indexed by global CPU id
@@ -120,16 +117,16 @@ type Params struct {
 	HeaderSize int
 }
 
-// New creates a network over the nodes of a topology's hop table.
-func New(eng sim.Engine, hops topology.HopTable, p Params) *Network {
-	nodes := hops.Nodes()
+// New creates a network over the nodes of a topology.
+func New(eng sim.Engine, topo topology.Topology, p Params) *Network {
+	nodes := topo.Nodes()
 	n := &Network{
 		eng:        eng,
 		hopCycles:  p.HopCycles,
 		busCycles:  p.BusCycles,
 		minPacket:  p.MinPacket,
 		headerSize: p.HeaderSize,
-		hops:       hops,
+		topo:       topo,
 		hubs:       make([]Handler, nodes),
 		engs:       make([]sim.Engine, nodes),
 		nodePool:   make([]int32, nodes),
@@ -245,7 +242,7 @@ func (n *Network) Latency(src, dst Endpoint) sim.Time {
 		lat += n.busCycles // CPU -> local hub
 	}
 	if src.Node != dst.Node {
-		lat += sim.Time(n.hops.Hops(src.Node, dst.Node)) * n.hopCycles
+		lat += sim.Time(n.topo.Hops(src.Node, dst.Node)) * n.hopCycles
 	}
 	if !dst.IsHub() {
 		lat += n.busCycles // hub -> CPU
@@ -335,7 +332,7 @@ func (n *Network) inject(f *flight) sim.Time {
 		lat += n.busCycles
 	}
 	if m.Src.Node != m.Dst.Node {
-		hops = n.hops.Hops(m.Src.Node, m.Dst.Node)
+		hops = n.topo.Hops(m.Src.Node, m.Dst.Node)
 		lat += sim.Time(hops) * n.hopCycles
 	}
 	if !m.Dst.IsHub() {

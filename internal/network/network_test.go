@@ -15,7 +15,7 @@ func testNet(t *testing.T, nodes int) (sim.Engine, *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, New(eng, topo.HopTable(), Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
+	return eng, New(eng, topo, Params{HopCycles: 100, BusCycles: 16, MinPacket: 32, HeaderSize: 16})
 }
 
 func TestLocalDeliveryLatency(t *testing.T) {

@@ -151,11 +151,10 @@ type CPU struct {
 	// issuing an operation never allocates; pendingLive marks it in flight.
 	pending     pendingOp
 	pendingLive bool
-	pendingWake func()
-	// registerWake is the prebound Await callback (stores the process's
-	// wake function into pendingWake without a per-park closure).
-	registerWake func(wake func())
-	wakeOnAmsg   bool
+	// replyWait marks the program suspended in parkForReply, which
+	// wakePending ends; wakeOnAmsg lets an active message end it too.
+	replyWait  bool
+	wakeOnAmsg bool
 
 	// replyQ is a head-indexed FIFO: popping advances the head and the
 	// backing array is reused once drained, so steady-state message
@@ -186,7 +185,7 @@ type CPU struct {
 	stats metrics.CPUStats
 
 	// Cycle attribution. Simulated time only passes while the program is
-	// parked (in Sleep, Await or a line wait, whose steps run in event
+	// parked (in Sleep, a reply wait or a line wait, whose steps run in event
 	// context), so every wait is bracketed by beginWait/endWait and
 	// charged to exactly one bucket of cyc; the in-flight wait (if any) is
 	// finalized read-only by Metrics. The invariant
@@ -211,7 +210,6 @@ func New(eng sim.Engine, net *network.Network, cch *cache.Cache, p Params) *CPU 
 		c:        cch,
 		handlers: make(map[int]Handler),
 	}
-	c.registerWake = func(wake func()) { c.pendingWake = wake }
 	net.RegisterCPU(p.ID, c.deliver)
 	return c
 }
@@ -535,7 +533,7 @@ func (c *CPU) acceptActiveMessage(m *network.Msg) {
 		Src:  c.endpoint(), Dst: m.Src,
 		Addr: m.Addr, Txn: m.Txn,
 	})
-	if c.pendingWake != nil && c.wakeOnAmsg {
+	if c.replyWait && c.wakeOnAmsg {
 		c.wakePending()
 	} else {
 		c.wakeLineWait()
@@ -550,23 +548,27 @@ func (c *CPU) wakePending() {
 		c.eng.ScheduleCall(0, lineStepCall, c)
 		return
 	}
-	if c.pendingWake == nil {
+	if !c.replyWait {
 		return
 	}
-	w := c.pendingWake
-	c.pendingWake = nil
-	w()
+	c.replyWait = false
+	c.eng.ScheduleCall(0, resumeCall, c)
 }
+
+// resumeCall resumes a CPU's program suspended in a reply wait; one
+// function serves every CPU, so scheduling the resume never allocates.
+func resumeCall(a any) { a.(*CPU).proc.Resume() }
 
 // --- process-side waiting --------------------------------------------------
 
 // parkForReply suspends the program until wakePending fires.
 func (c *CPU) parkForReply() {
-	if c.pendingWake != nil {
+	if c.replyWait {
 		panic(fmt.Sprintf("proc: cpu %d has two outstanding waits", c.p.ID))
 	}
 	c.beginWait(&c.cyc.MemoryStall)
-	c.proc.Await(c.registerWake)
+	c.replyWait = true
+	c.proc.Suspend()
 	c.endWait()
 }
 

@@ -9,10 +9,10 @@
 //     network, AMU);
 //   - processes: coroutines started with Engine.Spawn, used by simulated
 //     CPUs running synchronization algorithms. A process may sleep for a
-//     number of cycles, park until a handler calls its Await wake, or
-//     suspend until a handler resumes it; while it runs, no other process or
-//     event handler runs on the same shard, so simulated state needs no
-//     locking as long as every component touches only its own node's state.
+//     number of cycles or suspend until a handler resumes it; while it
+//     runs, no other process or event handler runs on the same shard, so
+//     simulated state needs no locking as long as every component touches
+//     only its own node's state.
 //
 // Two kernels implement the Engine interface:
 //

@@ -152,11 +152,11 @@ func TestRunUntilDeadlineSyncsClocks(t *testing.T) {
 	})
 }
 
-// kernels are the engines every Process, Await and Shutdown test runs
-// on: the sequential kernel and two- and three-shard parallel kernels, one
-// node per shard. On a parallel kernel Spawn and ScheduleCall land on
-// shard 0, so tests whose processes share host state keep them there; the
-// others spread processes over shards with ForNode.
+// kernels are the engines every Process and Shutdown test runs on: the
+// sequential kernel and two- and three-shard parallel kernels, one node per
+// shard. On a parallel kernel Spawn and ScheduleCall land on shard 0, so
+// tests whose processes share host state keep them there; the others
+// spread processes over shards with ForNode.
 var kernels = []struct {
 	name string
 	new  func() Engine
@@ -368,26 +368,6 @@ func TestDeadlockDetection(t *testing.T) {
 	})
 }
 
-func TestAwait(t *testing.T) {
-	forKernels(t, func(t *testing.T, newEngine func() Engine) {
-		e := newEngine()
-		defer e.Shutdown()
-		var wake func()
-		var doneAt Time
-		e.Spawn("waiter", 0, func(p *Process) {
-			p.Await(func(w func()) { wake = w })
-			doneAt = p.Now()
-		})
-		schedule(e, 42, func() { wake() })
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if doneAt != 42 {
-			t.Fatalf("doneAt = %d, want 42", doneAt)
-		}
-	})
-}
-
 // TestProcessResumeFromHandler: a handler that resumes a suspended process
 // is that process's dispatch. The process runs inside the handler, at its
 // time, before the next event due at the same cycle, and what it pushes
@@ -434,38 +414,26 @@ func recovered(f func()) (r any) {
 }
 
 // TestProcessResumePanicsUnlessSuspended: Resume refuses a process that is
-// running, sleeping or Await-parked, and Suspend refuses to park with a
-// wake armed. Each refusal is recovered where it is raised, so the check
-// runs on every kernel (a panic leaving a parallel shard's event ends the
-// program), and the run then finishes normally.
+// running or sleeping. Each refusal is recovered where it is raised, so the
+// check runs on every kernel (a panic leaving a parallel shard's event ends
+// the program), and the run then finishes normally.
 func TestProcessResumePanicsUnlessSuspended(t *testing.T) {
 	forKernels(t, func(t *testing.T, newEngine func() Engine) {
 		e := newEngine()
 		defer e.Shutdown()
 		v := e.ForNode(1)
 		var got []any
-		var sleeper, waiter *Process
-		var wake func()
 		v.Spawn("running", 0, func(p *Process) {
 			got = append(got, recovered(p.Resume))
 		})
-		sleeper = v.Spawn("sleeping", 0, func(p *Process) { p.Sleep(100) })
-		waiter = v.Spawn("awaiting", 0, func(p *Process) {
-			p.Await(func(w func()) {
-				wake = w
-				got = append(got, recovered(p.Suspend))
-			})
-		})
+		sleeper := v.Spawn("sleeping", 0, func(p *Process) { p.Sleep(100) })
 		schedule(v, 10, func() {
-			got = append(got, recovered(sleeper.Resume), recovered(waiter.Resume))
-			wake()
+			got = append(got, recovered(sleeper.Resume))
 		})
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		want := []any{
-			"sim: Resume of a process that is not suspended",
-			"sim: Suspend with a wake armed",
 			"sim: Resume of a process that is not suspended",
 			"sim: Resume of a process that is not suspended",
 		}

@@ -67,11 +67,6 @@ type Process struct {
 	// the Go scheduler. A finished process has neither.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
-	// wakeFn is the prebound wake function handed out by parkWaiting; it is
-	// created once at Spawn so parking never allocates. wakeArmed guards
-	// against waking a process that is not parked (or waking it twice).
-	wakeFn    func()
-	wakeArmed bool
 	// suspended marks a process parked by Suspend, which only Resume ends.
 	suspended bool
 }
@@ -90,7 +85,6 @@ type shutdownSentinel struct{}
 // used in debugging output only.
 func spawn(s scheduler, pp *procPool, name string, delay Time, fn func(p *Process)) *Process {
 	p := &Process{eng: s, name: name}
-	p.wakeFn = p.wake
 	pp.live++
 	var c *carrier
 	if n := len(pp.idle); n > 0 {
@@ -137,8 +131,8 @@ func (p *Process) dispatch() {
 
 // park returns control to the kernel and resumes when dispatched again.
 // Whoever wakes this process must do so by scheduling p.dispatch (via
-// Sleep or an Await wake) or by calling Resume from an event, never by
-// resuming the carrier directly.
+// Sleep) or by calling Resume from an event, never by resuming the carrier
+// directly.
 func (p *Process) park() {
 	if !p.yield(struct{}{}) {
 		panic(shutdownSentinel{})
@@ -164,46 +158,12 @@ func (p *Process) Sleep(d Time) {
 	p.park()
 }
 
-// wake is the prebound wake function: it schedules the process's dispatch
-// and disarms itself so a second call (waking the same park twice) panics.
-func (p *Process) wake() {
-	if !p.wakeArmed {
-		panic("sim: process woken twice")
-	}
-	p.wakeArmed = false
-	p.eng.schedCall(0, dispatchCall, p)
-}
-
-// parkWaiting arms the process's wake function and returns it; it runs again
-// only when another event calls the returned wake function. Calling wake
-// more than once per park is a bug and panics.
-func (p *Process) parkWaiting() (wake func()) {
-	if p.wakeArmed {
-		panic("sim: process already parked")
-	}
-	p.wakeArmed = true
-	return p.wakeFn
-}
-
-// Await parks the process until wake() is invoked by some event handler. The
-// register callback receives the wake function and must arrange for it to be
-// called exactly once; register itself runs in the process before parking.
-// The wake function is the same func value across every Await of a given
-// process, so registrants may cache it.
-func (p *Process) Await(register func(wake func())) {
-	register(p.parkWaiting())
-	p.park()
-}
-
-// Suspend parks the process with no wake armed: it runs again only when an
-// event handler calls Resume. The handler decides in event context whether
-// the process has anything to do, so a wait that mostly re-checks state can
-// stay parked without a coroutine switch per check. Suspending with a wake
-// armed (from inside an Await registration) is a bug and panics.
+// Suspend parks the process until an event handler calls Resume. The
+// handler decides in event context whether the process has anything to do,
+// so a wait that mostly re-checks state can stay parked without a coroutine
+// switch per check, and a wait for one event can resume the process from an
+// event scheduled where its dispatch would be.
 func (p *Process) Suspend() {
-	if p.wakeArmed {
-		panic("sim: Suspend with a wake armed")
-	}
 	p.suspended = true
 	p.park()
 }
@@ -213,8 +173,8 @@ func (p *Process) Suspend() {
 // records carry that event's lineage on both kernels. Resume returns once
 // the process parks again or finishes, so it must be called only from
 // event context, on the process's own shard, as the event's last action.
-// Resuming a process that is not suspended (one that is running, sleeping,
-// Await-parked or finished) panics.
+// Resuming a process that is not suspended (one that is running, sleeping
+// or finished) panics.
 func (p *Process) Resume() {
 	if !p.suspended {
 		panic("sim: Resume of a process that is not suspended")

@@ -6,17 +6,23 @@ import (
 )
 
 func TestNewFatTreeErrors(t *testing.T) {
-	if _, err := NewFatTree(0, 8); err == nil {
-		t.Error("NewFatTree(0, 8) accepted")
-	}
-	if _, err := NewFatTree(-3, 8); err == nil {
-		t.Error("NewFatTree(-3, 8) accepted")
-	}
-	if _, err := NewFatTree(8, 1); err == nil {
-		t.Error("NewFatTree(8, 1) accepted")
+	for _, c := range []struct{ nodes, radix int }{
+		{0, 8},
+		{-3, 8},
+		{MaxNodes + 1, 8},
+		{8, 1},
+		{8, 0},
+		{8, 6},
+		{8, 12},
+	} {
+		if _, err := NewFatTree(c.nodes, c.radix); err == nil {
+			t.Errorf("NewFatTree(%d, %d) accepted", c.nodes, c.radix)
+		}
 	}
 }
 
+// TestLevels pins the router levels above the leaves: the farthest pair of
+// leaves is 2 hops per level apart.
 func TestLevels(t *testing.T) {
 	cases := []struct {
 		nodes, radix, levels int
@@ -37,11 +43,8 @@ func TestLevels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewFatTree(%d, %d): %v", c.nodes, c.radix, err)
 		}
-		if ft.Levels() != c.levels {
-			t.Errorf("NewFatTree(%d, %d).Levels() = %d, want %d", c.nodes, c.radix, ft.Levels(), c.levels)
-		}
-		if ft.Diameter() != 2*c.levels {
-			t.Errorf("Diameter = %d, want %d", ft.Diameter(), 2*c.levels)
+		if got := diameter(&ft); got != 2*c.levels {
+			t.Errorf("NewFatTree(%d, %d) diameter = %d, want %d", c.nodes, c.radix, got, 2*c.levels)
 		}
 	}
 }
@@ -75,6 +78,7 @@ func TestHopsSymmetryProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	diam := diameter(&ft)
 	f := func(a, b uint8) bool {
 		x, y := int(a)%128, int(b)%128
 		h := ft.Hops(x, y)
@@ -84,7 +88,7 @@ func TestHopsSymmetryProperty(t *testing.T) {
 		if (h == 0) != (x == y) {
 			return false
 		}
-		if h%2 != 0 || h > ft.Diameter() {
+		if h%2 != 0 || h > diam {
 			return false
 		}
 		return true
@@ -108,26 +112,14 @@ func TestHopsTriangleInequalityProperty(t *testing.T) {
 	}
 }
 
-func TestHopsOutOfRangePanics(t *testing.T) {
-	ft, _ := NewFatTree(8, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ft.Hops(0, 8)
-}
-
+// TestCommonAncestorLevel: two leaves are 2 hops apart per router level up
+// to their lowest common ancestor.
 func TestCommonAncestorLevel(t *testing.T) {
 	ft, _ := NewFatTree(64, 8)
-	if got := ft.CommonAncestorLevel(3, 3); got != 0 {
-		t.Errorf("CommonAncestorLevel(3,3) = %d, want 0", got)
-	}
-	if got := ft.CommonAncestorLevel(0, 5); got != 1 {
-		t.Errorf("CommonAncestorLevel(0,5) = %d, want 1", got)
-	}
-	if got := ft.CommonAncestorLevel(0, 8); got != 2 {
-		t.Errorf("CommonAncestorLevel(0,8) = %d, want 2", got)
+	for _, c := range []struct{ a, b, level int }{{3, 3, 0}, {0, 5, 1}, {0, 8, 2}} {
+		if got := ft.Hops(c.a, c.b); got != 2*c.level {
+			t.Errorf("Hops(%d, %d) = %d, want %d (common ancestor at level %d)", c.a, c.b, got, 2*c.level, c.level)
+		}
 	}
 }
 
@@ -136,7 +128,7 @@ func TestSingleNodeTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft.Hops(0, 0) != 0 || ft.Levels() != 0 || ft.Diameter() != 0 {
-		t.Errorf("single-node tree: hops=%d levels=%d diameter=%d", ft.Hops(0, 0), ft.Levels(), ft.Diameter())
+	if ft.Hops(0, 0) != 0 || diameter(&ft) != 0 {
+		t.Errorf("single-node tree: hops=%d diameter=%d", ft.Hops(0, 0), diameter(&ft))
 	}
 }

@@ -6,23 +6,22 @@ import (
 )
 
 func TestNewTorus2DErrors(t *testing.T) {
-	if _, err := NewTorus2D(0); err == nil {
-		t.Error("NewTorus2D(0) accepted")
-	}
-	if _, err := NewTorus2D(-1); err == nil {
-		t.Error("NewTorus2D(-1) accepted")
+	for _, nodes := range []int{0, -1, 2 * MaxNodes} {
+		if _, err := NewTorus2D(nodes); err == nil {
+			t.Errorf("NewTorus2D(%d) accepted", nodes)
+		}
 	}
 }
 
 func TestTorusDims(t *testing.T) {
 	cases := []struct{ nodes, w, h int }{
 		{1, 1, 1},
+		{2, 2, 1},
 		{4, 2, 2},
 		{8, 4, 2},
 		{16, 4, 4},
-		{12, 4, 3},
 		{128, 16, 8},
-		{7, 7, 1}, // prime: degenerate ring
+		{2048, 64, 32},
 	}
 	for _, c := range cases {
 		tor, err := NewTorus2D(c.nodes)
@@ -35,6 +34,12 @@ func TestTorusDims(t *testing.T) {
 		}
 		if tor.Nodes() != c.nodes {
 			t.Errorf("Nodes = %d, want %d", tor.Nodes(), c.nodes)
+		}
+	}
+	// A node count that is not a power of two has no power-of-two grid.
+	for _, nodes := range []int{12, 7} {
+		if _, err := NewTorus2D(nodes); err == nil {
+			t.Errorf("NewTorus2D(%d) accepted", nodes)
 		}
 	}
 }
@@ -55,13 +60,14 @@ func TestTorusHopsKnownValues(t *testing.T) {
 			t.Errorf("Hops(%d, %d) = %d, want %d", c.a, c.b, got, c.hops)
 		}
 	}
-	if tor.Diameter() != 4 {
-		t.Errorf("Diameter = %d, want 4", tor.Diameter())
+	if got := diameter(&tor); got != 4 {
+		t.Errorf("diameter = %d, want 4", got)
 	}
 }
 
 func TestTorusHopsProperties(t *testing.T) {
 	tor, _ := NewTorus2D(64)
+	diam := diameter(&tor)
 	f := func(a, b, c uint8) bool {
 		x, y, z := int(a)%64, int(b)%64, int(c)%64
 		if tor.Hops(x, y) != tor.Hops(y, x) {
@@ -70,7 +76,7 @@ func TestTorusHopsProperties(t *testing.T) {
 		if (tor.Hops(x, y) == 0) != (x == y) {
 			return false
 		}
-		if tor.Hops(x, y) > tor.Diameter() {
+		if tor.Hops(x, y) > diam {
 			return false
 		}
 		return tor.Hops(x, z) <= tor.Hops(x, y)+tor.Hops(y, z)
@@ -78,14 +84,4 @@ func TestTorusHopsProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestTorusOutOfRangePanics(t *testing.T) {
-	tor, _ := NewTorus2D(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tor.Hops(0, 4)
 }
