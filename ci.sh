@@ -117,7 +117,11 @@ chaos_smoke -engine parallel -shards 4
 echo "== metrics smoke"
 # The -metrics writer is self-verifying: it fails unless the JSON document
 # round-trips byte-identically and the window's cycle attribution conserves.
+# Machine.Metrics assembles each backend's node section itself, so the
+# barrier runs on all three.
 go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -metrics "$tmp/metrics.json" >/dev/null
+go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -backend syncron -metrics "$tmp/metrics.json" >/dev/null
+go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -backend dsm -metrics "$tmp/metrics.json" >/dev/null
 go run ./cmd/amosim -primitive ticket -mech LLSC -procs 8 -metrics "$tmp/metrics.json" >/dev/null
 
 echo "== amotables determinism"

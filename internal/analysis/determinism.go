@@ -80,7 +80,7 @@ var determinismScopes = []determinismScope{
 	// Fault schedules replay from the trial seed via chaos.RNG; the layer
 	// hooks the machine from outside the event handlers.
 	{"the chaos layer", map[string]bool{"internal/chaos": true}, "", banRandImport | banWallClock},
-	// The pluggable memory-system backends behind machine.Backend.
+	// The syncron and dsm backends' per-node memory-side units.
 	{"a backend package", map[string]bool{"internal/syncron": true, "internal/dsm": true}, "", banRandImport | banWallClock | banMapRange},
 	// The arrival process and the request workloads it drives replay from
 	// (process, seed, rate, n).

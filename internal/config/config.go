@@ -87,9 +87,9 @@ type Config struct {
 	ProcsPerNode int
 
 	// L1HitCycles is the load-to-use latency of an L1 data cache hit.
+	// Every hit in the one modeled cache (the L2 geometry of CacheWays ×
+	// CacheSets) is charged this latency.
 	L1HitCycles uint64
-	// L2HitCycles is the latency of an L2 hit (L1 miss).
-	L2HitCycles uint64
 	// BlockBytes is the coherence granule (L2 line size).
 	BlockBytes int
 	// CacheWays and CacheSets define the modeled L2 geometry.
@@ -191,7 +191,6 @@ func Default(p int) Config {
 		ProcsPerNode: 2,
 
 		L1HitCycles: 2,
-		L2HitCycles: 10,
 		BlockBytes:  128,
 		CacheWays:   4,
 		CacheSets:   128,
@@ -343,7 +342,6 @@ func (c Config) Validate() error {
 		positive bool
 	}{
 		{"L1HitCycles", c.L1HitCycles, true},
-		{"L2HitCycles", c.L2HitCycles, false},
 		{"BusCycles", c.BusCycles, true},
 		{"DirCycles", c.DirCycles, true},
 		{"DRAMCycles", c.DRAMCycles, true},

@@ -20,7 +20,7 @@ func addSeed(f *testing.F, mech uint8, c config.Config) {
 		c.RouterRadix, c.Interconnect, c.AMUCacheWords, c.ActMsgQueueDepth,
 		c.MinPacketBytes, c.HeaderBytes, c.SyncPartitions, c.SyncTableEntries,
 		int(c.Backend), c.Engine, c.Shards,
-		c.L1HitCycles, c.L2HitCycles, c.BusCycles, c.DirCycles, c.DRAMCycles,
+		c.L1HitCycles, c.BusCycles, c.DirCycles, c.DRAMCycles,
 		c.HopCycles, c.InjectCycles, c.AMUOpCycles, c.AMUQueueCycles,
 		c.ActMsgInvokeCycles, c.ActMsgHandlerCycles, c.ActMsgTimeoutCycles,
 		c.IssueCycles, c.SpinCheckCycles, c.SyncInspectCycles, c.DSMRemoteCycles)
@@ -44,14 +44,13 @@ func FuzzConfig(f *testing.F) {
 		procs, perNode, blockBytes, cacheWays, cacheSets, radix int, interconnect string,
 		amuWords, queueDepth, minPacket, header, syncParts, syncEntries, backend int,
 		engine string, shards int,
-		l1Hit, l2Hit, bus, dir, dram, hop, inject, amuOp, amuQueue,
+		l1Hit, bus, dir, dram, hop, inject, amuOp, amuQueue,
 		invoke, handler, timeout, issue, spinCheck, inspect, remote uint64) {
 		cfg := config.Config{
 			Backend:             config.Backend(backend),
 			Processors:          procs,
 			ProcsPerNode:        perNode,
 			L1HitCycles:         l1Hit,
-			L2HitCycles:         l2Hit,
 			BlockBytes:          blockBytes,
 			CacheWays:           cacheWays,
 			CacheSets:           cacheSets,

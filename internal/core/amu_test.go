@@ -70,7 +70,7 @@ type rig struct {
 // spill charge (0 for the paper's AMU, DRAMCycles for a SynCron partition).
 func newRig(t *testing.T, cacheWords int, spillCycles uint64) *rig {
 	t.Helper()
-	eng := sim.NewEngine()
+	eng := sim.NewSequential()
 	topo, err := topology.NewFatTree(2, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestZeroWordCacheTransient(t *testing.T) {
 // holds every result before the next operation reads it, and no fine put
 // is issued.
 func TestDirectorylessUnitServesAMOsFromMemory(t *testing.T) {
-	eng := sim.NewEngine()
+	eng := sim.NewSequential()
 	topo, err := topology.NewFatTree(2, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestNewPanicsOnNonPositiveBlockBytes(t *testing.T) {
 					t.Fatalf("BlockBytes %d: expected panic", bb)
 				}
 			}()
-			New(sim.NewEngine(), nil, memsys.New(1, 128, 60), nil, Params{CacheWords: 2, BlockBytes: bb})
+			New(sim.NewSequential(), nil, memsys.New(1, 128, 60), nil, Params{CacheWords: 2, BlockBytes: bb})
 		}()
 	}
 }

@@ -80,7 +80,7 @@ func newRig(t *testing.T, ncpus int) *rig {
 // newRigWith builds a rig whose controller parameters are adjusted by set.
 func newRigWith(t *testing.T, ncpus int, set func(*Params)) *rig {
 	t.Helper()
-	eng := sim.NewEngine()
+	eng := sim.NewSequential()
 	topo, err := topology.NewFatTree(4, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +430,7 @@ func TestNewRejectsZeroProcsPerNode(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(sim.NewEngine(), nil, nil, Params{})
+	New(sim.NewSequential(), nil, nil, Params{})
 }
 
 // TestStaleDowngradeAckAddsNoPhantomSharer: when a GETS intervention is

@@ -27,7 +27,7 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	eng := sim.NewEngine()
+	eng := sim.NewSequential()
 	topo, err := topology.NewFatTree(2, 8)
 	if err != nil {
 		t.Fatal(err)

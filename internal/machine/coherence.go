@@ -26,8 +26,9 @@ import (
 //     transaction leaked).
 //
 // On backends without a directory (dsm) any cached copy is itself a
-// violation — CPUs run uncached — and only the backend quiescence check
-// applies. Every backend's CheckQuiescence runs last.
+// violation — CPUs run uncached — and only the quiescence check of the
+// memory-side units applies. That check (checkQuiescence) runs last on
+// every backend.
 func (m *Machine) CheckCoherence() error {
 	copies := make(map[uint64][]copyInfo)
 	for _, cpu := range m.CPUs {
@@ -45,7 +46,7 @@ func (m *Machine) CheckCoherence() error {
 		if len(blocks) > 0 {
 			return fmt.Errorf("block %#x: cached copy on a coherence-free backend", blocks[0])
 		}
-		return m.backend.CheckQuiescence()
+		return m.checkQuiescence()
 	}
 	for _, block := range blocks {
 		cs := copies[block]
@@ -110,7 +111,7 @@ func (m *Machine) CheckCoherence() error {
 			}
 		}
 	}
-	return m.backend.CheckQuiescence()
+	return m.checkQuiescence()
 }
 
 // ReadWordCoherent returns the authoritative value of the word at addr at
@@ -121,7 +122,7 @@ func (m *Machine) CheckCoherence() error {
 // processor-cache copy, else home memory. Call only between runs — mid-run
 // the answer can be mid-transaction.
 func (m *Machine) ReadWordCoherent(addr uint64) uint64 {
-	if v, ok := m.backend.PeekWord(addr); ok {
+	if v, ok := m.peekWord(addr); ok {
 		return v
 	}
 	for _, cpu := range m.CPUs {

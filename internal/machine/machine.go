@@ -1,11 +1,11 @@
 // Package machine assembles a complete simulated multiprocessor: the event
 // engine, fat-tree network, per-node memory system, and per-CPU core +
-// cache, wired per the configuration. The per-node memory-system
-// organization is pluggable (see Backend): the default amo backend builds
-// the paper's CC-NUMA machine with a directory and active memory unit on
-// every node; the syncron and dsm backends model NDP sync engines and
-// coherence-free disaggregated memory. It is the substrate every
-// synchronization experiment runs on.
+// cache, wired per the configuration. Config.Backend selects the per-node
+// memory system (see wire): the default amo backend builds the paper's
+// CC-NUMA machine with a directory and active memory unit on every node;
+// the syncron and dsm backends model NDP sync engines and coherence-free
+// disaggregated memory. It is the substrate every synchronization
+// experiment runs on.
 package machine
 
 import (
@@ -52,8 +52,9 @@ type Machine struct {
 	phaseDone bool
 	phasePred func() bool
 
-	backend Backend
-	reg     *metrics.Registry
+	// kernelMetrics adds the Kernel section to snapshots (see
+	// EnableKernelMetrics).
+	kernelMetrics bool
 }
 
 // Hub-side consumers of a message kind, indexed by hubRoute.
@@ -113,18 +114,17 @@ func New(cfg config.Config) (*Machine, error) {
 	m.done = make([]bool, cfg.Processors)
 	m.phasePred = func() bool { return m.phaseDone }
 
-	m.backend = backendFor(cfg.Backend)
-	if err := m.backend.Wire(m); err != nil {
-		return nil, err
-	}
+	m.wire()
 
 	for id := 0; id < cfg.Processors; id++ {
 		cch := cache.New(cfg.CacheSets, cfg.CacheWays, cfg.BlockBytes)
-		cpu := proc.New(eng.ForNode(id/cfg.ProcsPerNode), net, cch, m.backend.CPUParams(proc.Params{
+		cpu := proc.New(eng.ForNode(id/cfg.ProcsPerNode), net, cch, proc.Params{
 			ID:           id,
 			Node:         id / cfg.ProcsPerNode,
 			ProcsPerNode: cfg.ProcsPerNode,
 			BlockBytes:   cfg.BlockBytes,
+			RemoteMemory: cfg.Backend == config.BackendDSM,
+			LocalSyncHub: cfg.Backend == config.BackendSynCron,
 
 			L1HitCycles:     cfg.L1HitCycles,
 			IssueCycles:     cfg.IssueCycles,
@@ -135,17 +135,9 @@ func New(cfg config.Config) (*Machine, error) {
 			ActMsgHandlerCycles: cfg.ActMsgHandlerCycles,
 			ActMsgQueueDepth:    cfg.ActMsgQueueDepth,
 			ActMsgTimeoutCycles: cfg.ActMsgTimeoutCycles,
-		}))
+		})
 		m.CPUs = append(m.CPUs, cpu)
 	}
-
-	m.reg = metrics.NewRegistry(func() uint64 { return uint64(eng.Now()) })
-	for _, cpu := range m.CPUs {
-		m.reg.RegisterCPU(cpu.Metrics)
-	}
-	m.backend.RegisterNodeMetrics(m)
-	m.reg.RegisterMemory(mem.Stats)
-	m.reg.RegisterNetwork(net.Metrics)
 	return m, nil
 }
 
@@ -161,7 +153,7 @@ func newEngine(cfg config.Config, topo topology.Topology) (sim.Engine, error) {
 		shards = 1
 	}
 	if cfg.Engine != "parallel" || shards == 1 {
-		return sim.NewEngine(), nil
+		return sim.NewSequential(), nil
 	}
 	nodes := cfg.Nodes()
 	nodeShard := make([]int, nodes)
@@ -176,18 +168,41 @@ func newEngine(cfg config.Config, topo topology.Topology) (sim.Engine, error) {
 	return sim.NewParallel(shards, nodeShard, window), nil
 }
 
-// EngFor returns the node-affine engine view for node; per-node components
-// must schedule and read clocks through it (on the sequential kernel it is
-// the engine itself).
-func (m *Machine) EngFor(node int) sim.Engine { return m.Eng.ForNode(node) }
-
 // Metrics assembles an immutable snapshot of every counter in the machine:
-// per-CPU counters, caches and cycle attribution, per-node directory and
-// AMU counters, memory accesses and network traffic. It is safe to call at
-// any simulated instant — between runs, from inside a program body, and
-// after Shutdown — and never perturbs the simulation (no events are
-// scheduled, no simulated time passes).
-func (m *Machine) Metrics() metrics.Snapshot { return m.reg.Snapshot() }
+// per-CPU counters, caches and cycle attribution, each node's directory
+// and memory-side unit (nodeMetrics), memory accesses, network traffic
+// and the opt-in Kernel section. It is safe to call at any simulated
+// instant — between runs, from inside a program body, and after Shutdown —
+// and never perturbs the simulation (no events are scheduled, no
+// simulated time passes).
+func (m *Machine) Metrics() metrics.Snapshot {
+	s := metrics.Snapshot{
+		Cycle: uint64(m.Eng.Now()),
+		CPUs:  make([]metrics.CPUMetrics, len(m.CPUs)),
+		Nodes: make([]metrics.NodeMetrics, m.Cfg.Nodes()),
+	}
+	for i, cpu := range m.CPUs {
+		s.CPUs[i] = cpu.Metrics()
+	}
+	for n := range s.Nodes {
+		s.Nodes[n] = m.nodeMetrics(n)
+	}
+	s.Memory = m.Mem.Stats()
+	s.Network = m.Net.Metrics()
+	if m.kernelMetrics {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		s.Kernel = &metrics.KernelStats{
+			EventsExecuted: m.Eng.Executed(),
+			HostMallocs:    ms.Mallocs,
+			HostAllocBytes: ms.TotalAlloc,
+		}
+		if pe, ok := m.Eng.(*sim.Parallel); ok {
+			s.Kernel.ShardEvents = pe.ShardExecuted()
+		}
+	}
+	return s
+}
 
 // EnableKernelMetrics adds the opt-in Kernel section to this machine's
 // snapshots: the event kernel's dispatch count plus host allocator gauges
@@ -195,21 +210,7 @@ func (m *Machine) Metrics() metrics.Snapshot { return m.reg.Snapshot() }
 // Host fields are nondeterministic across runs, so golden-output
 // comparisons must not enable this; machines that never call it produce
 // byte-identical snapshots with no Kernel section.
-func (m *Machine) EnableKernelMetrics() {
-	m.reg.RegisterKernel(func() metrics.KernelStats {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		ks := metrics.KernelStats{
-			EventsExecuted: m.Eng.Executed(),
-			HostMallocs:    ms.Mallocs,
-			HostAllocBytes: ms.TotalAlloc,
-		}
-		if pe, ok := m.Eng.(*sim.Parallel); ok {
-			ks.ShardEvents = pe.ShardExecuted()
-		}
-		return ks
-	})
-}
+func (m *Machine) EnableKernelMetrics() { m.kernelMetrics = true }
 
 // hubHandler routes hub-bound messages to the node's directory or to its
 // memory-side unit (an AMU's or a sync engine's Handle) via the hubRoute

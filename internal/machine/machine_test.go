@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"amosim/internal/config"
@@ -510,5 +511,28 @@ func TestCheckCoherenceCleanMachine(t *testing.T) {
 	m := newMachine(t, 4)
 	if err := m.CheckCoherence(); err != nil {
 		t.Fatalf("fresh machine incoherent: %v", err)
+	}
+}
+
+// TestCheckCoherenceReportsBusyDSMUnit: a dsm machine has no directory or
+// cached copies, so CheckCoherence reaches the memory-side units'
+// quiescence check directly. Called while another CPU's atomic is inside
+// its home agent's DSMRemoteCycles service, it must return that unit's
+// error; after the run the machine is quiescent again.
+func TestCheckCoherenceReportsBusyDSMUnit(t *testing.T) {
+	m := newMachine(t, 4, func(c *config.Config) { c.Backend = config.BackendDSM })
+	addr := m.AllocWord(1)
+	var midRun error
+	m.OnCPU(0, func(c *proc.CPU) { c.AMOInc(addr, 0) })
+	m.OnCPU(2, func(c *proc.CPU) {
+		c.Think(m.Cfg.DSMRemoteCycles / 2)
+		midRun = m.CheckCoherence()
+	})
+	mustRun(t, m)
+	if midRun == nil || !strings.Contains(midRun.Error(), "node 1 AMU still busy") {
+		t.Fatalf("CheckCoherence during the atomic's service = %v, want node 1's unit busy", midRun)
+	}
+	if err := m.CheckCoherence(); err != nil {
+		t.Fatalf("CheckCoherence after the run: %v", err)
 	}
 }

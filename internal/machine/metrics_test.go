@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"amosim/internal/config"
+	"amosim/internal/metrics"
 	"amosim/internal/proc"
 	"amosim/internal/sim"
 )
@@ -87,31 +89,107 @@ func TestMetricsDiffWindow(t *testing.T) {
 	}
 }
 
-// TestMetricsDoesNotPerturbRun pins the observer-effect guarantee: a run
-// that takes snapshots finishes at exactly the same cycle, with exactly the
-// same counters, as one that does not.
+// TestMetricsDoesNotPerturbRun pins the observer-effect guarantee on
+// every backend: a run that takes snapshots finishes at exactly the same
+// cycle, with exactly the same counters, as one that does not. It also
+// checks the snapshot's shape (see checkSnapshotShape) and its Kernel
+// section, which is absent until EnableKernelMetrics.
 func TestMetricsDoesNotPerturbRun(t *testing.T) {
-	run := func(observe bool) (sim.Time, any) {
-		m := newMachine(t, 4)
-		addr := m.AllocWord(0)
-		m.OnAllCPUs(func(c *proc.CPU) {
-			for i := 0; i < 3; i++ {
-				c.Think(uint64(10 + c.ID()))
-				c.AMOInc(addr, 0)
-				if observe {
-					m.Metrics()
+	for _, b := range config.Backends {
+		t.Run(b.String(), func(t *testing.T) {
+			run := func(observe bool) (sim.Time, metrics.Snapshot) {
+				m := newMachine(t, 4, func(c *config.Config) { c.Backend = b })
+				addr, word := m.AllocWord(0), m.AllocWord(1)
+				m.OnAllCPUs(func(c *proc.CPU) {
+					for i := 0; i < 3; i++ {
+						c.Think(uint64(10 + c.ID()))
+						c.AMOInc(addr, 0)
+						if observe {
+							if s := m.Metrics(); s.Cycle != uint64(c.Now()) {
+								t.Errorf("cpu %d: snapshot at cycle %d, want %d", c.ID(), s.Cycle, c.Now())
+							}
+						}
+					}
+					c.Store(word, uint64(c.ID()))
+				})
+				at := mustRun(t, m)
+				snap := m.Metrics()
+				if snap.Cycle != uint64(at) {
+					t.Errorf("snapshot at cycle %d, want %d", snap.Cycle, at)
 				}
+				checkSnapshotShape(t, m, snap, 4*3)
+				if snap.Kernel != nil {
+					t.Errorf("Kernel section %+v before EnableKernelMetrics", snap.Kernel)
+				}
+				m.EnableKernelMetrics()
+				if k := m.Metrics().Kernel; k == nil || k.EventsExecuted != m.Eng.Executed() {
+					t.Errorf("Kernel section %+v after EnableKernelMetrics, want EventsExecuted %d", k, m.Eng.Executed())
+				}
+				return at, snap
+			}
+			atA, snapA := run(false)
+			atB, snapB := run(true)
+			if atA != atB {
+				t.Fatalf("observed run finished at %d, unobserved at %d", atB, atA)
+			}
+			if !reflect.DeepEqual(snapA, snapB) {
+				t.Fatalf("observed run diverged:\n%+v\n%+v", snapB, snapA)
 			}
 		})
-		at := mustRun(t, m)
-		return at, m.Metrics()
 	}
-	atA, snapA := run(false)
-	atB, snapB := run(true)
-	if atA != atB {
-		t.Fatalf("observed run finished at %d, unobserved at %d", atB, atA)
+}
+
+// checkSnapshotShape checks that s lists m's CPUs and nodes in ID order,
+// that each node's section is its backend's own (Directory and AMU on
+// amo, Directory and Sync on syncron, DSM alone on dsm, the others zero
+// or nil), that the backend's unit counted atomics AMOs, and that the
+// memory and network sections were read.
+func checkSnapshotShape(t *testing.T, m *Machine, s metrics.Snapshot, atomics uint64) {
+	t.Helper()
+	if len(s.CPUs) != len(m.CPUs) {
+		t.Fatalf("%d CPUs in snapshot, want %d", len(s.CPUs), len(m.CPUs))
 	}
-	if !reflect.DeepEqual(snapA, snapB) {
-		t.Fatalf("observed run diverged:\n%+v\n%+v", snapB, snapA)
+	for i, c := range s.CPUs {
+		if c.ID != i || c.Node != i/m.Cfg.ProcsPerNode {
+			t.Errorf("CPUs[%d] is cpu %d on node %d", i, c.ID, c.Node)
+		}
+	}
+	if len(s.Nodes) != m.Cfg.Nodes() {
+		t.Fatalf("%d nodes in snapshot, want %d", len(s.Nodes), m.Cfg.Nodes())
+	}
+	var ops, dirOccupancy uint64
+	for i, n := range s.Nodes {
+		if n.Node != i {
+			t.Errorf("Nodes[%d] is node %d", i, n.Node)
+		}
+		dirOccupancy += n.Directory.OccupancyCycles
+		switch m.Cfg.Backend {
+		case config.BackendAMO:
+			if n.Sync != nil || n.DSM != nil {
+				t.Errorf("amo node %d carries a Sync or DSM section: %+v", i, n)
+			}
+			ops += n.AMU.Ops
+		case config.BackendSynCron:
+			if n.Sync == nil || n.AMU != (metrics.AMUStats{}) || n.DSM != nil {
+				t.Fatalf("syncron node %d: want Directory and Sync alone, got %+v", i, n)
+			}
+			ops += n.Sync.Ops
+		case config.BackendDSM:
+			if n.DSM == nil || n.Directory != (metrics.DirectoryStats{}) || n.AMU != (metrics.AMUStats{}) || n.Sync != nil {
+				t.Fatalf("dsm node %d: want DSM alone, got %+v", i, n)
+			}
+			ops += n.DSM.RemoteAtomics
+		default:
+			t.Fatalf("unknown backend %v", m.Cfg.Backend)
+		}
+	}
+	if ops != atomics {
+		t.Errorf("%v units counted %d atomics, want %d", m.Cfg.Backend, ops, atomics)
+	}
+	if coherent := m.Cfg.Backend != config.BackendDSM; coherent != (dirOccupancy > 0) {
+		t.Errorf("%v directories report %d occupancy cycles", m.Cfg.Backend, dirOccupancy)
+	}
+	if s.Memory == (metrics.MemoryStats{}) || s.Network.Messages == 0 {
+		t.Errorf("memory %+v or network %+v section is empty", s.Memory, s.Network)
 	}
 }

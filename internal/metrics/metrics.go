@@ -1,15 +1,14 @@
-// Package metrics is the simulator's unified observability layer: a
-// deterministic, allocation-light registry of named counters and
-// cycle-attribution accumulators, instantiated per node and per component
+// Package metrics is the simulator's unified observability layer: the
+// named counters and cycle-attribution accumulators of every component
 // (CPU, cache, directory controller, AMU and its operand cache, network,
-// memory).
+// memory), per node and per CPU.
 //
-// Components accumulate into plain uint64 fields on their own structs; the
-// registry only holds collector closures, so steady-state simulation pays
-// nothing for observability. Machine.Metrics() assembles an immutable
-// Snapshot — nested named structs, JSON-marshalable with a deterministic
-// byte encoding (struct fields marshal in declaration order and
-// encoding/json sorts map keys). Snapshot.Diff(prev) subtracts two
+// Components accumulate into plain uint64 fields on their own structs and
+// report them through Stats methods, so steady-state simulation pays
+// nothing for observability. Machine.Metrics() reads those methods into
+// an immutable Snapshot — nested named structs, JSON-marshalable with a
+// deterministic byte encoding (struct fields marshal in declaration order
+// and encoding/json sorts map keys). Snapshot.Diff(prev) subtracts two
 // snapshots of the same machine to form a measurement window; the
 // experiment harness derives every BarrierResult/LockResult from such
 // diffs.
@@ -146,7 +145,7 @@ type NodeMetrics struct {
 // EventsExecuted is deterministic (it counts dispatched simulation
 // events); the Host-prefixed fields read the Go runtime's allocator and
 // vary between hosts and runs — they exist to track the hot path's
-// allocation behaviour, never to feed experiment results. The collector
+// allocation behaviour, never to feed experiment results. The section
 // is opt-in (Machine.EnableKernelMetrics); machines that do not enable it
 // produce snapshots without a Kernel section, so default JSON outputs are
 // unchanged.
@@ -349,64 +348,4 @@ func (s Snapshot) CheckConservation() error {
 		}
 	}
 	return nil
-}
-
-// Registry assembles Snapshots from per-component collector closures. The
-// machine registers each component once, in deterministic construction
-// order; Snapshot() walks them in that order.
-type Registry struct {
-	clock   func() uint64
-	cpus    []func() CPUMetrics
-	nodes   []func() NodeMetrics
-	memory  func() MemoryStats
-	network func() NetworkStats
-	kernel  func() KernelStats
-}
-
-// NewRegistry creates a registry reading the simulation clock from clock.
-func NewRegistry(clock func() uint64) *Registry {
-	return &Registry{clock: clock}
-}
-
-// RegisterCPU appends a CPU collector; call in CPU-id order.
-func (r *Registry) RegisterCPU(f func() CPUMetrics) { r.cpus = append(r.cpus, f) }
-
-// RegisterNode appends a node (directory + AMU) collector; call in node-id
-// order.
-func (r *Registry) RegisterNode(f func() NodeMetrics) { r.nodes = append(r.nodes, f) }
-
-// RegisterMemory installs the machine-wide backing-store collector.
-func (r *Registry) RegisterMemory(f func() MemoryStats) { r.memory = f }
-
-// RegisterNetwork installs the interconnect collector.
-func (r *Registry) RegisterNetwork(f func() NetworkStats) { r.network = f }
-
-// RegisterKernel installs the opt-in event-kernel collector; snapshots
-// then carry a Kernel section.
-func (r *Registry) RegisterKernel(f func() KernelStats) { r.kernel = f }
-
-// Snapshot collects every registered component into an immutable Snapshot.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Cycle: r.clock(),
-		CPUs:  make([]CPUMetrics, 0, len(r.cpus)),
-		Nodes: make([]NodeMetrics, 0, len(r.nodes)),
-	}
-	for _, f := range r.cpus {
-		s.CPUs = append(s.CPUs, f())
-	}
-	for _, f := range r.nodes {
-		s.Nodes = append(s.Nodes, f())
-	}
-	if r.memory != nil {
-		s.Memory = r.memory()
-	}
-	if r.network != nil {
-		s.Network = r.network()
-	}
-	if r.kernel != nil {
-		k := r.kernel()
-		s.Kernel = &k
-	}
-	return s
 }

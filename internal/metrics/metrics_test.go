@@ -145,30 +145,3 @@ func TestJSONDeterminism(t *testing.T) {
 		t.Errorf("snapshot JSON does not round-trip:\n%s\nvs\n%s", ja, jc)
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	now := uint64(7)
-	r := NewRegistry(func() uint64 { return now })
-	for i := 0; i < 3; i++ {
-		id := i
-		r.RegisterCPU(func() CPUMetrics { return CPUMetrics{ID: id, Node: id / 2} })
-	}
-	r.RegisterNode(func() NodeMetrics { return NodeMetrics{Node: 0} })
-	r.RegisterMemory(func() MemoryStats { return MemoryStats{Reads: 9} })
-	r.RegisterNetwork(func() NetworkStats { return NetworkStats{Messages: 5} })
-
-	s := r.Snapshot()
-	if s.Cycle != 7 {
-		t.Errorf("Cycle = %d, want 7", s.Cycle)
-	}
-	if len(s.CPUs) != 3 || s.CPUs[0].ID != 0 || s.CPUs[2].ID != 2 {
-		t.Errorf("CPUs out of registration order: %+v", s.CPUs)
-	}
-	if len(s.Nodes) != 1 || s.Memory.Reads != 9 || s.Network.Messages != 5 {
-		t.Errorf("snapshot incomplete: %+v", s)
-	}
-	now = 11
-	if s2 := r.Snapshot(); s2.Cycle != 11 {
-		t.Errorf("clock not re-read: %d", s2.Cycle)
-	}
-}

@@ -10,7 +10,7 @@ import (
 
 func testNet(t *testing.T, nodes int) (sim.Engine, *Network) {
 	t.Helper()
-	eng := sim.NewEngine()
+	eng := sim.NewSequential()
 	topo, err := topology.NewFatTree(nodes, 8)
 	if err != nil {
 		t.Fatal(err)

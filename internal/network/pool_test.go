@@ -15,7 +15,7 @@ import (
 
 func poolNet(t *testing.T) (sim.Engine, *Network) {
 	t.Helper()
-	eng := sim.NewEngine()
+	eng := sim.NewSequential()
 	topo, err := topology.NewFatTree(16, 8)
 	if err != nil {
 		t.Fatal(err)

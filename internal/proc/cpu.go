@@ -514,8 +514,6 @@ func (c *CPU) popReply() reply {
 	return m
 }
 
-func (c *CPU) replyPending() int { return len(c.replyQ) - c.replyHead }
-
 func (c *CPU) amsgPending() int { return c.amsgQ.Len() }
 
 func (c *CPU) acceptActiveMessage(m *network.Msg) {

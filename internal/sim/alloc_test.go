@@ -12,7 +12,7 @@ import "testing"
 // passes one: a func value is pointer-shaped, so it rides the event's
 // argument without boxing.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
-	eng := NewEngine()
+	eng := NewSequential()
 	var n int
 	fn := func() { n++ }
 	burst := func() {
@@ -35,7 +35,7 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 var testCall = func(a any) { *a.(*int)++ }
 
 func TestScheduleCallSteadyStateZeroAlloc(t *testing.T) {
-	eng := NewEngine()
+	eng := NewSequential()
 	var n int
 	arg := &n
 	burst := func() {

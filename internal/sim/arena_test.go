@@ -7,7 +7,7 @@ import "testing"
 // returns every slot to the free list exactly once, and a warm arena
 // serves a same-sized burst without growing.
 func TestArenaFreeListExhaustionAndGrowth(t *testing.T) {
-	e := NewEngine()
+	e := NewSequential()
 	const k = 8
 	for i := 0; i < k; i++ {
 		schedule(e, Time(i), func() {})

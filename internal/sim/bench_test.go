@@ -12,7 +12,7 @@ import (
 func BenchmarkScheduleAndRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := NewEngine()
+		e := NewSequential()
 		for j := 0; j < 1000; j++ {
 			schedule(e, Time(j%97), func() {})
 		}
@@ -92,7 +92,7 @@ func paperDelay(rng *uint64) Time {
 // two processes sleep in phase, so each finds the other's wake due first
 // and every sleep parks.
 func BenchmarkProcessSwitch(b *testing.B) {
-	e := NewEngine()
+	e := NewSequential()
 	const hops = 500 // per process
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -115,7 +115,7 @@ func BenchmarkProcessSwitch(b *testing.B) {
 // BenchmarkSleepRunAhead measures 1000 sleeps per op by one lone process:
 // nothing else is queued, so every sleep runs ahead without parking.
 func BenchmarkSleepRunAhead(b *testing.B) {
-	e := NewEngine()
+	e := NewSequential()
 	const hops = 1000
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -111,7 +111,3 @@ func (err *ErrDeadlock) Error() string {
 // ErrDeadline is returned by RunUntil when the deadline passes with events
 // still pending.
 var ErrDeadline = fmt.Errorf("sim: deadline reached with pending events")
-
-// NewEngine returns an empty sequential engine at time zero. It is the
-// historical constructor name; NewSequential is the explicit form.
-func NewEngine() *Sequential { return NewSequential() }

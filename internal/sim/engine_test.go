@@ -19,7 +19,7 @@ func schedule(v Engine, delay Time, fn func()) { v.ScheduleCall(delay, callFunc,
 func callFunc(fn any) { fn.(func())() }
 
 func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine()
+	e := NewSequential()
 	var got []int
 	schedule(e, 10, func() { got = append(got, 2) })
 	schedule(e, 5, func() { got = append(got, 1) })
@@ -81,7 +81,7 @@ func TestNewParallelNeedsTwoShardsAndAWindow(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	e := NewSequential()
 	var fired []Time
 	schedule(e, 1, func() {
 		fired = append(fired, e.Now())
@@ -102,7 +102,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestRunUntilDeadline(t *testing.T) {
-	e := NewEngine()
+	e := NewSequential()
 	ran := 0
 	schedule(e, 5, func() { ran++ })
 	schedule(e, 50, func() { ran++ })
@@ -531,7 +531,7 @@ func TestProcessPanicReachesRun(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
-	e := NewEngine()
+	e := NewSequential()
 	ran := 0
 	schedule(e, 1, func() { ran++; e.Stop() })
 	schedule(e, 2, func() { ran++ })

@@ -117,7 +117,7 @@ func init() {
 // name, mechanism, scale, every parameter, and the backend/kernel tag; the
 // key digests the config, mechanism, chaos plan, and the identical
 // parameter slice.
-func point(s Spec, cfg config.Config, mech syncprim.Mechanism, rc RunConfig, run func() (Result, error)) sweep.Point {
+func point[R any](s Spec, cfg config.Config, mech syncprim.Mechanism, rc RunConfig, run func() (R, error)) sweep.Point {
 	ps := s.Params()
 	label := fmt.Sprintf("%s %s p=%d", s.Name(), mech, cfg.Processors)
 	for _, p := range ps {

@@ -664,7 +664,9 @@ func (s BFSSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return s }
 // Point implements Spec.
 func (s BFSSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
 	s = s.WithDefaults()
-	return trafficPoint(s, cfg, mech, rc, bfsApp(s.Vertices), s.Traffic)
+	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
+		return runTraffic(cfg, mech, rc, bfsApp(s.Vertices), s.Traffic)
+	})
 }
 
 // PageRankSpec is the open-loop push-PageRank workload.
@@ -697,7 +699,9 @@ func (s PageRankSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return
 // Point implements Spec.
 func (s PageRankSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
 	s = s.WithDefaults()
-	return trafficPoint(s, cfg, mech, rc, pagerankApp(s.Vertices), s.Traffic)
+	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
+		return runTraffic(cfg, mech, rc, pagerankApp(s.Vertices), s.Traffic)
+	})
 }
 
 // TrianglesSpec is the open-loop triangle-counting workload.
@@ -730,7 +734,9 @@ func (s TrianglesSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; retur
 // Point implements Spec.
 func (s TrianglesSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
 	s = s.WithDefaults()
-	return trafficPoint(s, cfg, mech, rc, trianglesApp(s.Vertices), s.Traffic)
+	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
+		return runTraffic(cfg, mech, rc, trianglesApp(s.Vertices), s.Traffic)
+	})
 }
 
 // WorkQueueSpec is the open-loop producer-consumer work-queue workload.
@@ -750,7 +756,9 @@ func (s WorkQueueSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; retur
 
 // Point implements Spec.
 func (s WorkQueueSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
-	return trafficPoint(s, cfg, mech, rc, workqueueApp, s.Traffic)
+	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
+		return runTraffic(cfg, mech, rc, workqueueApp, s.Traffic)
+	})
 }
 
 // MPMCSpec is the open-loop fetch-add MPMC ring workload.
@@ -770,27 +778,7 @@ func (s MPMCSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return s }
 
 // Point implements Spec.
 func (s MPMCSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
-	return trafficPoint(s, cfg, mech, rc, mpmcApp, s.Traffic)
-}
-
-// trafficPoint assembles a traffic spec's sweep point (the TrafficResult
-// analogue of point).
-func trafficPoint(s Spec, cfg config.Config, mech syncprim.Mechanism, rc RunConfig, app trafficApp, o TrafficOptions) sweep.Point {
-	ps := s.Params()
-	label := fmt.Sprintf("%s %s p=%d", s.Name(), mech, cfg.Processors)
-	for _, p := range ps {
-		label += " " + p.Name + "=" + p.Value
-	}
-	label += cfg.Tag()
-	return sweep.Point{
-		Label: label,
-		Key:   sweep.KeyOf("workload/"+s.Name(), cfg, int(mech), rc, ps),
-		Run: func() (any, error) {
-			r, err := runTraffic(cfg, mech, rc, app, o)
-			if err != nil {
-				return nil, err
-			}
-			return r, nil
-		},
-	}
+	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
+		return runTraffic(cfg, mech, rc, mpmcApp, s.Traffic)
+	})
 }
