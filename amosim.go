@@ -24,7 +24,7 @@
 //	})
 //	cycles, err := m.Run()
 //
-// Experiment runners (RunBarrier, RunTreeBarrier, RunLock, ...) wrap this
+// Experiment runners (RunBarrier, BestTreeBarrier, RunLock, ...) wrap this
 // pattern with warm-up, alignment and measurement windows.
 package amosim
 
@@ -301,7 +301,7 @@ type WorkloadSpec = workload.Spec
 // consumes beyond the machine config (the chaos plan).
 type WorkloadRunConfig = workload.RunConfig
 
-// WorkloadSpecs returns every registered workload spec in registration
+// WorkloadSpecs returns every registered workload spec in presentation
 // order.
 func WorkloadSpecs() []WorkloadSpec { return workload.All() }
 

@@ -134,21 +134,25 @@ func setNonDefaults(v reflect.Value) {
 }
 
 // TestSweepKeyCoversEveryWorkloadSpecField extends the cache-key audit to
-// the typed workload registry: every exported field of every registered
-// spec — the classic kernels' tunables and the traffic specs' embedded
-// TrafficOptions alike — must move the sweep key, as must the workload
-// RunConfig selectors. A parameter that can change a result without
-// changing the key would alias cached cells.
+// the workload table. A WorkloadSpec has no settable field of its own: its
+// only inputs are the TrafficOptions a traffic app is built with and the
+// workload RunConfig selectors, so every field of both must move the sweep
+// key. A parameter that can change a result without changing the key would
+// alias cached cells.
 func TestSweepKeyCoversEveryWorkloadSpecField(t *testing.T) {
 	cfg := DefaultConfig(8)
-	for _, s := range WorkloadSpecs() {
-		sv := reflect.New(reflect.TypeOf(s)).Elem()
-		sv.Set(reflect.ValueOf(s))
-		setNonDefaults(sv)
+	for _, app := range TrafficApps {
+		var o TrafficOptions
+		ov := reflect.ValueOf(&o).Elem()
+		setNonDefaults(ov)
 		key := func() string {
-			return sv.Interface().(WorkloadSpec).Point(cfg, AMO, WorkloadRunConfig{}).Key
+			s, ok := TrafficWorkloadSpec(app, o)
+			if !ok {
+				t.Fatalf("traffic workload %q not registered", app)
+			}
+			return s.Point(cfg, AMO, WorkloadRunConfig{}).Key
 		}
-		auditOptionFields(t, sv, reflect.TypeOf(s).Name(), key(), key)
+		auditOptionFields(t, ov, app+".TrafficOptions", key(), key)
 	}
 
 	rc := WorkloadRunConfig{ChaosSeed: 9, ChaosLevel: 2}

@@ -300,18 +300,23 @@ func BenchmarkAblationTreeBranching(b *testing.B) {
 // parallel kernels end to end under LL/SC, MAO and AMO synchronization.
 func BenchmarkApplications(b *testing.B) {
 	b.ReportAllocs()
+	stencil, ok := WorkloadSpecByName("stencil")
+	if !ok {
+		b.Fatal("stencil workload not registered")
+	}
 	procs := benchProcs([]int{16, 64}, []int{16}, b)
 	for _, p := range procs {
 		for _, mech := range []Mechanism{LLSC, MAO, AMO} {
 			b.Run(fmt.Sprintf("p%d/stencil/%s", p, mech), func(b *testing.B) {
 				b.ReportAllocs()
+				pt := stencil.Point(DefaultConfig(p), mech, WorkloadRunConfig{})
 				var cycles uint64
 				for i := 0; i < b.N; i++ {
-					r, err := appStencil(DefaultConfig(p), mech)
+					v, err := pt.Run()
 					if err != nil {
 						b.Fatal(err)
 					}
-					cycles = r
+					cycles = v.(WorkloadResult).Cycles
 				}
 				b.ReportMetric(float64(cycles), "simcyc/app")
 			})

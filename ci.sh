@@ -124,6 +124,15 @@ go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -backend syncron -met
 go run ./cmd/amosim -primitive barrier -mech AMO -procs 16 -backend dsm -metrics "$tmp/metrics.json" >/dev/null
 go run ./cmd/amosim -primitive ticket -mech LLSC -procs 8 -metrics "$tmp/metrics.json" >/dev/null
 
+echo "== workload smoke"
+# amosim -app builds its point from the workload table: one closed-loop
+# kernel and one open-loop traffic workload on every backend, each writing
+# a self-verifying -metrics document.
+for b in amo syncron dsm; do
+	go run ./cmd/amosim -app histogram -mech AMO -procs 16 -backend "$b" -metrics "$tmp/metrics.json" >/dev/null
+	go run ./cmd/amosim -app mpmc -mech AMO -procs 16 -requests 200 -backend "$b" -metrics "$tmp/metrics.json" >/dev/null
+done
+
 echo "== amotables determinism"
 # One CLI run end to end: Table 2 at -workers 1 on the sequential kernel
 # and at -workers 4 on the parallel kernel must print the same bytes, and

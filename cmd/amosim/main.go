@@ -24,8 +24,7 @@
 // a saturation verdict.
 //
 // The experiment runs as a single point on the sweep engine, so it gets
-// the same deadline, deadlock-capture and retry semantics as a table
-// sweep.
+// the same deadline and error reporting as a table sweep.
 //
 // With -metrics PATH the full result record — including the
 // measurement-window metrics Snapshot every printed figure derives from —

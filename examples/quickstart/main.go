@@ -83,7 +83,7 @@ func main() {
 		fmt.Printf("  %-20s %8.1f cycles/barrier\n", pt.Label, r.CyclesPerBarrier)
 	}
 
-	// Application workloads register as typed specs: look one up by name
+	// Application workloads are one table of specs: look one up by name
 	// (amosim.WorkloadSpecs() lists all of them) and build its sweep point.
 	// Every spec parameter appears in both the point's label and its cache
 	// key, and the kernel verifies its output against a host oracle.

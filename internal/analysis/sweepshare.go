@@ -14,19 +14,11 @@ import (
 // workers — a data race the race detector only catches on the schedules
 // that hit it. Structural blindness makes the shared-machine bug
 // unrepresentable: machines exist only inside Point.Run closures built by
-// the experiment layer. The one allowed internal import is internal/sim,
-// for the engine's deadlock-classification of *sim.ErrDeadlock (an error
-// type, not machine state).
+// the experiment layer. The engine imports no module package at all.
 type SweepShareRule struct{}
 
 // Name implements Rule.
 func (SweepShareRule) Name() string { return "sweepshare" }
-
-// sweepAllowedImports are the module-internal packages internal/sweep may
-// import.
-var sweepAllowedImports = map[string]bool{
-	"internal/sim": true,
-}
 
 // Check implements Rule.
 func (SweepShareRule) Check(mod *Module, pkg *Package) []Diagnostic {
@@ -42,10 +34,6 @@ func (SweepShareRule) Check(mod *Module, pkg *Package) []Diagnostic {
 			}
 			if path != mod.Path && !strings.HasPrefix(path, mod.Path+"/") {
 				continue // stdlib
-			}
-			rel := strings.TrimPrefix(strings.TrimPrefix(path, mod.Path), "/")
-			if sweepAllowedImports[rel] {
-				continue
 			}
 			out = append(out, Diagnostic{
 				Pos:  mod.Fset.Position(imp.Pos()),

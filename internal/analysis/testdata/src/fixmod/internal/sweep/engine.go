@@ -1,15 +1,15 @@
 // Package sweep is a sweepshare-rule fixture: the sweep engine must stay
-// machine-blind, so importing a machine-state package is the positive and
-// the event kernel (internal/sim) is the allowed true negative.
+// machine-blind, so importing any module package — a machine-state
+// package or the event kernel (internal/sim) — is a positive.
 package sweep
 
 import (
 	"fixmod/internal/machine" // want "internal/sweep must stay machine-blind"
-	"fixmod/internal/sim"
+	"fixmod/internal/sim"     // want "internal/sweep must stay machine-blind"
 )
 
-// Drive spawns a worker through the event kernel (allowed) and stamps it
-// via the machine package (flagged at the import above).
+// Drive spawns a worker through the event kernel and stamps it via the
+// machine package (both flagged at the imports above).
 func Drive(f func()) int64 {
 	sim.Spawn(f)
 	return machine.Stamp()

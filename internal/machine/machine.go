@@ -322,7 +322,7 @@ func (m *Machine) Shutdown() { m.Eng.Shutdown() }
 // sink, so the trace is byte-identical across kernels.
 func (m *Machine) EnableTrace(capacity int) *trace.Tracer {
 	t := trace.New(capacity)
-	m.Eng.SetEmitSink(func(cycle uint64, kind, what string) { t.Add(cycle, kind, "%s", what) })
+	m.Eng.SetEmitSink(t.Add)
 	m.Net.SetTracing(true)
 	return t
 }

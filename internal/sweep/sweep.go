@@ -31,8 +31,8 @@
 // here) follow one convention, implemented by DefaultInt: a field left at
 // its zero value selects the documented default, applied exactly once at
 // the point where the options are consumed. Fields where zero is a
-// meaningful setting document a negative sentinel instead (see
-// Options.Retries).
+// meaningful setting document a negative sentinel instead (see the root
+// package's Runner.Timeout).
 package sweep
 
 import (
@@ -44,8 +44,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"amosim/internal/sim"
 )
 
 // Point is one independent, deterministic simulation run.
@@ -68,8 +66,6 @@ type Point struct {
 // reported in the same order, so a Spec's expansion order is part of its
 // output contract.
 type Spec interface {
-	// Name labels the family in errors and progress output.
-	Name() string
 	// Points returns the expansion in deterministic order.
 	Points() []Point
 }
@@ -77,7 +73,7 @@ type Spec interface {
 // Options tunes Run/RunPoints. The zero value selects every default.
 type Options struct {
 	// Context, when non-nil, cancels the sweep: points not yet started are
-	// skipped and in-flight attempts are abandoned as soon as the context
+	// skipped and in-flight points are abandoned as soon as the context
 	// is done, with RunPoints returning ctx.Err(). Nil means no
 	// cancellation (context.Background()).
 	Context context.Context
@@ -88,16 +84,13 @@ type Options struct {
 	// Cache, when non-nil, memoizes results by Point.Key across calls and
 	// deduplicates concurrently in-flight points with equal keys.
 	Cache *Cache
-	// Timeout is the per-attempt wall-clock deadline, a safety net against
+	// Timeout is the per-point wall-clock deadline, a safety net against
 	// harness hangs (a simulated deadlock is detected by the event kernel
 	// and returns promptly as an error; this guards the host-level rest).
-	// Zero disables it. A timed-out attempt abandons its goroutine.
+	// Zero disables it. A timed-out point abandons its goroutine. A point
+	// runs once: it is a deterministic simulation, so a rerun would fail
+	// the same way.
 	Timeout time.Duration
-	// Retries bounds re-execution after a failed attempt: 0 selects the
-	// default of one retry, negative disables retries. Simulated deadlocks
-	// are never retried — the machine is deterministic, so the retry
-	// budget exists only for host-level transients such as timeouts.
-	Retries int
 	// Progress, when non-nil, is called exactly once per point as it
 	// completes (in completion order, serialized by the engine).
 	Progress func(Event)
@@ -114,8 +107,6 @@ type Event struct {
 	Done, Total int
 	// Cached reports that the result came from the cache without running.
 	Cached bool
-	// Attempts is the number of executions (0 for cache hits).
-	Attempts int
 	// Err is the point's final error, if it failed.
 	Err error
 }
@@ -126,27 +117,18 @@ type PointError struct {
 	// Index is the point's position in the expansion; Label its label.
 	Index int
 	Label string
-	// Attempts is how many times the point was executed.
-	Attempts int
-	// Deadlock reports that the simulated machine deadlocked — a
-	// deterministic outcome, never retried.
-	Deadlock bool
-	// Err is the final attempt's error.
+	// Err is the point's error; a simulated deadlock stays reachable
+	// through errors.As.
 	Err error
 }
 
 func (e *PointError) Error() string {
-	kind := "failed"
-	if e.Deadlock {
-		kind = "deadlocked"
-	}
-	return fmt.Sprintf("sweep: point %d (%s) %s after %d attempt(s): %v",
-		e.Index, e.Label, kind, e.Attempts, e.Err)
+	return fmt.Sprintf("sweep: point %d (%s) failed: %v", e.Index, e.Label, e.Err)
 }
 
 func (e *PointError) Unwrap() error { return e.Err }
 
-// ErrTimeout marks an attempt abandoned at Options.Timeout.
+// ErrTimeout marks a point abandoned at Options.Timeout.
 var ErrTimeout = errors.New("sweep: run exceeded its wall-clock deadline")
 
 // DefaultInt implements the module's options convention: v == 0 selects
@@ -177,10 +159,6 @@ func RunPoints(points []Point, opts Options) ([]any, error) {
 	if workers > len(points) {
 		workers = len(points)
 	}
-	retries := DefaultInt(opts.Retries, 1)
-	if retries < 0 {
-		retries = 0
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -193,7 +171,7 @@ func RunPoints(points []Point, opts Options) ([]any, error) {
 	var progressMu sync.Mutex
 	completed := 0
 
-	report := func(i int, cached bool, attempts int, err error) {
+	report := func(i int, cached bool, err error) {
 		if opts.Progress == nil {
 			return
 		}
@@ -202,7 +180,7 @@ func RunPoints(points []Point, opts Options) ([]any, error) {
 		opts.Progress(Event{
 			Index: i, Label: points[i].Label,
 			Done: completed, Total: len(points),
-			Cached: cached, Attempts: attempts, Err: err,
+			Cached: cached, Err: err,
 		})
 		progressMu.Unlock()
 	}
@@ -220,12 +198,12 @@ func RunPoints(points []Point, opts Options) ([]any, error) {
 				if failed.Load() || ctx.Err() != nil {
 					continue // drain remaining indexes without running
 				}
-				v, cached, attempts, err := runPoint(ctx, points[i], i, opts, retries)
+				v, cached, err := runPoint(ctx, points[i], i, opts)
 				results[i], errs[i] = v, err
 				if err != nil {
 					failed.Store(true)
 				}
-				report(i, cached, attempts, err)
+				report(i, cached, err)
 			}
 		}()
 	}
@@ -242,65 +220,33 @@ func RunPoints(points []Point, opts Options) ([]any, error) {
 	return results, nil
 }
 
-// runPoint executes one point, consulting the cache and applying the retry
-// budget. It reports whether the result was served from cache and how many
-// attempts ran.
-func runPoint(ctx context.Context, p Point, index int, opts Options, retries int) (v any, cached bool, attempts int, err error) {
+// runPoint executes one point once, through the cache when one is set. It
+// reports whether the result was served from the cache.
+func runPoint(ctx context.Context, p Point, index int, opts Options) (any, bool, error) {
 	if p.Run == nil {
-		return nil, false, 0, &PointError{Index: index, Label: p.Label, Err: errors.New("sweep: point has nil Run")}
+		return nil, false, &PointError{Index: index, Label: p.Label, Err: errors.New("sweep: point has nil Run")}
 	}
-	run := func() (any, error) {
-		var rv any
-		var rerr error
-		// Label the attempt so a -cpuprofile/-memprofile capture attributes
+	run := func() (v any, err error) {
+		// Label the run so a -cpuprofile/-memprofile capture attributes
 		// samples to the sweep point that produced them.
 		pprof.Do(ctx, pprof.Labels("sweep_point", p.Label), func(ctx context.Context) {
-			rv, attempts, rerr = execute(ctx, p, index, opts.Timeout, retries)
+			v, err = attempt(ctx, p.Run, opts.Timeout)
 		})
-		return rv, rerr
+		if err != nil {
+			return nil, &PointError{Index: index, Label: p.Label, Err: err}
+		}
+		return v, nil
 	}
 	if opts.Cache != nil && p.Key != "" {
-		return cacheRun(opts.Cache, p.Key, run, &attempts)
+		return opts.Cache.Do(p.Key, run)
 	}
-	v, err = run()
-	return v, false, attempts, err
-}
-
-// cacheRun routes run through the cache, normalizing the attempt count to
-// zero on a hit (the point did not execute in this call).
-func cacheRun(c *Cache, key string, run func() (any, error), attempts *int) (any, bool, int, error) {
-	v, hit, err := c.Do(key, run)
-	if hit {
-		*attempts = 0
-	}
-	return v, hit, *attempts, err
-}
-
-// execute runs p's attempts: the first execution plus up to retries
-// re-executions, never retrying a simulated deadlock (deterministic) or a
-// cancelled context (the sweep is being torn down).
-func execute(ctx context.Context, p Point, index int, timeout time.Duration, retries int) (any, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		v, err := attempt(ctx, p.Run, timeout)
-		if err == nil {
-			return v, attempts, nil
-		}
-		var dl *sim.ErrDeadlock
-		deadlock := errors.As(err, &dl)
-		if deadlock || ctx.Err() != nil || attempts > retries {
-			return nil, attempts, &PointError{
-				Index: index, Label: p.Label,
-				Attempts: attempts, Deadlock: deadlock, Err: err,
-			}
-		}
-	}
+	v, err := run()
+	return v, false, err
 }
 
 // attempt invokes run, bounding it by the wall-clock timeout when one is
 // set and abandoning it when ctx is cancelled. On timeout or cancellation
-// the attempt's goroutine is abandoned (it holds only point-private state,
+// the run's goroutine is abandoned (it holds only point-private state,
 // so nothing it later does can corrupt other runs).
 func attempt(ctx context.Context, run func() (any, error), timeout time.Duration) (any, error) {
 	if timeout <= 0 && ctx.Done() == nil {

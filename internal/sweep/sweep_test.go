@@ -56,7 +56,7 @@ func TestErrorNamesLowestIndexedPoint(t *testing.T) {
 	pts := intPoints(6)
 	pts[1].Run = func() (any, error) { return nil, errors.New("boom-1") }
 	pts[4].Run = func() (any, error) { return nil, errors.New("boom-4") }
-	_, err := RunPoints(pts, Options{Workers: 1, Retries: -1})
+	_, err := RunPoints(pts, Options{Workers: 1})
 	var pe *PointError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %v is not a *PointError", err)
@@ -66,73 +66,33 @@ func TestErrorNamesLowestIndexedPoint(t *testing.T) {
 	}
 }
 
-func TestRetryOnceThenSucceed(t *testing.T) {
-	var calls atomic.Int32
-	pts := []Point{{
-		Label: "flaky",
-		Run: func() (any, error) {
-			if calls.Add(1) == 1 {
-				return nil, errors.New("transient")
-			}
-			return "ok", nil
-		},
-	}}
-	var events []Event
-	vals, err := RunPoints(pts, Options{Workers: 1, Progress: func(e Event) { events = append(events, e) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] != "ok" || calls.Load() != 2 {
-		t.Fatalf("vals=%v calls=%d, want ok after 2 attempts", vals, calls.Load())
-	}
-	if len(events) != 1 || events[0].Attempts != 2 {
-		t.Fatalf("progress events = %+v, want one event with Attempts=2", events)
-	}
-}
-
-func TestRetryBudgetBounded(t *testing.T) {
-	var calls atomic.Int32
-	pts := []Point{{
-		Label: "alwaysfails",
-		Run: func() (any, error) {
-			calls.Add(1)
-			return nil, errors.New("permanent")
-		},
-	}}
-	_, err := RunPoints(pts, Options{Workers: 1})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if calls.Load() != 2 { // first attempt + the single default retry
-		t.Fatalf("point executed %d times, want 2", calls.Load())
-	}
-	var pe *PointError
-	if !errors.As(err, &pe) || pe.Attempts != 2 {
-		t.Fatalf("error = %v, want PointError with Attempts=2", err)
-	}
-}
-
+// A failed point runs once, with or without a cache (a point is a
+// deterministic simulation, so a rerun would fail the same way), and a
+// simulated deadlock stays reachable through the wrap.
 func TestDeadlockIsCapturedAndNeverRetried(t *testing.T) {
-	var calls atomic.Int32
-	dead := &sim.ErrDeadlock{At: 1234, Procs: 3}
-	pts := []Point{{
-		Label: "deadlocks",
-		Run: func() (any, error) {
-			calls.Add(1)
-			return nil, fmt.Errorf("wrapped: %w", dead)
-		},
-	}}
-	_, err := RunPoints(pts, Options{Workers: 1})
-	var pe *PointError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v is not a *PointError", err)
-	}
-	if !pe.Deadlock || pe.Attempts != 1 || calls.Load() != 1 {
-		t.Fatalf("deadlock retried: %+v (calls=%d)", pe, calls.Load())
-	}
-	var dl *sim.ErrDeadlock
-	if !errors.As(err, &dl) || dl.At != 1234 {
-		t.Fatalf("deadlock cause not preserved through the wrap: %v", err)
+	for _, cache := range []*Cache{nil, NewCache()} {
+		var calls atomic.Int32
+		dead := &sim.ErrDeadlock{At: 1234, Procs: 3}
+		pts := []Point{{
+			Label: "deadlocks",
+			Key:   KeyOf("deadlocks"),
+			Run: func() (any, error) {
+				calls.Add(1)
+				return nil, fmt.Errorf("wrapped: %w", dead)
+			},
+		}}
+		_, err := RunPoints(pts, Options{Workers: 1, Cache: cache})
+		var pe *PointError
+		if !errors.As(err, &pe) || pe.Index != 0 || pe.Label != "deadlocks" {
+			t.Fatalf("cache %v: error %v is not point 0's *PointError", cache != nil, err)
+		}
+		if calls.Load() != 1 {
+			t.Fatalf("cache %v: failed point ran %d times, want 1", cache != nil, calls.Load())
+		}
+		var dl *sim.ErrDeadlock
+		if !errors.As(err, &dl) || dl.At != 1234 {
+			t.Fatalf("cache %v: deadlock cause not preserved through the wrap: %v", cache != nil, err)
+		}
 	}
 }
 
@@ -146,7 +106,7 @@ func TestTimeoutAbandonsAttempt(t *testing.T) {
 			return nil, nil
 		},
 	}}
-	_, err := RunPoints(pts, Options{Workers: 1, Timeout: 5 * time.Millisecond, Retries: -1})
+	_, err := RunPoints(pts, Options{Workers: 1, Timeout: 5 * time.Millisecond})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("error = %v, want ErrTimeout", err)
 	}
@@ -315,7 +275,6 @@ func TestSpecExpansionRuns(t *testing.T) {
 
 type testSpec struct{ n int }
 
-func (s testSpec) Name() string    { return "testspec" }
 func (s testSpec) Points() []Point { return intPoints(s.n) }
 
 func TestDefaultInt(t *testing.T) {

@@ -20,8 +20,8 @@ type Record struct {
 	What string
 }
 
-// Tracer is a bounded in-memory event log. The zero value is a disabled
-// tracer; create with New. Tracer methods are safe to call from event
+// Tracer is a bounded in-memory event log; create one with New. A nil
+// *Tracer is a disabled tracer. Tracer methods are safe to call from event
 // context (they never block or allocate unboundedly).
 type Tracer struct {
 	cap     int
@@ -29,7 +29,6 @@ type Tracer struct {
 	start   int // ring start when full
 	full    bool
 	dropped uint64
-	filter  func(Record) bool
 }
 
 // New creates a tracer retaining at most capacity records.
@@ -40,21 +39,13 @@ func New(capacity int) *Tracer {
 	return &Tracer{cap: capacity}
 }
 
-// SetFilter installs a predicate; records it rejects are counted as dropped
-// but not stored. A nil filter accepts everything.
-func (t *Tracer) SetFilter(f func(Record) bool) { t.filter = f }
-
-// Add appends a record. Nil tracers ignore the call, so components can
-// trace unconditionally.
-func (t *Tracer) Add(cycle uint64, kind, format string, args ...interface{}) {
+// Add appends a record of the rendered line what. Nil tracers ignore the
+// call, so components can trace unconditionally.
+func (t *Tracer) Add(cycle uint64, kind, what string) {
 	if t == nil {
 		return
 	}
-	r := Record{Cycle: cycle, Kind: kind, What: fmt.Sprintf(format, args...)}
-	if t.filter != nil && !t.filter(r) {
-		t.dropped++
-		return
-	}
+	r := Record{Cycle: cycle, Kind: kind, What: what}
 	if len(t.records) < t.cap {
 		t.records = append(t.records, r)
 		return
@@ -73,9 +64,8 @@ func (t *Tracer) Len() int {
 	return len(t.records)
 }
 
-// Dropped reports how many records were lost: rejected by the filter or
-// overwritten by ring-buffer wraparound. Len() + Dropped() therefore equals
-// the total number of Add calls since the last Reset.
+// Dropped reports how many records were lost to ring-buffer wraparound.
+// Len() + Dropped() therefore equals the total number of Add calls.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -97,17 +87,6 @@ func (t *Tracer) Records() []Record {
 	out = append(out, t.records[t.start:]...)
 	out = append(out, t.records[:t.start]...)
 	return out
-}
-
-// Reset clears all retained records.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.records = t.records[:0]
-	t.start = 0
-	t.full = false
-	t.dropped = 0
 }
 
 // Dump writes the retained records to w, one per line, aligned on cycle.

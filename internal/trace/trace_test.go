@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,7 +13,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Records() != nil {
 		t.Fatal("nil tracer misbehaved")
 	}
-	tr.Reset()
 }
 
 func TestNewPanicsOnBadCapacity(t *testing.T) {
@@ -26,7 +26,7 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 
 func TestAddAndRecords(t *testing.T) {
 	tr := New(10)
-	tr.Add(5, "msg", "a=%d", 1)
+	tr.Add(5, "msg", "a=1")
 	tr.Add(7, "dir", "b")
 	rs := tr.Records()
 	if len(rs) != 2 {
@@ -40,7 +40,7 @@ func TestAddAndRecords(t *testing.T) {
 func TestRingWrapKeepsNewest(t *testing.T) {
 	tr := New(3)
 	for i := uint64(0); i < 7; i++ {
-		tr.Add(i, "msg", "e%d", i)
+		tr.Add(i, "msg", fmt.Sprintf("e%d", i))
 	}
 	rs := tr.Records()
 	if len(rs) != 3 {
@@ -50,32 +50,6 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 		if rs[i].Cycle != want {
 			t.Fatalf("records = %+v", rs)
 		}
-	}
-}
-
-func TestFilterCountsDropped(t *testing.T) {
-	tr := New(10)
-	tr.SetFilter(func(r Record) bool { return r.Kind == "amu" })
-	tr.Add(1, "msg", "nope")
-	tr.Add(2, "amu", "yes")
-	if tr.Len() != 1 || tr.Dropped() != 1 {
-		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
-	}
-}
-
-func TestReset(t *testing.T) {
-	tr := New(2)
-	tr.Add(1, "msg", "x")
-	tr.Add(2, "msg", "y")
-	tr.Add(3, "msg", "z") // wraps
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatalf("len after reset = %d", tr.Len())
-	}
-	tr.Add(9, "msg", "fresh")
-	rs := tr.Records()
-	if len(rs) != 1 || rs[0].Cycle != 9 {
-		t.Fatalf("records = %+v", rs)
 	}
 }
 
@@ -93,41 +67,13 @@ func TestDumpFormat(t *testing.T) {
 func TestWraparoundCountsDropped(t *testing.T) {
 	tr := New(3)
 	for i := uint64(0); i < 7; i++ {
-		tr.Add(i, "msg", "e%d", i)
+		tr.Add(i, "msg", fmt.Sprintf("e%d", i))
 	}
 	if got := tr.Dropped(); got != 4 {
 		t.Fatalf("Dropped() = %d after 7 adds into cap 3, want 4", got)
 	}
 	if tr.Len()+int(tr.Dropped()) != 7 {
 		t.Fatalf("Len()+Dropped() = %d+%d, want 7", tr.Len(), tr.Dropped())
-	}
-	tr.Reset()
-	if tr.Dropped() != 0 {
-		t.Fatalf("Dropped() = %d after Reset, want 0", tr.Dropped())
-	}
-}
-
-// TestFilterAndCapacityInteraction: filter rejections and wraparound losses
-// accumulate in one Dropped counter, and filtered records never consume
-// ring slots.
-func TestFilterAndCapacityInteraction(t *testing.T) {
-	tr := New(2)
-	tr.SetFilter(func(r Record) bool { return r.Kind == "amu" })
-	for i := uint64(0); i < 4; i++ {
-		tr.Add(i, "msg", "rejected%d", i) // 4 filter drops, no slots used
-	}
-	for i := uint64(10); i < 13; i++ {
-		tr.Add(i, "amu", "kept%d", i) // fills cap 2, then 1 wrap drop
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", tr.Len())
-	}
-	if got := tr.Dropped(); got != 5 {
-		t.Fatalf("Dropped() = %d, want 4 filtered + 1 wrapped = 5", got)
-	}
-	rs := tr.Records()
-	if rs[0].Cycle != 11 || rs[1].Cycle != 12 {
-		t.Fatalf("records = %+v, want cycles 11,12", rs)
 	}
 }
 

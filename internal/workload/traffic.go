@@ -99,28 +99,26 @@ type TrafficResult struct {
 	Metrics metrics.Snapshot
 }
 
-// trafficApp is one irregular request workload: build allocates and
+// trafficApp is one irregular request workload: it allocates and
 // initializes the shared structure (pre-run memory writes plus host
 // oracle state for total requests), returning the per-request work body
 // and the post-run verifier.
-type trafficApp struct {
-	name  string
-	build func(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (work func(c *proc.CPU, req int), verify func() error, err error)
-}
+type trafficApp func(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (work func(c *proc.CPU, req int), verify func() error)
 
-// runTraffic drives one open-loop run: warm-up injection phase, quiesce,
-// snapshot, measured injection phase, quiesce, verify, report.
-func runTraffic(cfg config.Config, mech syncprim.Mechanism, rc RunConfig, app trafficApp, o TrafficOptions) (TrafficResult, error) {
+// runTraffic drives one open-loop run of the workload named name:
+// warm-up injection phase, quiesce, snapshot, measured injection phase,
+// quiesce, verify, report.
+func runTraffic(cfg config.Config, mech syncprim.Mechanism, rc RunConfig, name string, app trafficApp, o TrafficOptions) (TrafficResult, error) {
 	o = o.WithDefaults()
 	process, err := traffic.ParseProcess(o.Process)
 	if err != nil {
-		return TrafficResult{}, fmt.Errorf("workload: %s: %w", app.name, err)
+		return TrafficResult{}, fmt.Errorf("workload: %s: %w", name, err)
 	}
 	if o.Requests < 1 || o.Warmup < 0 {
-		return TrafficResult{}, fmt.Errorf("workload: %s needs requests >= 1, warmup >= 0 (got %d, %d)", app.name, o.Requests, o.Warmup)
+		return TrafficResult{}, fmt.Errorf("workload: %s needs requests >= 1, warmup >= 0 (got %d, %d)", name, o.Requests, o.Warmup)
 	}
 	fail := func(err error) (TrafficResult, error) {
-		return TrafficResult{}, fmt.Errorf("workload: %s (%v, %d procs): %w", app.name, mech, cfg.Processors, err)
+		return TrafficResult{}, fmt.Errorf("workload: %s (%v, %d procs): %w", name, mech, cfg.Processors, err)
 	}
 
 	m, err := machine.New(cfg)
@@ -133,10 +131,7 @@ func runTraffic(cfg config.Config, mech syncprim.Mechanism, rc RunConfig, app tr
 
 	total := o.Warmup + o.Requests
 	seeds := chaos.NewRNG(o.Seed)
-	work, verify, err := app.build(m, mech, total, seeds.Split("payload/"+app.name))
-	if err != nil {
-		return fail(err)
-	}
+	work, verify := app(m, mech, total, seeds.Split("payload/"+name))
 
 	procs := cfg.Processors
 	warmTicket := m.AllocWord(0)
@@ -221,7 +216,7 @@ func runTraffic(cfg config.Config, mech syncprim.Mechanism, rc RunConfig, app tr
 	offered := float64(o.Rate)
 	achieved := float64(o.Requests) * 1000 / float64(win.Cycle)
 	return TrafficResult{
-		Name:      app.name,
+		Name:      name,
 		Mechanism: mech.String(),
 		Procs:     procs,
 		Process:   o.Process,
@@ -246,12 +241,11 @@ type simGraph struct {
 	adjAddr [][]uint64
 }
 
-// buildGraph realizes a connected graph (a ring plus extra random edges
-// per vertex) and writes the adjacency lists into simulated memory.
-func buildGraph(m *machine.Machine, v, extra int, r *chaos.RNG) (*simGraph, error) {
-	if v < 4 {
-		return nil, fmt.Errorf("graph needs >= 4 vertices (got %d)", v)
-	}
+// buildGraph realizes a connected graph of trafficGraphVertices vertices
+// (a ring plus extra random edges per vertex) and writes the adjacency
+// lists into simulated memory.
+func buildGraph(m *machine.Machine, extra int, r *chaos.RNG) *simGraph {
+	v := trafficGraphVertices
 	adjSet := make([]map[int]bool, v)
 	for u := range adjSet {
 		adjSet[u] = make(map[int]bool)
@@ -290,215 +284,203 @@ func buildGraph(m *machine.Machine, v, extra int, r *chaos.RNG) (*simGraph, erro
 		}
 		g.adjAddr[u] = addrs
 	}
-	return g, nil
+	return g
 }
 
-// graph workload defaults.
+// graph workload sizes.
 const (
 	trafficGraphVertices = 96
 	trafficGraphExtra    = 2
 	trafficLevelBins     = 16
 )
 
+// graphParams are the graph workloads' fixed parameters.
+var graphParams = []NamedParam{ParamInt("v", trafficGraphVertices)}
+
 // bfsApp is partitioned-graph BFS under traffic: each request chases the
 // BFS parent chain from a pseudo-random start vertex to the root — an
 // irregular cross-node pointer walk — then bins the discovered depth into
 // a shared level histogram with the mechanism's fetch-add.
-func bfsApp(vertices int) trafficApp {
-	return trafficApp{name: "bfs", build: func(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error, error) {
-		g, err := buildGraph(m, vertices, trafficGraphExtra, r.Split("graph"))
-		if err != nil {
-			return nil, nil, err
-		}
-		// Host BFS from vertex 0: level and tree parent of every vertex
-		// (the ring makes the graph connected).
-		level := make([]int, g.v)
-		parent := make([]int, g.v)
-		for u := range level {
-			level[u] = -1
-		}
-		level[0], parent[0] = 0, 0
-		queue := []int{0}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.adj[u] {
-				if level[w] < 0 {
-					level[w] = level[u] + 1
-					parent[w] = u
-					queue = append(queue, w)
-				}
+func bfsApp(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error) {
+	g := buildGraph(m, trafficGraphExtra, r.Split("graph"))
+	// Host BFS from vertex 0: level and tree parent of every vertex
+	// (the ring makes the graph connected).
+	level := make([]int, g.v)
+	parent := make([]int, g.v)
+	for u := range level {
+		level[u] = -1
+	}
+	level[0], parent[0] = 0, 0
+	queue := []int{0}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, w := range g.adj[u] {
+			if level[w] < 0 {
+				level[w] = level[u] + 1
+				parent[w] = u
+				queue = append(queue, w)
 			}
 		}
-		nodes := m.Cfg.Nodes()
-		parentAddr := make([]uint64, g.v)
-		for u := 0; u < g.v; u++ {
-			parentAddr[u] = m.AllocWord(u % nodes)
-			m.Mem.WriteWord(parentAddr[u], uint64(parent[u]))
+	}
+	nodes := m.Cfg.Nodes()
+	parentAddr := make([]uint64, g.v)
+	for u := 0; u < g.v; u++ {
+		parentAddr[u] = m.AllocWord(u % nodes)
+		m.Mem.WriteWord(parentAddr[u], uint64(parent[u]))
+	}
+	binAddr := make([]uint64, trafficLevelBins)
+	for b := range binAddr {
+		binAddr[b] = m.AllocWord(b % nodes)
+	}
+	pr := r.Split("requests")
+	reqVertex := make([]int, total)
+	want := make([]uint64, trafficLevelBins)
+	for i := range reqVertex {
+		reqVertex[i] = pr.Intn(g.v)
+		want[level[reqVertex[i]]%trafficLevelBins]++
+	}
+	work := func(c *proc.CPU, req int) {
+		v := reqVertex[req]
+		hops := 0
+		for v != 0 {
+			v = int(c.Load(parentAddr[v]))
+			hops++
 		}
-		binAddr := make([]uint64, trafficLevelBins)
+		syncprim.FetchAdd(c, mech, binAddr[hops%trafficLevelBins], 1)
+	}
+	verify := func() error {
 		for b := range binAddr {
-			binAddr[b] = m.AllocWord(b % nodes)
-		}
-		pr := r.Split("requests")
-		reqVertex := make([]int, total)
-		want := make([]uint64, trafficLevelBins)
-		for i := range reqVertex {
-			reqVertex[i] = pr.Intn(g.v)
-			want[level[reqVertex[i]]%trafficLevelBins]++
-		}
-		work := func(c *proc.CPU, req int) {
-			v := reqVertex[req]
-			hops := 0
-			for v != 0 {
-				v = int(c.Load(parentAddr[v]))
-				hops++
+			if got := m.ReadWordCoherent(binAddr[b]); got != want[b] {
+				return fmt.Errorf("level bin %d = %d, want %d", b, got, want[b])
 			}
-			syncprim.FetchAdd(c, mech, binAddr[hops%trafficLevelBins], 1)
 		}
-		verify := func() error {
-			for b := range binAddr {
-				if got := m.ReadWordCoherent(binAddr[b]); got != want[b] {
-					return fmt.Errorf("level bin %d = %d, want %d", b, got, want[b])
-				}
-			}
-			return nil
-		}
-		return work, verify, nil
-	}}
+		return nil
+	}
+	return work, verify
 }
 
 // pagerankApp is push-style PageRank under traffic: each request loads a
 // vertex's integer contribution and scatters it to every neighbour's
 // accumulator with the mechanism's fetch-add — fine-grained contended
 // updates across node memories.
-func pagerankApp(vertices int) trafficApp {
-	return trafficApp{name: "pagerank", build: func(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error, error) {
-		g, err := buildGraph(m, vertices, trafficGraphExtra, r.Split("graph"))
-		if err != nil {
-			return nil, nil, err
+func pagerankApp(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error) {
+	g := buildGraph(m, trafficGraphExtra, r.Split("graph"))
+	nodes := m.Cfg.Nodes()
+	contrib := make([]uint64, g.v)
+	contribAddr := make([]uint64, g.v)
+	accAddr := make([]uint64, g.v)
+	cr := r.Split("contrib")
+	for u := 0; u < g.v; u++ {
+		contrib[u] = uint64(1 + cr.Intn(100))
+		contribAddr[u] = m.AllocWord(u % nodes)
+		m.Mem.WriteWord(contribAddr[u], contrib[u])
+		accAddr[u] = m.AllocWord(u % nodes)
+	}
+	pr := r.Split("requests")
+	reqVertex := make([]int, total)
+	want := make([]uint64, g.v)
+	for i := range reqVertex {
+		u := pr.Intn(g.v)
+		reqVertex[i] = u
+		for _, w := range g.adj[u] {
+			want[w] += contrib[u]
 		}
-		nodes := m.Cfg.Nodes()
-		contrib := make([]uint64, g.v)
-		contribAddr := make([]uint64, g.v)
-		accAddr := make([]uint64, g.v)
-		cr := r.Split("contrib")
+	}
+	work := func(c *proc.CPU, req int) {
+		u := reqVertex[req]
+		cv := c.Load(contribAddr[u])
+		for _, na := range g.adjAddr[u] {
+			w := c.Load(na)
+			syncprim.FetchAdd(c, mech, accAddr[w], cv)
+		}
+	}
+	verify := func() error {
 		for u := 0; u < g.v; u++ {
-			contrib[u] = uint64(1 + cr.Intn(100))
-			contribAddr[u] = m.AllocWord(u % nodes)
-			m.Mem.WriteWord(contribAddr[u], contrib[u])
-			accAddr[u] = m.AllocWord(u % nodes)
-		}
-		pr := r.Split("requests")
-		reqVertex := make([]int, total)
-		want := make([]uint64, g.v)
-		for i := range reqVertex {
-			u := pr.Intn(g.v)
-			reqVertex[i] = u
-			for _, w := range g.adj[u] {
-				want[w] += contrib[u]
+			if got := m.ReadWordCoherent(accAddr[u]); got != want[u] {
+				return fmt.Errorf("acc[%d] = %d, want %d", u, got, want[u])
 			}
 		}
-		work := func(c *proc.CPU, req int) {
-			u := reqVertex[req]
-			cv := c.Load(contribAddr[u])
-			for _, na := range g.adjAddr[u] {
-				w := c.Load(na)
-				syncprim.FetchAdd(c, mech, accAddr[w], cv)
-			}
-		}
-		verify := func() error {
-			for u := 0; u < g.v; u++ {
-				if got := m.ReadWordCoherent(accAddr[u]); got != want[u] {
-					return fmt.Errorf("acc[%d] = %d, want %d", u, got, want[u])
-				}
-			}
-			return nil
-		}
-		return work, verify, nil
-	}}
+		return nil
+	}
+	return work, verify
 }
 
 // trianglesApp is triangle counting under traffic: each request intersects
 // the sorted adjacency lists of a pseudo-random edge's endpoints (loading
 // both lists from their home nodes) and adds the local triangle count to a
 // shared total.
-func trianglesApp(vertices int) trafficApp {
-	return trafficApp{name: "triangles", build: func(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error, error) {
-		// Denser than the other graph apps so intersections are nonempty.
-		g, err := buildGraph(m, vertices, trafficGraphExtra+2, r.Split("graph"))
-		if err != nil {
-			return nil, nil, err
+func trianglesApp(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error) {
+	// Denser than the other graph apps so intersections are nonempty.
+	g := buildGraph(m, trafficGraphExtra+2, r.Split("graph"))
+	totalAddr := m.AllocWord(0)
+	pr := r.Split("requests")
+	reqU := make([]int, total)
+	reqV := make([]int, total)
+	var want uint64
+	common := func(u, v int) uint64 {
+		var n uint64
+		i, j := 0, 0
+		for i < len(g.adj[u]) && j < len(g.adj[v]) {
+			a, b := g.adj[u][i], g.adj[v][j]
+			switch {
+			case a == b:
+				n++
+				i++
+				j++
+			case a < b:
+				i++
+			default:
+				j++
+			}
 		}
-		totalAddr := m.AllocWord(0)
-		pr := r.Split("requests")
-		reqU := make([]int, total)
-		reqV := make([]int, total)
-		var want uint64
-		common := func(u, v int) uint64 {
-			var n uint64
-			i, j := 0, 0
-			for i < len(g.adj[u]) && j < len(g.adj[v]) {
-				a, b := g.adj[u][i], g.adj[v][j]
-				switch {
-				case a == b:
-					n++
-					i++
-					j++
-				case a < b:
-					i++
-				default:
-					j++
+		return n
+	}
+	for i := range reqU {
+		u := pr.Intn(g.v)
+		v := g.adj[u][pr.Intn(len(g.adj[u]))]
+		reqU[i], reqV[i] = u, v
+		want += common(u, v)
+	}
+	work := func(c *proc.CPU, req int) {
+		au, av := g.adjAddr[reqU[req]], g.adjAddr[reqV[req]]
+		var n uint64
+		i, j := 0, 0
+		a, b := c.Load(au[i]), c.Load(av[j])
+		for {
+			switch {
+			case a == b:
+				n++
+				i++
+				j++
+				if i >= len(au) || j >= len(av) {
+					goto done
 				}
-			}
-			return n
-		}
-		for i := range reqU {
-			u := pr.Intn(g.v)
-			v := g.adj[u][pr.Intn(len(g.adj[u]))]
-			reqU[i], reqV[i] = u, v
-			want += common(u, v)
-		}
-		work := func(c *proc.CPU, req int) {
-			au, av := g.adjAddr[reqU[req]], g.adjAddr[reqV[req]]
-			var n uint64
-			i, j := 0, 0
-			a, b := c.Load(au[i]), c.Load(av[j])
-			for {
-				switch {
-				case a == b:
-					n++
-					i++
-					j++
-					if i >= len(au) || j >= len(av) {
-						goto done
-					}
-					a, b = c.Load(au[i]), c.Load(av[j])
-				case a < b:
-					i++
-					if i >= len(au) {
-						goto done
-					}
-					a = c.Load(au[i])
-				default:
-					j++
-					if j >= len(av) {
-						goto done
-					}
-					b = c.Load(av[j])
+				a, b = c.Load(au[i]), c.Load(av[j])
+			case a < b:
+				i++
+				if i >= len(au) {
+					goto done
 				}
+				a = c.Load(au[i])
+			default:
+				j++
+				if j >= len(av) {
+					goto done
+				}
+				b = c.Load(av[j])
 			}
-		done:
-			syncprim.FetchAdd(c, mech, totalAddr, n)
 		}
-		verify := func() error {
-			if got := m.ReadWordCoherent(totalAddr); got != want {
-				return fmt.Errorf("triangle total = %d, want %d", got, want)
-			}
-			return nil
+	done:
+		syncprim.FetchAdd(c, mech, totalAddr, n)
+	}
+	verify := func() error {
+		if got := m.ReadWordCoherent(totalAddr); got != want {
+			return fmt.Errorf("triangle total = %d, want %d", got, want)
 		}
-		return work, verify, nil
-	}}
+		return nil
+	}
+	return work, verify
 }
 
 // workqueueApp is a producer-consumer work queue under traffic: even
@@ -507,7 +489,7 @@ func trianglesApp(vertices int) trafficApp {
 // into a shared checksum with the mechanism's fetch-add). Ticket order
 // guarantees the producer of item j is claimed before its consumer, and
 // producers never block, so the queue is deadlock-free at any rate.
-var workqueueApp = trafficApp{name: "workqueue", build: func(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error, error) {
+func workqueueApp(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error) {
 	items := (total + 1) / 2
 	nodes := m.Cfg.Nodes()
 	valAddr := make([]uint64, items)
@@ -543,8 +525,8 @@ var workqueueApp = trafficApp{name: "workqueue", build: func(m *machine.Machine,
 		}
 		return nil
 	}
-	return work, verify, nil
-}}
+	return work, verify
+}
 
 // mpmcApp is a fetch-add MPMC ring under traffic: each request pushes a
 // payload (tail ticket, publish value then flag) and pops one (head
@@ -552,7 +534,7 @@ var workqueueApp = trafficApp{name: "workqueue", build: func(m *machine.Machine,
 // square into shared checksums — the classic combining-friendly
 // fetch-add queue. Every push precedes the pusher's own pop, so head
 // never overtakes tail and the ring is deadlock-free.
-var mpmcApp = trafficApp{name: "mpmc", build: func(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error, error) {
+func mpmcApp(m *machine.Machine, mech syncprim.Mechanism, total int, r *chaos.RNG) (func(c *proc.CPU, req int), func() error) {
 	nodes := m.Cfg.Nodes()
 	valAddr := make([]uint64, total)
 	flagAddr := make([]uint64, total)
@@ -597,8 +579,8 @@ var mpmcApp = trafficApp{name: "mpmc", build: func(m *machine.Machine, mech sync
 		}
 		return nil
 	}
-	return work, verify, nil
-}}
+	return work, verify
+}
 
 // trafficParams renders the driver options for labels and cache keys.
 func trafficParams(o TrafficOptions) []NamedParam {
@@ -610,175 +592,4 @@ func trafficParams(o TrafficOptions) []NamedParam {
 		ParamInt("warm", o.Warmup),
 		ParamUint("seed", o.Seed),
 	}
-}
-
-// TrafficCapable marks the open-loop traffic specs: WithTraffic returns a
-// copy of the spec at the given offered-load options, which is how table
-// generators sweep one workload across a rate ladder.
-type TrafficCapable interface {
-	Spec
-	WithTraffic(o TrafficOptions) Spec
-}
-
-// TrafficSpec returns the registered traffic spec for app with its driver
-// options replaced, or false if app is not a traffic workload.
-func TrafficSpec(app string, o TrafficOptions) (Spec, bool) {
-	s, ok := ByName(app)
-	if !ok {
-		return nil, false
-	}
-	tc, ok := s.(TrafficCapable)
-	if !ok {
-		return nil, false
-	}
-	return tc.WithTraffic(o), true
-}
-
-// BFSSpec is the open-loop BFS parent-chase workload.
-type BFSSpec struct {
-	// Vertices sizes the partitioned graph (default 96).
-	Vertices int
-	// Traffic configures the open-loop driver.
-	Traffic TrafficOptions
-}
-
-// WithDefaults resolves zero-valued fields to the documented defaults.
-func (s BFSSpec) WithDefaults() BFSSpec {
-	s.Vertices = sweep.DefaultInt(s.Vertices, trafficGraphVertices)
-	s.Traffic = s.Traffic.WithDefaults()
-	return s
-}
-
-// Name implements Spec.
-func (s BFSSpec) Name() string { return "bfs" }
-
-// Params implements Spec.
-func (s BFSSpec) Params() []NamedParam {
-	s = s.WithDefaults()
-	return append([]NamedParam{ParamInt("v", s.Vertices)}, trafficParams(s.Traffic)...)
-}
-
-// WithTraffic implements TrafficCapable.
-func (s BFSSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return s }
-
-// Point implements Spec.
-func (s BFSSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
-	s = s.WithDefaults()
-	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
-		return runTraffic(cfg, mech, rc, bfsApp(s.Vertices), s.Traffic)
-	})
-}
-
-// PageRankSpec is the open-loop push-PageRank workload.
-type PageRankSpec struct {
-	// Vertices sizes the partitioned graph (default 96).
-	Vertices int
-	// Traffic configures the open-loop driver.
-	Traffic TrafficOptions
-}
-
-// WithDefaults resolves zero-valued fields to the documented defaults.
-func (s PageRankSpec) WithDefaults() PageRankSpec {
-	s.Vertices = sweep.DefaultInt(s.Vertices, trafficGraphVertices)
-	s.Traffic = s.Traffic.WithDefaults()
-	return s
-}
-
-// Name implements Spec.
-func (s PageRankSpec) Name() string { return "pagerank" }
-
-// Params implements Spec.
-func (s PageRankSpec) Params() []NamedParam {
-	s = s.WithDefaults()
-	return append([]NamedParam{ParamInt("v", s.Vertices)}, trafficParams(s.Traffic)...)
-}
-
-// WithTraffic implements TrafficCapable.
-func (s PageRankSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return s }
-
-// Point implements Spec.
-func (s PageRankSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
-	s = s.WithDefaults()
-	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
-		return runTraffic(cfg, mech, rc, pagerankApp(s.Vertices), s.Traffic)
-	})
-}
-
-// TrianglesSpec is the open-loop triangle-counting workload.
-type TrianglesSpec struct {
-	// Vertices sizes the partitioned graph (default 96).
-	Vertices int
-	// Traffic configures the open-loop driver.
-	Traffic TrafficOptions
-}
-
-// WithDefaults resolves zero-valued fields to the documented defaults.
-func (s TrianglesSpec) WithDefaults() TrianglesSpec {
-	s.Vertices = sweep.DefaultInt(s.Vertices, trafficGraphVertices)
-	s.Traffic = s.Traffic.WithDefaults()
-	return s
-}
-
-// Name implements Spec.
-func (s TrianglesSpec) Name() string { return "triangles" }
-
-// Params implements Spec.
-func (s TrianglesSpec) Params() []NamedParam {
-	s = s.WithDefaults()
-	return append([]NamedParam{ParamInt("v", s.Vertices)}, trafficParams(s.Traffic)...)
-}
-
-// WithTraffic implements TrafficCapable.
-func (s TrianglesSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return s }
-
-// Point implements Spec.
-func (s TrianglesSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
-	s = s.WithDefaults()
-	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
-		return runTraffic(cfg, mech, rc, trianglesApp(s.Vertices), s.Traffic)
-	})
-}
-
-// WorkQueueSpec is the open-loop producer-consumer work-queue workload.
-type WorkQueueSpec struct {
-	// Traffic configures the open-loop driver.
-	Traffic TrafficOptions
-}
-
-// Name implements Spec.
-func (s WorkQueueSpec) Name() string { return "workqueue" }
-
-// Params implements Spec.
-func (s WorkQueueSpec) Params() []NamedParam { return trafficParams(s.Traffic) }
-
-// WithTraffic implements TrafficCapable.
-func (s WorkQueueSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return s }
-
-// Point implements Spec.
-func (s WorkQueueSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
-	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
-		return runTraffic(cfg, mech, rc, workqueueApp, s.Traffic)
-	})
-}
-
-// MPMCSpec is the open-loop fetch-add MPMC ring workload.
-type MPMCSpec struct {
-	// Traffic configures the open-loop driver.
-	Traffic TrafficOptions
-}
-
-// Name implements Spec.
-func (s MPMCSpec) Name() string { return "mpmc" }
-
-// Params implements Spec.
-func (s MPMCSpec) Params() []NamedParam { return trafficParams(s.Traffic) }
-
-// WithTraffic implements TrafficCapable.
-func (s MPMCSpec) WithTraffic(o TrafficOptions) Spec { s.Traffic = o; return s }
-
-// Point implements Spec.
-func (s MPMCSpec) Point(cfg config.Config, mech syncprim.Mechanism, rc RunConfig) sweep.Point {
-	return point(s, cfg, mech, rc, func() (TrafficResult, error) {
-		return runTraffic(cfg, mech, rc, mpmcApp, s.Traffic)
-	})
 }

@@ -109,9 +109,36 @@ func TestTrafficLabelsRenderParams(t *testing.T) {
 	}
 }
 
+// The table lists every workload once, in presentation order; ByName finds
+// each, and TrafficSpec accepts exactly the open-loop apps.
 func TestTrafficSpecRegistry(t *testing.T) {
-	if _, ok := TrafficSpec("stencil", testTraffic); ok {
-		t.Error("stencil is not a traffic workload")
+	want := []string{"stencil", "prefixsum", "histogram", "bfs", "pagerank", "triangles", "workqueue", "mpmc"}
+	if !reflect.DeepEqual(want[3:], TrafficApps) {
+		t.Fatalf("TrafficApps = %v, want %v", TrafficApps, want[3:])
+	}
+	var names []string
+	seen := map[string]bool{}
+	for _, s := range All() {
+		if seen[s.Name()] {
+			t.Errorf("duplicate spec %q", s.Name())
+		}
+		seen[s.Name()] = true
+		names = append(names, s.Name())
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("All() = %v, want %v", names, want)
+	}
+	for i, name := range want {
+		if s, ok := ByName(name); !ok || s.Name() != name {
+			t.Errorf("ByName(%q) = %q, %v", name, s.Name(), ok)
+		}
+		_, ok := TrafficSpec(name, testTraffic)
+		if traffic := i >= 3; ok != traffic {
+			t.Errorf("TrafficSpec(%q) ok = %v, want %v", name, ok, traffic)
+		}
+	}
+	if _, ok := ByName("nosuch"); ok {
+		t.Error("unknown spec resolved")
 	}
 	if _, ok := TrafficSpec("nosuch", testTraffic); ok {
 		t.Error("unknown app resolved")
@@ -129,6 +156,6 @@ func TestTrafficSpecRegistry(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("WithTraffic rate override not reflected in Params: %v", s.Params())
+		t.Fatalf("TrafficSpec rate override not reflected in Params: %v", s.Params())
 	}
 }

@@ -16,10 +16,9 @@ import (
 // expressed as a sweep.Spec (an ordered expansion into independent
 // sweep.Points) and executed by a Runner over the parallel sweep engine in
 // internal/sweep. A Runner fans points out across Workers OS workers,
-// memoizes results in a content-addressed cache, applies a per-point
-// wall-clock deadline with one bounded retry, honours context
-// cancellation, and reports results in expansion order, byte-identical to
-// a sequential run.
+// memoizes results in a content-addressed cache, runs each point once
+// under a wall-clock deadline, honours context cancellation, and reports
+// results in expansion order, byte-identical to a sequential run.
 
 // Aliases for the sweep engine's contract types, so experiment code reads
 // in one vocabulary.
@@ -40,11 +39,11 @@ type (
 // NewSweepCache returns an empty sweep result cache for a Runner.
 func NewSweepCache() *SweepCache { return sweep.NewCache() }
 
-// ErrSweepTimeout marks a sweep attempt abandoned at the Runner's
+// ErrSweepTimeout marks a sweep point abandoned at the Runner's
 // per-point wall-clock deadline.
 var ErrSweepTimeout = sweep.ErrTimeout
 
-// sweepPointTimeout is the default per-attempt wall-clock safety net for
+// sweepPointTimeout is the default per-point wall-clock safety net for
 // harness runs. Simulated deadlocks are detected by the event kernel and
 // return promptly; this bounds host-level hangs only, so it is generous.
 const sweepPointTimeout = 5 * time.Minute
@@ -65,7 +64,7 @@ type Runner struct {
 	// Cache, when non-nil, memoizes results by point key across sweeps
 	// and deduplicates concurrently in-flight equal-key points.
 	Cache *SweepCache
-	// Timeout is the per-attempt wall-clock deadline. 0 selects the
+	// Timeout is the per-point wall-clock deadline. 0 selects the
 	// package default (5 minutes); negative disables it.
 	Timeout time.Duration
 }
@@ -88,7 +87,7 @@ func (r *Runner) options(ctx context.Context) sweep.Options {
 // RunSweep expands spec and executes its points. Results are in expansion
 // order; on failure the error is a *SweepPointError naming the failed
 // cell. Cancelling ctx skips points not yet started, abandons in-flight
-// attempts promptly, and returns ctx.Err().
+// points promptly, and returns ctx.Err().
 func (r *Runner) RunSweep(ctx context.Context, spec SweepSpec) ([]any, error) {
 	return sweep.Run(spec, r.options(ctx))
 }
@@ -235,9 +234,6 @@ type BarrierExperiment struct {
 	Options BarrierOptions
 }
 
-// Name implements SweepSpec.
-func (e BarrierExperiment) Name() string { return "barrier" }
-
 // Points implements SweepSpec: for each scale, for each mechanism.
 func (e BarrierExperiment) Points() []SweepPoint {
 	mechs := e.Mechs
@@ -267,9 +263,6 @@ type LockExperiment struct {
 	// Options applies to every cell.
 	Options LockOptions
 }
-
-// Name implements SweepSpec.
-func (e LockExperiment) Name() string { return "lock" }
 
 // Points implements SweepSpec.
 func (e LockExperiment) Points() []SweepPoint {
@@ -329,9 +322,6 @@ type WorkloadExperiment struct {
 	// every cell (the zero value is the default amo machine).
 	RunConfig
 }
-
-// Name implements SweepSpec.
-func (e WorkloadExperiment) Name() string { return "workload" }
 
 // Points implements SweepSpec. Unknown app names panic: the expansion is
 // driven by package-internal tables, so a bad name is a programming error.

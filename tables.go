@@ -463,12 +463,6 @@ func AblationMulticast(procs []int, opts BarrierOptions) (*stats.Table, error) {
 	return t, nil
 }
 
-// appStencil runs the standard stencil kernel configuration for benchmarks.
-func appStencil(cfg Config, mech Mechanism) (uint64, error) {
-	r, err := workload.Stencil(cfg, mech, 4, 4)
-	return r.Cycles, err
-}
-
 // ExtensionMCS compares the MCS queue lock against ticket and array locks
 // for the LL/SC and AMO mechanisms (our extension table): the paper argues
 // complex queue locks become unnecessary with AMOs.

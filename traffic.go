@@ -50,9 +50,6 @@ type TrafficExperiment struct {
 	RunConfig
 }
 
-// Name implements SweepSpec.
-func (e TrafficExperiment) Name() string { return "traffic" }
-
 // resolve returns the experiment's axes with defaults applied.
 func (e TrafficExperiment) resolve() (apps []string, mechs []Mechanism, backends []Backend, rates []int) {
 	apps, mechs, backends, rates = e.Apps, e.Mechs, e.Backends, e.Rates
